@@ -6,8 +6,8 @@ solve      integrate one parameter set; emits trajectory CSV plus a JSON
            summary sidecar (<out>.summary.json)
 oracle     tabulate one of the closed-form profiles to CSV
 stability  run the certificate suite and emit the report as JSON
-sweep      run a grid of (n, omega) pairs concurrently, one CSV per run
-           plus an index.json
+sweep      run a grid of (n, omega) pairs in parameter order, one CSV per
+           run plus an index.json
 plot       render an emitted CSV or sweep index as a standalone SVG
 
 Exit codes: 0 success (a run that hits the divergence guard is a
@@ -15,10 +15,8 @@ meaningful success, reported through diverged_at), 1 user or validation
 error (the message names the offending flag), 2 numerical failure.
 
 All emitted files are byte deterministic for identical inputs.  CSV cells
-carry 17 significant digits; sweep output is assembled in parameter order
-after every worker has finished, so scheduling cannot reorder it.  The
-LANESTAB_THREADS environment variable caps sweep parallelism (default:
-available cores).
+carry 17 significant digits; sweep runs go one after another in parameter
+order, and the index is written last.
 """
 
 from __future__ import annotations
@@ -26,9 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +62,6 @@ FLAG_BY_FIELD = {
     "points": "--points",
     "input": "--input",
     "out_dir": "--out-dir",
-    "THREADS": "LANESTAB_THREADS",
 }
 
 
@@ -130,45 +125,43 @@ def _solve_summary(params: ModelParams, traj: Trajectory,
     return d
 
 
+def _closed_form(kind: str, theta0: float, omega: float | None,
+                 gamma: float | None):
+    """(theta(zeta), domain end, note) of one closed-form profile.
+
+    The domain end is math.inf where the formula is total.  The note is
+    None or a callable giving the line `oracle` prints; it is lazy because
+    `solve --check-oracle` never prints it.
+    """
+    if kind == "gamma2":
+        profile = closedform.HaloProfile(theta0=theta0, omega=omega)
+        return (lambda t: closedform.gamma2_profile(t, profile), math.inf,
+                lambda: f"halo boundary zeta_M = "
+                        f"{closedform.halo_boundary(profile):.12g}")
+    if kind == "powerlaw":
+        fn = lambda t: closedform.powerlaw_profile(t, gamma, theta0)
+        if gamma > 1.0:
+            end = closedform.powerlaw_boundary(gamma, theta0)
+            return fn, end, lambda: f"profile boundary zeta_star = {end:.12g}"
+        return fn, math.inf, None
+    if kind == "gaussian":
+        return (lambda t: closedform.gaussian_profile(t, theta0), math.inf,
+                None)
+    return (lambda t: closedform.waterbag_profile(t, omega), math.inf,
+            lambda: f"step radius xi0 = "
+                    f"{closedform.lane_emden_radius(omega):.12g}")
+
+
 def _oracle_comparison(kind: str, params: ModelParams,
                        traj: Trajectory) -> dict:
-    """Max |numeric - closed form| on a 1001-point grid of the run range."""
-    lo = float(traj.zetas[0])
-    hi = float(traj.zetas[-1])
-    if kind == "gamma2":
-        if params.n != 1:
-            raise ValidationError("check_oracle",
-                                  "the gamma2 oracle needs --n 1 (gamma = 2)")
-        profile = closedform.HaloProfile(theta0=params.theta0,
-                                         omega=params.omega)
-        grid = np.linspace(lo, hi, 1001)
-        vals = traj.evaluate_many(grid)[:, 0]
-        err = max(abs(float(v) - closedform.gamma2_profile(float(t), profile))
-                  for t, v in zip(grid, vals))
-    elif kind == "powerlaw":
-        if params.omega != 0.0:
-            raise ValidationError("check_oracle",
-                                  "the powerlaw oracle needs --omega 0")
-        gamma = params.gamma
-        boundary = math.sqrt(6.0 * gamma * params.theta0 ** (gamma - 1.0)
-                             / (gamma - 1.0))
-        grid = np.linspace(lo, min(hi, float(np.nextafter(boundary, 0.0))), 1001)
-        vals = traj.evaluate_many(grid)[:, 0]
-        err = max(abs(theta_from_z(float(v), params.n)
-                      - closedform.powerlaw_profile(float(t), gamma, params.theta0))
-                  for t, v in zip(grid, vals))
-    elif kind == "gaussian":
-        if params.omega != 0.0:
-            raise ValidationError("check_oracle",
-                                  "the gaussian oracle needs --omega 0")
-        grid = np.linspace(lo, hi, 1001)
-        vals = traj.evaluate_many(grid)[:, 0]
-        err = max(abs(theta_from_z(float(v), params.n)
-                      - closedform.gaussian_profile(float(t), params.theta0))
-                  for t, v in zip(grid, vals))
-    else:
-        raise ValidationError("check_oracle",
-                              f"must be one of {ORACLE_KINDS}, got {kind!r}")
+    """Max |numeric - closed form| of theta on a 1001-point grid of the run
+    range, capped below the profile's domain end."""
+    fn, end, _ = _closed_form(kind, params.theta0, params.omega, params.gamma)
+    hi = min(float(traj.zetas[-1]), float(np.nextafter(end, 0.0)))
+    grid = np.linspace(float(traj.zetas[0]), hi, 1001)
+    vals = traj.evaluate_many(grid)[:, 0]
+    err = max(abs(theta_from_z(float(v), params.n) - fn(float(t)))
+              for t, v in zip(grid, vals))
     return {"kind": kind, "max_abs_err": float(err)}
 
 
@@ -184,6 +177,12 @@ def cmd_solve(args) -> int:
                               f"must be one of {ORACLE_KINDS}, got "
                               f"{args.check_oracle!r}")
     params = make_params(args.n, args.omega, args.theta0, args.zeta0)
+    if args.check_oracle == "gamma2" and params.n != 1:
+        raise ValidationError("check_oracle",
+                              "the gamma2 oracle needs --n 1 (gamma = 2)")
+    if args.check_oracle in ("powerlaw", "gaussian") and params.omega != 0.0:
+        raise ValidationError("check_oracle",
+                              f"the {args.check_oracle} oracle needs --omega 0")
     opts = _integrator_options(args)
     traj = integrate(params, opts)
     zeta_star = first_zero(traj)
@@ -224,32 +223,13 @@ def cmd_oracle(args) -> int:
         raise ValidationError("zeta_end", f"must be finite and > 0, got {hi!r}")
     if isinstance(args.points, bool) or args.points < 2:
         raise ValidationError("points", f"must be an integer >= 2, got {args.points!r}")
-    note = None
-    if args.kind == "gamma2":
-        if args.omega is None:
-            raise ValidationError("omega", "required for the gamma2 oracle")
-        profile = closedform.HaloProfile(theta0=args.theta0, omega=args.omega)
-        fn = lambda t: closedform.gamma2_profile(t, profile)
-        note = f"halo boundary zeta_M = {closedform.halo_boundary(profile):.12g}"
-    elif args.kind == "powerlaw":
-        if args.gamma is None:
-            raise ValidationError("gamma", "required for the powerlaw oracle")
-        gamma, theta0 = float(args.gamma), float(args.theta0)
-        fn = lambda t: closedform.powerlaw_profile(t, gamma, theta0)
-        if gamma > 1.0:
-            boundary = math.sqrt(6.0 * gamma * theta0 ** (gamma - 1.0)
-                                 / (gamma - 1.0))
-            hi = min(hi, boundary)
-            note = f"profile boundary zeta_star = {boundary:.12g}"
-    elif args.kind == "gaussian":
-        theta0 = float(args.theta0)
-        fn = lambda t: closedform.gaussian_profile(t, theta0)
-    else:
-        if args.omega is None:
-            raise ValidationError("omega", "required for the waterbag oracle")
-        omega = float(args.omega)
-        fn = lambda t: closedform.waterbag_profile(t, omega)
-        note = f"step radius xi0 = {closedform.lane_emden_radius(omega):.12g}"
+    if args.kind in ("gamma2", "waterbag") and args.omega is None:
+        raise ValidationError("omega", f"required for the {args.kind} oracle")
+    if args.kind == "powerlaw" and args.gamma is None:
+        raise ValidationError("gamma", "required for the powerlaw oracle")
+    fn, end, note = _closed_form(args.kind, args.theta0, args.omega,
+                                 args.gamma)
+    hi = min(hi, end)
     grid = np.linspace(0.0, hi, int(args.points))
     lines = ["zeta,theta"]
     for t in grid:
@@ -257,8 +237,8 @@ def cmd_oracle(args) -> int:
     out = Path(args.out) if args.out else Path(f"oracle_{args.kind}.csv")
     _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
-    if note:
-        print(note)
+    if note is not None:
+        print(note())
     return 0
 
 
@@ -299,21 +279,6 @@ def _parse_float_list(text: str, field: str) -> list[float]:
                               f"must be a comma-separated number list, got {text!r}")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LANESTAB_THREADS")
-    if raw is None or raw.strip() == "":
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValidationError("THREADS",
-                              f"must be a positive integer, got {raw!r}")
-    if count < 1:
-        raise ValidationError("THREADS",
-                              f"must be a positive integer, got {raw!r}")
-    return count
-
-
 def cmd_sweep(args) -> int:
     ns = _parse_int_list(args.n, "n")
     omegas = _parse_float_list(args.omega, "omega")
@@ -322,51 +287,42 @@ def cmd_sweep(args) -> int:
     if not omegas:
         raise ValidationError("omega", "needs at least one value")
     combos = [(n, om) for n in ns for om in omegas]
-    # validate the whole grid before any worker starts
+    # validate the whole grid before the first run starts
     run_params = [make_params(n, om, args.theta0, args.zeta0)
                   for n, om in combos]
     opts = _integrator_options(args)
-    threads = _thread_count()
     out_dir = Path(args.out_dir)
-
-    def job(params: ModelParams):
-        try:
-            return integrate(params, opts)
-        except Exception as exc:  # recorded per run; the sweep never aborts
-            return exc
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(job, run_params))
 
     entries = []
     failed = False
-    for params, result in zip(run_params, results):
+    for params in run_params:
         entry: dict = {"n": params.n, "omega": params.omega,
                        "theta0": params.theta0, "zeta0": params.zeta_start,
                        "zeta_end": opts.zeta_end}
-        if isinstance(result, Exception):
+        try:
+            traj = integrate(params, opts)
+        except Exception as exc:  # recorded per run; the sweep never aborts
             failed = True
             entry["status"] = "error"
-            entry["error"] = str(result)
+            entry["error"] = str(exc)
         else:
             fname = f"run_n{params.n}_omega{params.omega:g}.csv"
-            _write_text(out_dir / fname, _trajectory_csv(result))
+            _write_text(out_dir / fname, _trajectory_csv(traj))
             entry["file"] = fname
-            entry["status"] = result.status
-            zeta_star = first_zero(result)
+            entry["status"] = traj.status
+            zeta_star = first_zero(traj)
             if zeta_star is not None:
                 entry["zeta_star"] = zeta_star
-            if result.diverged_at is not None:
-                entry["diverged_at"] = result.diverged_at
-            max_abs_z = float(np.max(np.abs(result.zs)))
+            if traj.diverged_at is not None:
+                entry["diverged_at"] = traj.diverged_at
+            max_abs_z = float(np.max(np.abs(traj.zs)))
             entry["max_abs_z"] = max_abs_z
-            entry["bounded"] = (result.status != DIVERGED
+            entry["bounded"] = (traj.status != DIVERGED
                                 and max_abs_z <= BOUNDED_LIMIT)
         entries.append(entry)
 
     _write_text(out_dir / "index.json", _json_text({"runs": entries}))
-    print(f"wrote {out_dir / 'index.json'} ({len(entries)} runs, "
-          f"{threads} worker threads)")
+    print(f"wrote {out_dir / 'index.json'} ({len(entries)} runs)")
     return 2 if failed else 0
 
 
@@ -444,13 +400,13 @@ def cmd_plot(args) -> int:
             raise ValidationError("input", f"malformed sweep index {src}: {exc}")
         series = []
         for run in runs:
-            if "file" not in run:
+            if run.get("bounded") is not True:
                 continue
             cols = _read_csv_columns(src.parent / run["file"])
             label = f"n={run['n']}, omega={run['omega']:g}"
             series.append((label, cols["zeta"], cols["theta"]))
         if not series:
-            raise ValidationError("input", f"{src} lists no completed runs")
+            raise ValidationError("input", f"{src} lists no bounded runs")
         svg = svgplot.line_chart(series, xlabel="zeta", ylabel="theta",
                                  title="density profile family")
 

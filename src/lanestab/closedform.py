@@ -110,13 +110,18 @@ def halo_boundary(p: HaloProfile) -> float:
     return x * math.sqrt(2.0 / p.omega)
 
 
+def powerlaw_boundary(gamma: float, theta0: float) -> float:
+    """Radius zeta_star = sqrt(6 gamma theta0^(gamma-1) / (gamma-1)) where
+    the gamma > 1 power-law density vanishes."""
+    return math.sqrt(6.0 * gamma * theta0 ** (gamma - 1.0) / (gamma - 1.0))
+
+
 def powerlaw_profile(zeta: float, gamma: float, theta0: float) -> float:
     """omega -> 0 density [theta0^(gamma-1) - (gamma-1) zeta^2 / (6 gamma)]^(1/(gamma-1)).
 
-    For gamma > 1 the bracket hits zero at
-    zeta_star = sqrt(6 gamma theta0^(gamma-1) / (gamma-1)) and evaluation
-    beyond that is a domain error.  gamma = 1 belongs to gaussian_profile
-    and gamma = 0 to waterbag_profile.
+    For gamma > 1 the bracket hits zero at powerlaw_boundary and
+    evaluation beyond that is a domain error.  gamma = 1 belongs to
+    gaussian_profile and gamma = 0 to waterbag_profile.
     """
     gamma = float(gamma)
     if gamma == 1.0:
@@ -131,11 +136,10 @@ def powerlaw_profile(zeta: float, gamma: float, theta0: float) -> float:
     bracket = theta0 ** (gamma - 1.0) - (gamma - 1.0) * zeta * zeta / (6.0 * gamma)
     exponent = 1.0 / (gamma - 1.0)
     if bracket < 0.0 or (bracket == 0.0 and exponent < 0.0):
-        zeta_star = math.sqrt(6.0 * gamma * theta0 ** (gamma - 1.0) / (gamma - 1.0))
         raise ValidationError(
             "zeta",
             f"outside the profile domain; the density vanishes at "
-            f"zeta_star = {zeta_star!r}")
+            f"zeta_star = {powerlaw_boundary(gamma, theta0)!r}")
     return bracket ** exponent
 
 

@@ -47,8 +47,6 @@ GRID_NS = (2, 4, 6)
 GRID_OMEGAS = (0.1, 0.5, 0.9)
 FAMILY_COMBOS = ((2, 0.5), (4, 0.5), (6, 0.5), (2, 0.1), (2, 0.5), (2, 0.9))
 
-mp.mp.dps = 50
-
 
 @pytest.fixture(scope="module")
 def family_runs():
@@ -244,23 +242,24 @@ def test_criterion_06_lyapunov_descent(family_runs, record_criterion):
         # forward difference of V along the interpolant at segment left
         # nodes, in 50-digit arithmetic; the interpolant's left-node slope
         # equals the vector field there, making the comparison honest
-        u_mp = mp.mpf(-left.z_eq)
-        om_mp = mp.mpf(p.omega)
+        with mp.workdps(50):
+            u_mp = mp.mpf(-left.z_eq)
+            om_mp = mp.mpf(p.omega)
 
-        def v_mp(x1, x2):
-            return _lyapunov_V_mp(x1, x2, u_mp, om_mp, n)
+            def v_mp(x1, x2):
+                return _lyapunov_V_mp(x1, x2, u_mp, om_mp, n)
 
-        for k in rng.choice(len(traj.segments), size=10, replace=False):
-            seg = traj.segments[int(k)]
-            an = lyapunov_Vdot(float(traj.dzs[int(k)]), seg.zeta0)
-            if abs(an) <= 1e-8:
-                continue
-            h = mp.mpf(seg.zeta0) * mp.mpf("1e-10")
-            vals = [v_mp(*(lambda y: (y[0] - mp.mpf(left.z_eq), y[1]))(
-                _segment_eval_mp(seg, mp.mpf(seg.zeta0) + m_ * h)))
-                for m_ in (0, 1, 2)]
-            fd = float((-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h))
-            worst_rel = max(worst_rel, abs(fd - an) / abs(an))
+            for k in rng.choice(len(traj.segments), size=10, replace=False):
+                seg = traj.segments[int(k)]
+                an = lyapunov_Vdot(float(traj.dzs[int(k)]), seg.zeta0)
+                if abs(an) <= 1e-8:
+                    continue
+                h = mp.mpf(seg.zeta0) * mp.mpf("1e-10")
+                vals = [v_mp(*(lambda y: (y[0] - mp.mpf(left.z_eq), y[1]))(
+                    _segment_eval_mp(seg, mp.mpf(seg.zeta0) + m_ * h)))
+                    for m_ in (0, 1, 2)]
+                fd = float((-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h))
+                worst_rel = max(worst_rel, abs(fd - an) / abs(an))
     ok = worst_uphill <= 1e-8 and worst_rel <= 1e-5
     record_criterion(6, ok,
                      f"descent over 9 runs: worst uphill step = "

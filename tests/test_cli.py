@@ -119,11 +119,13 @@ def test_solve_check_oracle(tmp_path, capsys):
     assert summary["oracle"]["max_abs_err"] <= 1e-6
 
 
-def test_solve_check_oracle_parameter_mismatch(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["gamma2", "powerlaw", "gaussian"])
+def test_solve_check_oracle_parameter_mismatch(kind, tmp_path, capsys):
+    # gamma2 needs --n 1; powerlaw and gaussian need --omega 0
     out = tmp_path / "bad.csv"
     code, _, err = _run(["solve", "--n", "2", "--omega", "0.5",
                          "--zeta-end", "1", "--out", str(out),
-                         "--check-oracle", "gamma2"], capsys)
+                         "--check-oracle", kind], capsys)
     assert code == 1
     assert "--check-oracle" in err
 
@@ -167,6 +169,10 @@ def test_solve_deterministic_bytes(tmp_path, capsys):
 
 
 def test_oracle_gamma2_table(tmp_path, capsys):
+    code, _, err = _run(["oracle", "--kind", "gamma2",
+                         "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 1
+    assert "--omega" in err
     out = tmp_path / "oracle.csv"
     code, stdout, _ = _run(["oracle", "--kind", "gamma2", "--omega", "0.5",
                             "--zeta-end", "6", "--points", "100",
@@ -201,6 +207,10 @@ def test_oracle_waterbag(tmp_path, capsys):
 
 
 def test_oracle_powerlaw_caps_grid_at_boundary(tmp_path, capsys):
+    code, _, err = _run(["oracle", "--kind", "powerlaw",
+                         "--out", str(tmp_path / "q.csv")], capsys)
+    assert code == 1
+    assert "--gamma" in err
     out = tmp_path / "p.csv"
     code, stdout, _ = _run(["oracle", "--kind", "powerlaw", "--gamma", "1.5",
                             "--zeta-end", "100", "--points", "80",
@@ -244,11 +254,10 @@ def test_stability_cli_rejects_omega_zero(capsys):
     assert "--omega" in err
 
 
-def test_sweep_outputs_and_thread_independence(tmp_path, capsys, monkeypatch):
+def test_sweep_outputs_are_deterministic(tmp_path, capsys):
     argv_tail = ["--n", "2,3", "--omega", "0.45,0.9", "--zeta-end", "40"]
     outputs = []
-    for threads, sub in (("3", "d1"), ("1", "d2")):
-        monkeypatch.setenv("LANESTAB_THREADS", threads)
+    for sub in ("d1", "d2"):
         out_dir = tmp_path / sub
         code, _, _ = _run(["sweep", *argv_tail, "--out-dir", str(out_dir)],
                           capsys)
@@ -274,7 +283,7 @@ def test_sweep_outputs_and_thread_independence(tmp_path, capsys, monkeypatch):
     assert "diverged_at" in by_key[(3, 0.45)]
 
 
-def test_sweep_validation(tmp_path, capsys, monkeypatch):
+def test_sweep_validation(tmp_path, capsys):
     code, _, err = _run(["sweep", "--n", "2", "--omega", "-1",
                          "--out-dir", str(tmp_path)], capsys)
     assert code == 1
@@ -284,12 +293,6 @@ def test_sweep_validation(tmp_path, capsys, monkeypatch):
                          "--out-dir", str(tmp_path)], capsys)
     assert code == 1
     assert "--n" in err
-
-    monkeypatch.setenv("LANESTAB_THREADS", "zero")
-    code, _, err = _run(["sweep", "--n", "2", "--omega", "0.5",
-                         "--out-dir", str(tmp_path)], capsys)
-    assert code == 1
-    assert "LANESTAB_THREADS" in err
 
 
 def test_sweep_records_per_run_errors(tmp_path, capsys):
@@ -348,6 +351,41 @@ def test_plot_profile_family_and_determinism(tmp_path, capsys):
     assert len(root.findall(f".//{SVG}polyline")) == 2
     text = renders[0].decode()
     assert "n=2, omega=0.3" in text and "n=2, omega=0.6" in text
+
+
+def test_plot_profile_family_skips_unbounded_runs(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    code, _, _ = _run(["sweep", "--n", "2,3", "--omega", "0.45,0.9",
+                       "--zeta-end", "40", "--out-dir", str(out_dir)], capsys)
+    assert code == 0
+    runs = json.loads((out_dir / "index.json").read_text())["runs"]
+    assert [r["bounded"] for r in runs] == [True, True, False, False]
+    out = tmp_path / "family.svg"
+    code, _, _ = _run(["plot", "--input", str(out_dir / "index.json"),
+                       "--kind", "profile-family", "--out", str(out)], capsys)
+    assert code == 0
+    root = ET.fromstring(out.read_text())
+    assert len(root.findall(f".//{SVG}polyline")) == 2
+    # a diverged run would stretch the theta axis to about -1e36
+    ticks = []
+    for el in root.findall(f".//{SVG}text"):
+        try:
+            ticks.append(float(el.text))
+        except ValueError:
+            pass
+    assert ticks and max(abs(t) for t in ticks) <= 1e3
+    assert "n=3" not in out.read_text()
+
+
+def test_plot_profile_family_rejects_index_without_bounded_runs(tmp_path,
+                                                                capsys):
+    out_dir = tmp_path / "sweep"
+    _run(["sweep", "--n", "3", "--omega", "0.45", "--zeta-end", "40",
+          "--out-dir", str(out_dir)], capsys)
+    code, _, err = _run(["plot", "--input", str(out_dir / "index.json"),
+                         "--kind", "profile-family"], capsys)
+    assert code == 1
+    assert "lists no bounded runs" in err
 
 
 def test_plot_missing_input(tmp_path, capsys):

@@ -26,8 +26,6 @@ from lanestab import (
 )
 from lanestab.closedform import SHC_SERIES_CUTOFF
 
-mp.mp.dps = 40
-
 # root of sinh(x)/x = 2, frozen from mpmath.findroot
 SINHC_EQUALS_TWO = 2.1773189849653068
 # 3 * (4*pi*omega)**(-1/3) at omega = 1 and omega = 0.5
@@ -38,8 +36,9 @@ WATERBAG_RADIUS_OMEGA_HALF = 1.6257782104178670
 def _shc_oracle(x: float) -> float:
     if x == 0.0:
         return 1.0
-    xm = mp.mpf(x)
-    return float(mp.sinh(xm) / xm)
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        return float(mp.sinh(xm) / xm)
 
 
 def test_shc_matches_highprec_oracle():
@@ -99,8 +98,10 @@ def test_gamma2_profile_values():
     assert math.isclose(gamma2_profile(1.0, p), 0.9578093890125053, rel_tol=1e-14)
 
     def oracle(zeta: float) -> float:
-        arg = mp.sqrt(mp.mpf("0.25")) * zeta
-        return float((1 + (mp.mpf("0.5") - 1) * mp.sinh(arg) / arg) / mp.mpf("0.5"))
+        with mp.workdps(40):
+            arg = mp.sqrt(mp.mpf("0.25")) * zeta
+            return float((1 + (mp.mpf("0.5") - 1) * mp.sinh(arg) / arg)
+                         / mp.mpf("0.5"))
 
     for zeta in np.linspace(0.05, 12.0, 120):
         assert math.isclose(gamma2_profile(float(zeta), p), oracle(float(zeta)),
@@ -204,7 +205,8 @@ def test_lane_emden_radius_values():
                         rel_tol=1e-14)
     assert math.isclose(lane_emden_radius(0.5), WATERBAG_RADIUS_OMEGA_HALF,
                         rel_tol=1e-14)
-    oracle = float(3 * (4 * mp.pi * mp.mpf("0.5")) ** (mp.mpf(-1) / 3))
+    with mp.workdps(40):
+        oracle = float(3 * (4 * mp.pi * mp.mpf("0.5")) ** (mp.mpf(-1) / 3))
     assert math.isclose(lane_emden_radius(0.5), oracle, rel_tol=1e-15)
     with pytest.raises(ValidationError):
         lane_emden_radius(0.0)
