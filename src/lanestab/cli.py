@@ -204,7 +204,7 @@ def cmd_solve(args) -> int:
                   f"(|z| crossed the guard; expected for repelling starts)")
         else:
             print(f"completed to zeta = {traj.zetas[-1]:g} "
-                  f"in {len(traj.segments)} steps")
+                  f"in {len(traj.q)} steps")
         if zeta_star is not None:
             print(f"zeta_star = {zeta_star:.12g}")
         if oracle is not None:
@@ -508,9 +508,6 @@ def main(argv=None) -> int:
         print(f"error: {flag}: {exc.message}", file=sys.stderr)
         return 1
     except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -59,9 +59,16 @@ def shc(x: float) -> float:
     return math.sinh(x) / x
 
 
-def _shc_or_inf(x: float) -> float:
+def _shc_excess(x: float) -> float:
+    """(shc(x) - 1)/x^2 for x >= 0, which is 1/6 at 0.  Below 0.5 it is the
+    series sum of x^(2k-2)/(2k+1)! for k = 1..6, accurate to about 1e-15
+    relative; inf once sinh overflows."""
+    if x < 0.5:
+        x2 = x * x
+        return 1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (1.0 / 5040.0 + x2 * (
+            1.0 / 362880.0 + x2 * (1.0 / 39916800.0 + x2 / 6227020800.0))))
     try:
-        return shc(x)
+        return (math.sinh(x) / x - 1.0) / (x * x)
     except OverflowError:
         return math.inf
 
@@ -80,34 +87,39 @@ def gamma2_profile(zeta: float, p: HaloProfile) -> float:
 def halo_boundary(p: HaloProfile) -> float:
     """Radius zeta_M > 0 where the gamma = 2 profile reaches zero.
 
-    Solves shc(x) = 1/(1 - theta0*omega) for x = sqrt(omega/2)*zeta_M.
-    shc is strictly increasing on (0, inf), so the root is bracketed by
-    doubling, pinned by bisection to 1e-12, then polished with one Newton
-    step.  Absolute accuracy is about 1e-10 in zeta_M.
+    shc(x) - 1 = theta0*omega/(1 - theta0*omega) at x = c*zeta_M,
+    c = sqrt(omega/2), divided by c^2: F(zeta) = _shc_excess(c*zeta)*zeta^2
+    = 2*theta0/(1 - theta0*omega).  That form keeps full relative accuracy
+    as omega -> 0, where zeta_M -> sqrt(12 theta0)(1 + 0.35 theta0 omega).
+    F increases and F >= zeta^2/6, so halving down from sqrt(6*target)
+    brackets the root; bisection to 1e-15 relative and a Newton step pin it.
     """
-    target = 1.0 / (1.0 - p.theta0 * p.omega)
-    lo, hi = 0.0, 1.0
-    while _shc_or_inf(hi) < target:
-        lo = hi
-        hi *= 2.0
-        if hi > 1400.0:
-            raise RuntimeError(
-                "halo_boundary: could not bracket the shc root; "
-                f"target {target!r} is out of floating-point reach")
+    c = math.sqrt(0.5 * p.omega)
+    target = 2.0 * p.theta0 / (1.0 - p.theta0 * p.omega)
+
+    def excess(zeta):
+        return _shc_excess(c * zeta) * zeta * zeta
+
+    hi = math.sqrt(6.0 * target)
+    lo = 0.5 * hi
+    while excess(lo) > target:
+        hi, lo = lo, 0.5 * lo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _shc_or_inf(mid) < target:
+        if excess(mid) < target:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-12:
+        if hi - lo <= 1e-15 * hi:
             break
-    x = 0.5 * (lo + hi)
-    if 0.0 < x < 700.0:
-        # d/dx sinh(x)/x = (cosh(x) - shc(x))/x, positive on (0, inf)
-        deriv = (math.cosh(x) - shc(x)) / x
-        x -= (shc(x) - target) / deriv
-    return x * math.sqrt(2.0 / p.omega)
+    zeta = 0.5 * (lo + hi)
+    # F' = shc'(x)/c with shc'(x) = (cosh(x) - shc(x))/x, where
+    # cosh(x) - 1 = x^2 shc(x/2)^2/2 avoids the cancellation near 0
+    x = c * zeta
+    slope = zeta * (0.5 * shc(0.5 * x) ** 2 - _shc_excess(x))
+    if slope > 0.0:
+        zeta -= (excess(zeta) - target) / slope
+    return zeta
 
 
 def powerlaw_boundary(gamma: float, theta0: float) -> float:
@@ -124,6 +136,8 @@ def powerlaw_profile(zeta: float, gamma: float, theta0: float) -> float:
     gaussian_profile and gamma = 0 to waterbag_profile.
     """
     gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValidationError("gamma", f"must be finite, got {gamma!r}")
     if gamma == 1.0:
         raise ValidationError("gamma",
                               "the gamma = 1 limit is gaussian_profile")

@@ -1,17 +1,13 @@
 """Adaptive integration of the cloud profile from near the singular point.
 
-The system
-
-    z'  = dz
-    dz' = (omega * z**n - 1)/(n + 1) - 2*dz/zeta
-
-is smooth and nonstiff for zeta >= zeta_start > 0, so an embedded
-Runge-Kutta 5(4) pair with a free quartic interpolant does the work; the
-stepper is driven step by step so that every accepted step's interpolant
-is kept, zero crossings of z are located as they happen, and runaway
-solutions are converted into a structured "diverged" outcome instead of an
-overflow.  Divergence is expected and meaningful for odd n, where the sole
-equilibrium repels; it is data, not failure.
+The first-order system of model.rhs is smooth and nonstiff for
+zeta >= zeta_start > 0, so an embedded Runge-Kutta 5(4) pair with a free
+quartic interpolant does the work; the stepper is driven step by step so
+that every accepted step's interpolant is kept, zero crossings of z are
+located as they happen, and runaway solutions are converted into a
+structured "diverged" outcome instead of an overflow.  Divergence is
+expected and meaningful for odd n, where the sole equilibrium repels; it
+is data, not failure.
 
 Two start modes exist.  Offset starts exactly at (z, dz) =
 (theta0**(1/n), 0) at zeta_start.  Series replaces that with a quadratic
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import RK45
 
-from .model import ModelParams, State, ValidationError
+from .model import ModelParams, State, ValidationError, rhs
 
 OFFSET = "offset"
 SERIES = "series"
@@ -78,25 +74,13 @@ class IntegratorOptions:
                                   f"must be '{OFFSET}' or '{SERIES}', got {self.start_mode!r}")
 
 
-@dataclass(frozen=True)
-class DenseSegment:
-    """Quartic interpolant of one accepted step on [zeta0, zeta1].
-
-    Evaluation is y0 + h * Q @ (s, s^2, s^3, s^4) with s = (zeta-zeta0)/h.
-    The first interpolant column equals the right-hand side at the left
-    node, so the piecewise curve is C1 at every left endpoint.
-    """
-
-    zeta0: float
-    zeta1: float
-    h: float
-    y0: np.ndarray
-    q: np.ndarray
-
-    def __call__(self, zeta: float) -> np.ndarray:
-        s = (zeta - self.zeta0) / self.h
-        powers = np.array([s, s * s, s ** 3, s ** 4])
-        return self.y0 + self.h * (self.q @ powers)
+def _dense(zeta, zeta0, h, y0, q) -> np.ndarray:
+    """Quartic interpolant y0 + h * q @ (s, s^2, s^3, s^4) of one accepted
+    step, s = (zeta - zeta0)/h.  Broadcasts over a leading step axis:
+    zeta, zeta0, h of shape (M,), y0 (M, 2) and q (M, 2, 4) give (M, 2)."""
+    s = (zeta - zeta0) / h
+    powers = np.stack([s, s * s, s ** 3, s ** 4], axis=-1)
+    return y0 + np.expand_dims(h, -1) * (q @ powers[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -109,46 +93,43 @@ class Event:
 class Trajectory:
     """Completed integration: sample nodes, per-step dense output, events.
 
-    status is "completed" or "diverged"; diverged_at carries the zeta at
-    which |z| crossed the divergence guard, else None.
+    Step k runs from zetas[k] to zetas[k+1]; its interpolant is
+    (zs[k], dzs[k]) + h * q[k] @ (s, s^2, s^3, s^4) with
+    h = zetas[k+1] - zetas[k] and s = (zeta - zetas[k])/h, so q has shape
+    (N-1, 2, 4).  q[k][:, 0] is the right-hand side at the left node, so
+    the piecewise curve is C1 there.  status is "completed" or "diverged";
+    diverged_at carries the zeta at which |z| crossed the divergence
+    guard, else None.
     """
 
     params: ModelParams
     zetas: np.ndarray
     zs: np.ndarray
     dzs: np.ndarray
-    segments: tuple[DenseSegment, ...]
+    q: np.ndarray
     events: tuple[Event, ...]
     status: str
     diverged_at: float | None
 
-    @property
-    def samples(self) -> tuple[State, ...]:
-        return tuple(State(float(t), float(z), float(dz))
-                     for t, z, dz in zip(self.zetas, self.zs, self.dzs))
-
-    def _segment_for(self, zeta: float) -> DenseSegment:
-        if not (self.zetas[0] <= zeta <= self.zetas[-1]):
-            raise ValidationError(
-                "zeta",
-                f"outside the integrated range [{self.zetas[0]!r}, "
-                f"{self.zetas[-1]!r}], got {zeta!r}")
-        i = int(np.searchsorted(self.zetas, zeta, side="right")) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        return self.segments[i]
-
     def evaluate(self, zeta: float) -> tuple[float, float]:
         """Dense-output (z, dz) anywhere inside the integrated range."""
-        y = self._segment_for(float(zeta))(float(zeta))
+        y = self.evaluate_many([float(zeta)])[0]
         return (float(y[0]), float(y[1]))
 
     def evaluate_many(self, zetas) -> np.ndarray:
         """Dense-output evaluation on an array of points; returns (N, 2)."""
-        pts = np.asarray(zetas, dtype=float)
-        out = np.empty((pts.size, 2))
-        for k, t in enumerate(pts.ravel()):
-            out[k] = self._segment_for(float(t))(float(t))
-        return out
+        pts = np.asarray(zetas, dtype=float).ravel()
+        inside = (self.zetas[0] <= pts) & (pts <= self.zetas[-1])
+        if not inside.all():
+            raise ValidationError(
+                "zeta",
+                f"outside the integrated range [{float(self.zetas[0])!r}, "
+                f"{float(self.zetas[-1])!r}], got {float(pts[~inside][0])!r}")
+        k = np.searchsorted(self.zetas, pts, side="right") - 1
+        k = np.minimum(k, len(self.q) - 1)
+        t0 = self.zetas[k]
+        return _dense(pts, t0, self.zetas[k + 1] - t0,
+                      np.stack([self.zs[k], self.dzs[k]], axis=-1), self.q[k])
 
 
 def series_start(params: ModelParams, zeta_small: float) -> State:
@@ -213,13 +194,8 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     else:
         y0 = np.array([params.theta0 ** (1.0 / params.n), 0.0])
 
-    om = params.omega
-    n = params.n
-    inv_np1 = 1.0 / (n + 1.0)
-
     def fun(t, y):
-        z, dz = y
-        return np.array([dz, (om * z ** n - 1.0) * inv_np1 - 2.0 * dz / t])
+        return np.array(rhs(t, y[0], y[1], params))
 
     first = min(1e-4, (opts.zeta_end - params.zeta_start) / 100.0)
     stepper = RK45(fun, params.zeta_start, y0, t_bound=opts.zeta_end,
@@ -227,7 +203,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
 
     node_t = [params.zeta_start]
     node_y = [y0]
-    segments: list[DenseSegment] = []
+    qs: list[np.ndarray] = []
     events: list[Event] = []
     status = COMPLETED
     diverged_at = None
@@ -244,27 +220,24 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
             raise IntegrationError(
                 f"step size underflow; last good zeta = {node_t[-1]!r}",
                 float(node_t[-1]))
-        dense = stepper.dense_output()
-        seg = DenseSegment(zeta0=float(dense.t_old), zeta1=float(dense.t),
-                           h=float(dense.h),
-                           y0=np.array(dense.y_old, dtype=float),
-                           q=np.array(dense.Q, dtype=float))
-        segments.append(seg)
-
-        z_prev = float(node_y[-1][0])
-        z_new = float(stepper.y[0])
-        if z_prev != 0.0 and (z_new == 0.0 or (z_prev > 0.0) != (z_new > 0.0)):
-            zc = _bisect(lambda t: seg(t)[0], seg.zeta0, seg.zeta1)
-            events.append(Event(zc, EVENT_ZERO))
-        node_t.append(float(stepper.t))
+        t0, t1, y_old = node_t[-1], float(stepper.t), node_y[-1]
+        h = t1 - t0
+        q = np.array(stepper.dense_output().Q, dtype=float)
+        qs.append(q)
+        node_t.append(t1)
         node_y.append(stepper.y.copy())
 
+        def z_at(t):
+            return _dense(t, t0, h, y_old, q)[0]
+
+        z_prev, z_new = float(y_old[0]), float(stepper.y[0])
+        if z_prev != 0.0 and (z_new == 0.0 or (z_prev > 0.0) != (z_new > 0.0)):
+            events.append(Event(_bisect(z_at, t0, t1), EVENT_ZERO))
         if abs(z_new) > DIVERGENCE_GUARD:
-            zc = _bisect(lambda t: abs(seg(t)[0]) - DIVERGENCE_GUARD,
-                         seg.zeta0, seg.zeta1)
-            events.append(Event(zc, EVENT_DIVERGED))
+            diverged_at = _bisect(lambda t: abs(z_at(t)) - DIVERGENCE_GUARD,
+                                  t0, t1)
+            events.append(Event(diverged_at, EVENT_DIVERGED))
             status = DIVERGED
-            diverged_at = zc
             break
 
     ys = np.array(node_y)
@@ -272,7 +245,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
                       zetas=np.array(node_t),
                       zs=ys[:, 0],
                       dzs=ys[:, 1],
-                      segments=tuple(segments),
+                      q=np.array(qs),
                       events=tuple(events),
                       status=status,
                       diverged_at=diverged_at)

@@ -127,11 +127,13 @@ def z_from_theta(theta: float, n: int) -> float:
 def rhs(zeta: float, z: float, dz: float, params: ModelParams) -> tuple[float, float]:
     """Right-hand side of the first-order system at radius zeta > 0.
 
-    Returns (dz, (omega*z**n - 1)/(n+1) - 2*dz/zeta).
+    Returns (dz, (omega*z**n - 1)/(n+1) - 2*dz/zeta).  The integrator
+    steps this function; it multiplies by 1/(n+1) rather than dividing,
+    and emitted trajectories depend on that rounding.
     """
     if zeta <= 0.0:
         raise ValidationError("zeta", f"must be > 0, got {zeta!r}")
-    accel = (params.omega * z ** params.n - 1.0) / (params.n + 1.0) \
+    accel = (params.omega * z ** params.n - 1.0) * (1.0 / (params.n + 1.0)) \
         - 2.0 * dz / zeta
     return (dz, accel)
 

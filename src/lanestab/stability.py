@@ -285,9 +285,8 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
     k = int(hit[0])
     if k == 0:
         return float(traj.zetas[0])
-    seg = traj.segments[k - 1]
-    return _bisect(lambda t: abs(seg(t)[0] - u) - threshold,
-                   seg.zeta0, seg.zeta1)
+    return _bisect(lambda t: abs(traj.evaluate(t)[0] - u) - threshold,
+                   float(traj.zetas[k - 1]), float(traj.zetas[k]))
 
 
 def classify(params: ModelParams) -> StabilityReport:

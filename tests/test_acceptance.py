@@ -75,16 +75,19 @@ def gamma2_run():
     return traj, time.perf_counter() - t0
 
 
-def _segment_eval_mp(seg, zeta):
-    """Dense-segment evaluation with exact mpf arithmetic on the stored
-    float coefficients, so finite differences are truncation-limited."""
-    s = (zeta - mp.mpf(seg.zeta0)) / mp.mpf(seg.h)
+def _segment_eval_mp(traj, k, zeta):
+    """Step k's dense-output evaluation with exact mpf arithmetic on the
+    stored float nodes and coefficients, so finite differences are
+    truncation-limited."""
+    zeta0 = mp.mpf(float(traj.zetas[k]))
+    h = mp.mpf(float(traj.zetas[k + 1] - traj.zetas[k]))
+    s = (zeta - zeta0) / h
     powers = [s, s ** 2, s ** 3, s ** 4]
     out = []
-    for i in range(2):
-        acc = mp.mpf(float(seg.y0[i]))
-        acc += mp.mpf(seg.h) * sum(mp.mpf(float(seg.q[i][j])) * powers[j]
-                                   for j in range(4))
+    for i, y0 in enumerate((traj.zs[k], traj.dzs[k])):
+        acc = mp.mpf(float(y0))
+        acc += h * sum(mp.mpf(float(traj.q[k][i][j])) * powers[j]
+                       for j in range(4))
         out.append(acc)
     return out
 
@@ -249,14 +252,15 @@ def test_criterion_06_lyapunov_descent(family_runs, record_criterion):
             def v_mp(x1, x2):
                 return _lyapunov_V_mp(x1, x2, u_mp, om_mp, n)
 
-            for k in rng.choice(len(traj.segments), size=10, replace=False):
-                seg = traj.segments[int(k)]
-                an = lyapunov_Vdot(float(traj.dzs[int(k)]), seg.zeta0)
+            for k in rng.choice(len(traj.q), size=10, replace=False):
+                k = int(k)
+                zeta0 = float(traj.zetas[k])
+                an = lyapunov_Vdot(float(traj.dzs[k]), zeta0)
                 if abs(an) <= 1e-8:
                     continue
-                h = mp.mpf(seg.zeta0) * mp.mpf("1e-10")
+                h = mp.mpf(zeta0) * mp.mpf("1e-10")
                 vals = [v_mp(*(lambda y: (y[0] - mp.mpf(left.z_eq), y[1]))(
-                    _segment_eval_mp(seg, mp.mpf(seg.zeta0) + m_ * h)))
+                    _segment_eval_mp(traj, k, mp.mpf(zeta0) + m_ * h)))
                     for m_ in (0, 1, 2)]
                 fd = float((-3 * vals[0] + 4 * vals[1] - vals[2]) / (2 * h))
                 worst_rel = max(worst_rel, abs(fd - an) / abs(an))
@@ -280,15 +284,14 @@ def test_criterion_07_even_n_convergence(convergence_run, record_criterion):
     for k in range(len(traj.zetas) - 1):
         a, b = float(traj.dzs[k]), float(traj.dzs[k + 1])
         if a != 0.0 and (a > 0.0) != (b > 0.0):
-            seg = traj.segments[k]
-            lo, hi = seg.zeta0, seg.zeta1
+            lo, hi = float(traj.zetas[k]), float(traj.zetas[k + 1])
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if (seg(mid)[1] > 0.0) == (a > 0.0):
+                if (traj.evaluate(mid)[1] > 0.0) == (a > 0.0):
                     lo = mid
                 else:
                     hi = mid
-            amps.append(abs(seg(0.5 * (lo + hi))[0] - z_eq))
+            amps.append(abs(traj.evaluate(0.5 * (lo + hi))[0] - z_eq))
     diffs = np.diff(amps)
     strictly_decreasing = bool(np.all(diffs < 0.0))
     ok = tail <= 0.05 and strictly_decreasing and runtime < 5.0

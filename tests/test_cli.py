@@ -190,6 +190,14 @@ def test_oracle_gamma2_table(tmp_path, capsys):
     assert last[1] == gamma2_profile(6.0, profile)
 
 
+def test_oracle_gamma2_tiny_omega_boundary(tmp_path, capsys):
+    # omega -> 0 puts the halo boundary at sqrt(12 theta0)
+    code, stdout, _ = _run(["oracle", "--kind", "gamma2", "--omega", "1e-20",
+                            "--out", str(tmp_path / "g.csv")], capsys)
+    assert code == 0
+    assert "zeta_M = 3.46410161514\n" in stdout
+
+
 def test_oracle_waterbag(tmp_path, capsys):
     code, _, err = _run(["oracle", "--kind", "waterbag",
                          "--out", str(tmp_path / "w.csv")], capsys)
@@ -211,6 +219,11 @@ def test_oracle_powerlaw_caps_grid_at_boundary(tmp_path, capsys):
                          "--out", str(tmp_path / "q.csv")], capsys)
     assert code == 1
     assert "--gamma" in err
+    for bad in ("nan", "inf"):
+        code, _, err = _run(["oracle", "--kind", "powerlaw", "--gamma", bad,
+                             "--out", str(tmp_path / "q.csv")], capsys)
+        assert code == 1
+        assert "--gamma" in err
     out = tmp_path / "p.csv"
     code, stdout, _ = _run(["oracle", "--kind", "powerlaw", "--gamma", "1.5",
                             "--zeta-end", "100", "--points", "80",

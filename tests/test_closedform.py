@@ -138,6 +138,31 @@ def test_halo_boundary_zero_consistency():
         assert abs(gamma2_profile(zeta_m, p)) <= 1e-8
 
 
+def _halo_boundary_oracle(omega: float) -> float:
+    """zeta_M for theta0 = 1 from a 60-digit root of shc(x) = 1/(1 - omega)."""
+    with mp.workdps(60):
+        om = mp.mpf(omega)
+        target = 1 / (1 - om)
+        x0 = mp.sqrt(6 * om / (1 - om))  # the small-x root of x**2/6 = target - 1
+        x = mp.findroot(lambda x: mp.sinh(x) / x - target, x0)
+        return float(x * mp.sqrt(2 / om))
+
+
+@pytest.mark.parametrize("omega", [1e-8, 1e-6, 1e-4, 0.5, 0.9])
+def test_halo_boundary_against_highprec_root(omega):
+    p = HaloProfile(theta0=1.0, omega=omega)
+    assert math.isclose(halo_boundary(p), _halo_boundary_oracle(omega),
+                        rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1e-20, 1e-12])
+def test_halo_boundary_small_omega_limit(omega):
+    # zeta_M -> sqrt(12 theta0) (1 + 0.35 theta0 omega) as omega -> 0
+    limit = math.sqrt(12.0) * (1.0 + 0.35 * omega)
+    p = HaloProfile(theta0=1.0, omega=omega)
+    assert math.isclose(halo_boundary(p), limit, rel_tol=1e-13)
+
+
 def test_gamma2_profile_strictly_decreasing_inside():
     for theta0, omega in ((1.0, 0.5), (0.8, 0.9), (2.0, 0.3)):
         p = HaloProfile(theta0=theta0, omega=omega)
@@ -173,6 +198,10 @@ def test_powerlaw_rejects_reserved_gammas():
     with pytest.raises(ValidationError) as exc:
         powerlaw_profile(1.0, 0.0, 1.0)
     assert "waterbag" in exc.value.message
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError) as exc:
+            powerlaw_profile(1.0, bad, 1.0)
+        assert exc.value.field == "gamma"
 
 
 def test_gaussian_values():

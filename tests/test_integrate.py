@@ -108,11 +108,8 @@ def test_trajectory_shape(run_n2_omega_half):
     assert traj.zetas[0] == 1e-3
     assert traj.zetas[-1] == 30.0
     assert np.all(np.diff(traj.zetas) > 0.0)
-    assert len(traj.segments) == len(traj.zetas) - 1
+    assert traj.q.shape == (len(traj.zetas) - 1, 2, 4)
     assert len(traj.zs) == len(traj.zetas) == len(traj.dzs)
-    s = traj.samples
-    assert len(s) == len(traj.zetas)
-    assert s[0].z == traj.zs[0] and s[-1].dz == traj.dzs[-1]
     # even n keeps theta = z**n nonnegative by construction
     assert all(theta_from_z(float(z), 2) >= 0.0 for z in traj.zs)
 
@@ -124,9 +121,9 @@ def test_dense_output_reproduces_nodes(run_n2_omega_half):
         assert abs(z - traj.zs[k]) <= 1e-12
         assert abs(dz - traj.dzs[k]) <= 1e-12
     # each interpolant must hand over to the next node it was fitted against
-    for k in range(0, len(traj.segments), 53):
-        seg = traj.segments[k]
-        y_right = seg(seg.zeta1)
+    for k in range(0, len(traj.q), 53):
+        h = traj.zetas[k + 1] - traj.zetas[k]
+        y_right = np.array([traj.zs[k], traj.dzs[k]]) + h * traj.q[k].sum(-1)
         assert abs(y_right[0] - traj.zs[k + 1]) <= 1e-10
         assert abs(y_right[1] - traj.dzs[k + 1]) <= 1e-10
 
@@ -143,6 +140,24 @@ def test_evaluate_many_and_range_checks(run_n2_omega_half):
         with pytest.raises(ValidationError) as exc:
             traj.evaluate(bad)
         assert exc.value.field == "zeta"
+    # one point out of range fails the whole array
+    with pytest.raises(ValidationError) as exc:
+        traj.evaluate_many(np.append(grid, 30.5))
+    assert exc.value.field == "zeta"
+    assert traj.evaluate_many([]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("n, status", [(2, COMPLETED), (3, DIVERGED)])
+def test_interpolant_starts_on_the_vector_field(n, status):
+    """The integrator steps model.rhs itself: every step's first dense
+    coefficient column is rhs at the left node, bit for bit, which is what
+    makes the piecewise curve C1."""
+    p = make_params(n, 0.5)
+    traj = integrate(p, IntegratorOptions(zeta_end=60.0))
+    assert traj.status == status
+    for k in range(len(traj.q)):
+        want = rhs(float(traj.zetas[k]), traj.zs[k], traj.dzs[k], p)
+        assert tuple(traj.q[k, :, 0]) == want
 
 
 def test_ode_residual_on_dense_output():
