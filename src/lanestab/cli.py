@@ -73,10 +73,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -89,21 +85,19 @@ def _json_text(payload: dict) -> str:
 
 def _trajectory_csv(traj: Trajectory) -> str:
     params = traj.params
-    with_v = params.n % 2 == 0 and params.omega > 0.0
-    lines: list[str] = []
-    if with_v:
-        left = equilibria(params)[0]
-        lines.append(CSV_HEADER_FULL)
-        for t, z, dz in zip(traj.zetas, traj.zs, traj.dzs):
-            v = lyapunov_V(z - left.z_eq, dz, params)
-            vdot = lyapunov_Vdot(dz, t)
-            lines.append(",".join(_fmt(x) for x in
-                                  (t, z, dz, theta_from_z(z, params.n), v, vdot)))
+    n = params.n
+    rows = zip(traj.zetas.tolist(), traj.zs.tolist(), traj.dzs.tolist())
+    if n % 2 == 0 and params.omega > 0.0:
+        z_eq = equilibria(params)[0].z_eq
+        lines = [CSV_HEADER_FULL] + [
+            "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+                t, z, dz, theta_from_z(z, n),
+                lyapunov_V(z - z_eq, dz, params), lyapunov_Vdot(dz, t))
+            for t, z, dz in rows]
     else:
-        lines.append(CSV_HEADER_BARE)
-        for t, z, dz in zip(traj.zetas, traj.zs, traj.dzs):
-            lines.append(",".join(_fmt(x) for x in
-                                  (t, z, dz, theta_from_z(z, params.n))))
+        lines = [CSV_HEADER_BARE] + [
+            "%.17g,%.17g,%.17g,%.17g" % (t, z, dz, theta_from_z(z, n))
+            for t, z, dz in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -231,9 +225,8 @@ def cmd_oracle(args) -> int:
                                  args.gamma)
     hi = min(hi, end)
     grid = np.linspace(0.0, hi, int(args.points))
-    lines = ["zeta,theta"]
-    for t in grid:
-        lines.append(f"{_fmt(t)},{_fmt(fn(float(t)))}")
+    lines = ["zeta,theta"] + ["%.17g,%.17g" % (t, fn(t))
+                              for t in grid.tolist()]
     out = Path(args.out) if args.out else Path(f"oracle_{args.kind}.csv")
     _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
@@ -296,9 +289,7 @@ def cmd_sweep(args) -> int:
     entries = []
     failed = False
     for params in run_params:
-        entry: dict = {"n": params.n, "omega": params.omega,
-                       "theta0": params.theta0, "zeta0": params.zeta_start,
-                       "zeta_end": opts.zeta_end}
+        entry = {**_params_dict(params), "zeta_end": opts.zeta_end}
         try:
             traj = integrate(params, opts)
         except Exception as exc:  # recorded per run; the sweep never aborts

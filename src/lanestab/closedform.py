@@ -78,10 +78,11 @@ def gamma2_profile(zeta: float, p: HaloProfile) -> float:
 
     Total in zeta; beyond the halo boundary the formula simply goes
     negative, which is what oracle comparisons against the continued
-    z-solution need.
+    z-solution need.  Written as theta0*shc(x) - zeta^2*_shc_excess(x)/2,
+    it keeps full relative accuracy as omega -> 0.
     """
-    arg = math.sqrt(p.omega / 2.0) * zeta
-    return (1.0 + (p.theta0 * p.omega - 1.0) * shc(arg)) / p.omega
+    x = math.sqrt(p.omega / 2.0) * zeta
+    return p.theta0 * shc(x) - zeta * zeta * _shc_excess(abs(x)) / 2.0
 
 
 def halo_boundary(p: HaloProfile) -> float:

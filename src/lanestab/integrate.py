@@ -1,13 +1,16 @@
 """Adaptive integration of the cloud profile from near the singular point.
 
-The first-order system of model.rhs is smooth and nonstiff for
-zeta >= zeta_start > 0, so an embedded Runge-Kutta 5(4) pair with a free
-quartic interpolant does the work; the stepper is driven step by step so
-that every accepted step's interpolant is kept, zero crossings of z are
-located as they happen, and runaway solutions are converted into a
-structured "diverged" outcome instead of an overflow.  Divergence is
-expected and meaningful for odd n, where the sole equilibrium repels; it
-is data, not failure.
+model.rhs is smooth and nonstiff for zeta >= zeta_start > 0.  An in-house
+Dormand-Prince 5(4) pair steps it on plain floats (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4-II.6) with the controller of scipy's RK45:
+RMS error norm over (z, dz) scaled by atol + max(|y|, |y_new|)*rtol, no
+growth right after a rejection, first step min(1e-4, span/100), underflow
+once h < 10 ulp(zeta).  An overflowing trial stage is a rejected step.
+Each accepted step keeps its seven stage slopes; Trajectory.q is their
+product with the free quartic interpolant P.  Zero crossings of z and the
+divergence guard are found on the nodes and located by bisection on q,
+so a runaway solution (expected for odd n, whose sole equilibrium
+repels) ends as a "diverged" outcome, which is data, not failure.
 
 Two start modes exist.  Offset starts exactly at (z, dz) =
 (theta0**(1/n), 0) at zeta_start.  Series replaces that with a quadratic
@@ -18,10 +21,10 @@ start commits by ignoring the curvature between 0 and zeta_start.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .model import ModelParams, State, ValidationError, rhs
 
@@ -34,6 +37,31 @@ EVENT_DIVERGED = "diverged"
 
 DIVERGENCE_GUARD = 1e12
 BISECT_MAX_ITER = 40
+
+# Dormand-Prince 5(4): nodes C, lower rows of A, fifth-order weights B,
+# error weights E (fifth minus fourth order, over the 7 stages with the
+# FSAL slope last) and the free quartic interpolant P (Shampine 1986)
+C = (0.0, 1/5, 3/10, 4/5, 8/9, 1.0)
+A = ((1/5,),
+     (3/40, 9/40),
+     (44/45, -56/15, 32/9),
+     (19372/6561, -25360/2187, 64448/6561, -212/729),
+     (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
+B = (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84)
+E = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+P = np.array([
+    [1.0, -2.8535800653862835, 3.0717434641059005, -1.1270175653862835],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 4.023133379230305, -6.249321565289, 2.675424484351598],
+    [0.0, -3.7324019615885042, 10.068970589843675, -5.685526961588504],
+    [0.0, 2.5548038301849423, -6.399112377351017, 3.5219323679207912],
+    [0.0, -1.3744241142186024, 3.272657752246729, -1.7672812570757455],
+    [0.0, 1.3824689317781436, -3.764937863556287, 2.382468931778144]])
+# step-size controller: h *= SAFETY * err**ERROR_EXPONENT, clamped
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1 / 5
 
 
 class IntegrationError(RuntimeError):
@@ -175,79 +203,120 @@ def _bisect(f, lo: float, hi: float) -> float:
 def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     """Integrate from zeta_start to zeta_end, or to the divergence guard.
 
-    Raises IntegrationError on step-size underflow or when max_steps runs
-    out.  A guard crossing |z| > 1e12 is not an error: the trajectory is
-    returned with status "diverged", a "diverged" event, and diverged_at
-    set to the crossing zeta found by bisection.
+    Raises IntegrationError on step-size underflow, on an overflowing
+    right-hand side at the start, or when max_steps runs out.  A guard
+    crossing |z| > 1e12 is not an error: the trajectory is returned with
+    status "diverged", a "diverged" event, and diverged_at set to the
+    crossing zeta found by bisection.
     """
     if not opts.zeta_end > params.zeta_start:
-        raise ValidationError(
-            "zeta_end",
-            f"must exceed zeta_start = {params.zeta_start!r}, got {opts.zeta_end!r}")
+        raise ValidationError("zeta_end", f"must exceed zeta_start = "
+                              f"{params.zeta_start!r}, got {opts.zeta_end!r}")
     if opts.start_mode == SERIES:
         if params.zeta_start > 0.01:
-            raise ValidationError(
-                "zeta_start",
-                f"series start needs zeta_start <= 0.01, got {params.zeta_start!r}")
+            raise ValidationError("zeta_start", f"series start needs "
+                                  f"zeta_start <= 0.01, got "
+                                  f"{params.zeta_start!r}")
         s0 = series_start(params, params.zeta_start)
-        y0 = np.array([s0.z, s0.dz])
+        z, dz = s0.z, s0.dz
     else:
-        y0 = np.array([params.theta0 ** (1.0 / params.n), 0.0])
+        z, dz = params.theta0 ** (1.0 / params.n), 0.0
 
-    def fun(t, y):
-        return np.array(rhs(t, y[0], y[1], params))
+    c2, c3, c4, c5, _ = C[1:]
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = A
+    (b1, _, b3, b4, b5, b6), (e1, _, e3, e4, e5, e6, e7) = B, E
+    rtol, atol, t_end = opts.rel_tol, opts.abs_tol, opts.zeta_end
+    t = params.zeta_start
+    try:
+        k1z, k1d = rhs(t, z, dz, params)
+    except OverflowError:
+        raise IntegrationError(f"right-hand side overflows at the start "
+                               f"zeta = {t!r}", t) from None
+    h_abs = min(1e-4, (t_end - t) / 100.0)
+    nodes = array("d", (t, z, dz))  # (zeta, z, dz) per node
+    slopes = array("d")  # the 7 stage slopes (z', dz') per accepted step
+    status, steps = COMPLETED, 0
 
-    first = min(1e-4, (opts.zeta_end - params.zeta_start) / 100.0)
-    stepper = RK45(fun, params.zeta_start, y0, t_bound=opts.zeta_end,
-                   rtol=opts.rel_tol, atol=opts.abs_tol, first_step=first)
-
-    node_t = [params.zeta_start]
-    node_y = [y0]
-    qs: list[np.ndarray] = []
-    events: list[Event] = []
-    status = COMPLETED
-    diverged_at = None
-    steps = 0
-
-    while stepper.status == "running":
+    while t < t_end:
         if steps >= opts.max_steps:
             raise IntegrationError(
-                f"max_steps = {opts.max_steps} exhausted at zeta = {stepper.t!r}",
-                float(node_t[-1]))
-        stepper.step()
+                f"max_steps = {opts.max_steps} exhausted at zeta = {t!r}", t)
         steps += 1
-        if stepper.status == "failed":
-            raise IntegrationError(
-                f"step size underflow; last good zeta = {node_t[-1]!r}",
-                float(node_t[-1]))
-        t0, t1, y_old = node_t[-1], float(stepper.t), node_y[-1]
-        h = t1 - t0
-        q = np.array(stepper.dense_output().Q, dtype=float)
-        qs.append(q)
-        node_t.append(t1)
-        node_y.append(stepper.y.copy())
-
-        def z_at(t):
-            return _dense(t, t0, h, y_old, q)[0]
-
-        z_prev, z_new = float(y_old[0]), float(stepper.y[0])
-        if z_prev != 0.0 and (z_new == 0.0 or (z_prev > 0.0) != (z_new > 0.0)):
-            events.append(Event(_bisect(z_at, t0, t1), EVENT_ZERO))
-        if abs(z_new) > DIVERGENCE_GUARD:
-            diverged_at = _bisect(lambda t: abs(z_at(t)) - DIVERGENCE_GUARD,
-                                  t0, t1)
-            events.append(Event(diverged_at, EVENT_DIVERGED))
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"step size underflow; last good zeta = {t!r}", t)
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            try:
+                k2z, k2d = rhs(t + c2 * h, z + a21 * k1z * h,
+                               dz + a21 * k1d * h, params)
+                k3z, k3d = rhs(t + c3 * h, z + (a31 * k1z + a32 * k2z) * h,
+                               dz + (a31 * k1d + a32 * k2d) * h, params)
+                k4z, k4d = rhs(t + c4 * h,
+                               z + (a41 * k1z + a42 * k2z + a43 * k3z) * h,
+                               dz + (a41 * k1d + a42 * k2d + a43 * k3d) * h,
+                               params)
+                k5z, k5d = rhs(t + c5 * h, z + (a51 * k1z + a52 * k2z
+                                                + a53 * k3z + a54 * k4z) * h,
+                               dz + (a51 * k1d + a52 * k2d + a53 * k3d
+                                     + a54 * k4d) * h, params)
+                k6z, k6d = rhs(t_new, z + (a61 * k1z + a62 * k2z + a63 * k3z
+                                           + a64 * k4z + a65 * k5z) * h,
+                               dz + (a61 * k1d + a62 * k2d + a63 * k3d
+                                     + a64 * k4d + a65 * k5d) * h, params)
+                z_new = z + h * (b1 * k1z + b3 * k3z + b4 * k4z + b5 * k5z
+                                 + b6 * k6z)
+                dz_new = dz + h * (b1 * k1d + b3 * k3d + b4 * k4d + b5 * k5d
+                                   + b6 * k6d)
+                k7z, k7d = rhs(t_new, z_new, dz_new, params)
+                ez = (e1 * k1z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z
+                      + e7 * k7z) * h / (atol + max(abs(z), abs(z_new))
+                                         * rtol)
+                ed = (e1 * k1d + e3 * k3d + e4 * k4d + e5 * k5d + e6 * k6d
+                      + e7 * k7d) * h / (atol + max(abs(dz), abs(dz_new))
+                                         * rtol)
+                err = math.sqrt(ez * ez + ed * ed) / 2 ** 0.5
+            except OverflowError:
+                err = math.inf
+            if err < 1.0:
+                factor = MAX_FACTOR if err == 0.0 else \
+                    min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # an inf or nan norm gives MIN_FACTOR (max() keeps it over nan)
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            rejected = True
+        slopes.extend((k1z, k1d, k2z, k2d, k3z, k3d, k4z, k4d, k5z, k5d,
+                       k6z, k6d, k7z, k7d))
+        nodes.extend((t_new, z_new, dz_new))
+        t, z, dz, k1z, k1d = t_new, z_new, dz_new, k7z, k7d
+        if abs(z) > DIVERGENCE_GUARD:
             status = DIVERGED
             break
 
-    ys = np.array(node_y)
-    return Trajectory(params=params,
-                      zetas=np.array(node_t),
-                      zs=ys[:, 0],
-                      dzs=ys[:, 1],
-                      q=np.array(qs),
-                      events=tuple(events),
-                      status=status,
+    zetas, zs, dzs = np.frombuffer(nodes).reshape(-1, 3).T.copy()
+    q = np.frombuffer(slopes).reshape(-1, 7, 2).transpose(0, 2, 1) @ P
+    za, zb = zs[:-1], zs[1:]  # steps whose end nodes bracket a zero of z
+    crossings = np.flatnonzero((za != 0.0)
+                               & ((zb == 0.0) | ((za > 0.0) != (zb > 0.0))))
+
+    def locate(k, g):  # root of g(z) on step k's interpolant
+        t0, z0, dz0, t1 = nodes[3 * k:3 * k + 4]
+        y0, qk = (z0, dz0), q[k]
+        return _bisect(lambda t: g(_dense(t, t0, t1 - t0, y0, qk)[0]), t0, t1)
+
+    events = [Event(locate(k, lambda z: z), EVENT_ZERO) for k in crossings]
+    diverged_at = None
+    if status == DIVERGED:
+        diverged_at = locate(len(q) - 1, lambda z: abs(z) - DIVERGENCE_GUARD)
+        events.append(Event(diverged_at, EVENT_DIVERGED))
+    return Trajectory(params=params, zetas=zetas, zs=zs, dzs=dzs, q=q,
+                      events=tuple(events), status=status,
                       diverged_at=diverged_at)
 
 

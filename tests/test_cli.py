@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import lanestab
 from lanestab import (
     IntegratorOptions,
     equilibria,
@@ -23,6 +27,7 @@ from lanestab import (
 from lanestab.cli import CSV_HEADER_BARE, CSV_HEADER_FULL, main
 
 SVG = "{http://www.w3.org/2000/svg}"
+SRC = str(Path(lanestab.__file__).resolve().parents[1])
 
 
 def _run(argv, capsys):
@@ -416,3 +421,31 @@ def test_plot_accepts_oracle_csv(tmp_path, capsys):
                       capsys)
     assert code == 0
     assert (tmp_path / "oracle.svg").exists()
+
+
+def _python(*args):
+    """A fresh interpreter with this checkout's package on the path."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=120)
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = _python("-c", "import sys, lanestab.cli; "
+                         "print(sorted(m for m in sys.modules "
+                         "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_solve_overflow_is_a_clean_numerical_failure(tmp_path):
+    """theta0 = 1e200 overflows z**n on every trial stage; the process
+    exits 2 with one message, no traceback and no RuntimeWarning."""
+    proc = _python("-m", "lanestab.cli", "solve", "--n", "2", "--omega",
+                   "0.5", "--theta0", "1e200", "--out",
+                   str(tmp_path / "run.csv"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("numerical failure: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr

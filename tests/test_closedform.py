@@ -108,6 +108,21 @@ def test_gamma2_profile_values():
                             rel_tol=1e-13, abs_tol=1e-13)
 
 
+@pytest.mark.parametrize("omega", [1e-12, 1e-8, 1e-4, 0.1, 0.5, 0.9])
+def test_gamma2_profile_small_omega_relative_accuracy(omega):
+    """(1/omega)[1 + (theta0*omega - 1) shc(x)] cancels to O(1) from terms
+    of size 1/omega; the profile must keep full relative accuracy anyway,
+    checked against the same formula at 50 digits."""
+    p = HaloProfile(theta0=1.0, omega=omega)
+    for zeta in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0):
+        with mp.workdps(50):
+            om = mp.mpf(omega)
+            x = mp.sqrt(om / 2) * zeta
+            exact = (1 + (om - 1) * mp.sinh(x) / x) / om
+            rel = abs((mp.mpf(gamma2_profile(zeta, p)) - exact) / exact)
+        assert rel <= 1e-13, (zeta, float(rel))
+
+
 def test_halo_boundary_against_independent_bisection():
     """halo_boundary must agree with a from-scratch bisection on
     sinh(x)/x = 1/(1 - theta0*omega), run here with no shared code."""

@@ -282,3 +282,68 @@ def test_max_steps_exhaustion_raises():
         integrate(p, IntegratorOptions(zeta_end=60.0, max_steps=10))
     assert exc.value.last_zeta >= 1e-3
     assert exc.value.last_zeta < 60.0
+
+
+def test_tableau_is_rk45s():
+    """C, A, B, E and the interpolant P are the Dormand-Prince 5(4) pair
+    with Shampine's free quartic, bit for bit as scipy's RK45 holds them."""
+    from scipy.integrate import RK45
+
+    from lanestab.integrate import A, B, C, E, P
+
+    a = np.zeros((6, 5))
+    for i, row in enumerate(A, start=1):
+        a[i, :len(row)] = row
+    assert np.array_equal(C, RK45.C) and np.array_equal(a, RK45.A)
+    assert np.array_equal(B, RK45.B) and np.array_equal(E, RK45.E)
+    assert np.array_equal(P, RK45.P)
+
+
+@pytest.mark.parametrize("zeta_end, steps", [(60.0, 705), (500.0, 5443)])
+def test_matches_scipy_rk45_step_for_step(zeta_end, steps):
+    """The stepper is Dormand-Prince 5(4) with RK45's controller, so
+    scipy's RK45 under the same tolerances and first step is an
+    independent oracle: the same accepted nodes up to rounding in the
+    error estimate, and the same end state."""
+    from scipy.integrate import RK45
+
+    p = make_params(2, 0.5)
+    traj = integrate(p, IntegratorOptions(zeta_end=zeta_end))
+    ref = RK45(lambda t, y: np.array(rhs(t, y[0], y[1], p)), p.zeta_start,
+               np.array([1.0, 0.0]), t_bound=zeta_end, rtol=1e-9, atol=1e-12,
+               first_step=min(1e-4, (zeta_end - p.zeta_start) / 100.0))
+    nodes = [ref.t]
+    while ref.status == "running":
+        ref.step()
+        nodes.append(ref.t)
+    assert ref.status == "finished"
+    assert len(traj.q) == len(nodes) - 1 == steps
+    assert np.allclose(traj.zetas, nodes, rtol=1e-6, atol=0.0)
+    assert abs(traj.zs[-1] - ref.y[0]) <= 1e-7
+    assert abs(traj.dzs[-1] - ref.y[1]) <= 1e-7
+
+
+def test_overflowing_trial_stage_is_a_rejected_step():
+    """n = 200 overshoots z**200 past the float range on a trial stage;
+    that step is rejected and shrunk, as RK45 does with an inf norm, and
+    the run completes without a RuntimeWarning (which the test
+    configuration turns into an error)."""
+    traj = integrate(make_params(200, 0.5), IntegratorOptions(zeta_end=60.0))
+    assert traj.status == COMPLETED
+    assert traj.zetas[-1] == 60.0
+    assert len(traj.q) == 211
+    assert np.all(np.isfinite(traj.q))
+    assert 1.0 < np.max(np.abs(traj.zs)) < 1.1
+
+
+@pytest.mark.parametrize("n, omega, theta0, message", [
+    # z**5 at the start overflows: there is no first slope to step with
+    (5, 1.0, 1.7976931348623157e308, "right-hand side overflows at the start"),
+    # every trial stage overflows, so the step shrinks below min_step
+    (2, 0.5, 1e200, "step size underflow"),
+])
+def test_overflow_is_an_integration_error(n, omega, theta0, message):
+    p = make_params(n, omega, theta0=theta0)
+    with pytest.raises(IntegrationError, match=message) as exc:
+        integrate(p, IntegratorOptions(zeta_end=60.0))
+    assert exc.value.last_zeta == p.zeta_start
