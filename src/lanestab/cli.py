@@ -27,8 +27,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import closedform, svgplot
 from .integrate import (DIVERGED, IntegrationError, IntegratorOptions,
                         OFFSET, SERIES, Trajectory, first_zero, integrate)
@@ -86,7 +84,7 @@ def _json_text(payload: dict) -> str:
 def _trajectory_csv(traj: Trajectory) -> str:
     params = traj.params
     n = params.n
-    rows = zip(traj.zetas.tolist(), traj.zs.tolist(), traj.dzs.tolist())
+    rows = zip(traj.zetas, traj.zs, traj.dzs)
     if n % 2 == 0 and params.omega > 0.0:
         z_eq = equilibria(params)[0].z_eq
         lines = [CSV_HEADER_FULL] + [
@@ -146,17 +144,23 @@ def _closed_form(kind: str, theta0: float, omega: float | None,
                     f"{closedform.lane_emden_radius(omega):.12g}")
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace's points: start + i*step, and stop itself last."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def _oracle_comparison(kind: str, params: ModelParams,
                        traj: Trajectory) -> dict:
     """Max |numeric - closed form| of theta on a 1001-point grid of the run
     range, capped below the profile's domain end."""
     fn, end, _ = _closed_form(kind, params.theta0, params.omega, params.gamma)
-    hi = min(float(traj.zetas[-1]), float(np.nextafter(end, 0.0)))
-    grid = np.linspace(float(traj.zetas[0]), hi, 1001)
-    vals = traj.evaluate_many(grid)[:, 0]
-    err = max(abs(theta_from_z(float(v), params.n) - fn(float(t)))
-              for t, v in zip(grid, vals))
-    return {"kind": kind, "max_abs_err": float(err)}
+    grid = _linspace(traj.zetas[0], min(traj.zetas[-1],
+                                        math.nextafter(end, 0.0)), 1001)
+    vals = traj.evaluate_many(grid)
+    err = max(abs(theta_from_z(z, params.n) - fn(t))
+              for t, (z, _) in zip(grid, vals))
+    return {"kind": kind, "max_abs_err": err}
 
 
 def _integrator_options(args) -> IntegratorOptions:
@@ -177,12 +181,10 @@ def cmd_solve(args) -> int:
     if args.check_oracle in ("powerlaw", "gaussian") and params.omega != 0.0:
         raise ValidationError("check_oracle",
                               f"the {args.check_oracle} oracle needs --omega 0")
-    opts = _integrator_options(args)
-    traj = integrate(params, opts)
+    traj = integrate(params, _integrator_options(args))
     zeta_star = first_zero(traj)
-    oracle = None
-    if args.check_oracle is not None:
-        oracle = _oracle_comparison(args.check_oracle, params, traj)
+    oracle = None if args.check_oracle is None else \
+        _oracle_comparison(args.check_oracle, params, traj)
     out = Path(args.out) if args.out else \
         Path(f"run_n{params.n}_omega{params.omega:g}.csv")
     _write_text(out, _trajectory_csv(traj))
@@ -198,7 +200,7 @@ def cmd_solve(args) -> int:
                   f"(|z| crossed the guard; expected for repelling starts)")
         else:
             print(f"completed to zeta = {traj.zetas[-1]:g} "
-                  f"in {len(traj.q)} steps")
+                  f"in {len(traj.zetas) - 1} steps")
         if zeta_star is not None:
             print(f"zeta_star = {zeta_star:.12g}")
         if oracle is not None:
@@ -223,10 +225,15 @@ def cmd_oracle(args) -> int:
         raise ValidationError("gamma", "required for the powerlaw oracle")
     fn, end, note = _closed_form(args.kind, args.theta0, args.omega,
                                  args.gamma)
+    if args.kind == "gamma2":  # sinh overflows past asinh(max float)
+        top = math.nextafter(math.asinh(sys.float_info.max)
+                             / math.sqrt(args.omega / 2.0), 0.0)
+        if hi > top:
+            raise ValidationError("zeta_end", f"the gamma2 profile overflows "
+                                  f"past zeta = {top!r}, got {hi!r}")
     hi = min(hi, end)
-    grid = np.linspace(0.0, hi, int(args.points))
     lines = ["zeta,theta"] + ["%.17g,%.17g" % (t, fn(t))
-                              for t in grid.tolist()]
+                              for t in _linspace(0.0, hi, int(args.points))]
     out = Path(args.out) if args.out else Path(f"oracle_{args.kind}.csv")
     _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
@@ -256,33 +263,29 @@ def cmd_stability(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str, field: str) -> list[int]:
+def _parse_list(text: str, field: str, convert, what: str) -> list:
+    """The values of a comma-separated flag, at least one."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [convert(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValidationError(field,
-                              f"must be a comma-separated integer list, got {text!r}")
-
-
-def _parse_float_list(text: str, field: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValidationError(field,
-                              f"must be a comma-separated number list, got {text!r}")
+                              f"must be a comma-separated {what} list, got {text!r}")
+    if not values:
+        raise ValidationError(field, "needs at least one value")
+    return values
 
 
 def cmd_sweep(args) -> int:
-    ns = _parse_int_list(args.n, "n")
-    omegas = _parse_float_list(args.omega, "omega")
-    if not ns:
-        raise ValidationError("n", "needs at least one value")
-    if not omegas:
-        raise ValidationError("omega", "needs at least one value")
-    combos = [(n, om) for n in ns for om in omegas]
+    ns = _parse_list(args.n, "n", int, "integer")
+    omegas = _parse_list(args.omega, "omega", float, "number")
     # validate the whole grid before the first run starts
     run_params = [make_params(n, om, args.theta0, args.zeta0)
-                  for n, om in combos]
+                  for n in ns for om in omegas]
+    # run files are named run_n{n}_omega{omega:g}.csv; none may repeat
+    for field, tags in (("n", ns), ("omega", [f"{om:g}" for om in omegas])):
+        if len(set(tags)) < len(tags):
+            raise ValidationError(field, "two values give runs one file "
+                                  f"name: {getattr(args, field)!r}")
     opts = _integrator_options(args)
     out_dir = Path(args.out_dir)
 
@@ -294,20 +297,17 @@ def cmd_sweep(args) -> int:
             traj = integrate(params, opts)
         except Exception as exc:  # recorded per run; the sweep never aborts
             failed = True
-            entry["status"] = "error"
-            entry["error"] = str(exc)
+            entry.update(status="error", error=str(exc))
         else:
             fname = f"run_n{params.n}_omega{params.omega:g}.csv"
             _write_text(out_dir / fname, _trajectory_csv(traj))
-            entry["file"] = fname
-            entry["status"] = traj.status
+            entry.update(file=fname, status=traj.status)
             zeta_star = first_zero(traj)
             if zeta_star is not None:
                 entry["zeta_star"] = zeta_star
             if traj.diverged_at is not None:
                 entry["diverged_at"] = traj.diverged_at
-            max_abs_z = float(np.max(np.abs(traj.zs)))
-            entry["max_abs_z"] = max_abs_z
+            entry["max_abs_z"] = max_abs_z = max(map(abs, traj.zs))
             entry["bounded"] = (traj.status != DIVERGED
                                 and max_abs_z <= BOUNDED_LIMIT)
         entries.append(entry)

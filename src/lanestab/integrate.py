@@ -6,11 +6,11 @@ Wanner, Solving ODEs I, II.4-II.6) with the controller of scipy's RK45:
 RMS error norm over (z, dz) scaled by atol + max(|y|, |y_new|)*rtol, no
 growth right after a rejection, first step min(1e-4, span/100), underflow
 once h < 10 ulp(zeta).  An overflowing trial stage is a rejected step.
-Each accepted step keeps its seven stage slopes; Trajectory.q is their
-product with the free quartic interpolant P.  Zero crossings of z and the
-divergence guard are found on the nodes and located by bisection on q,
-so a runaway solution (expected for odd n, whose sole equilibrium
-repels) ends as a "diverged" outcome, which is data, not failure.
+Each accepted step keeps its seven stage slopes; their product with P,
+the step's quartic interpolant, is built when the step is evaluated.  Zero
+crossings of z and the divergence guard are found on the nodes and located
+by bisection on the quartic, so a runaway solution (expected for odd n,
+whose sole equilibrium repels) ends as a "diverged" outcome, not failure.
 
 Two start modes exist.  Offset starts exactly at (z, dz) =
 (theta0**(1/n), 0) at zeta_start.  Series replaces that with a quadratic
@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import ModelParams, State, ValidationError, rhs
 
@@ -49,14 +48,13 @@ A = ((1/5,),
      (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
 B = (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84)
 E = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
-P = np.array([
-    [1.0, -2.8535800653862835, 3.0717434641059005, -1.1270175653862835],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 4.023133379230305, -6.249321565289, 2.675424484351598],
-    [0.0, -3.7324019615885042, 10.068970589843675, -5.685526961588504],
-    [0.0, 2.5548038301849423, -6.399112377351017, 3.5219323679207912],
-    [0.0, -1.3744241142186024, 3.272657752246729, -1.7672812570757455],
-    [0.0, 1.3824689317781436, -3.764937863556287, 2.382468931778144]])
+P = ((1.0, -2.8535800653862835, 3.0717434641059005, -1.1270175653862835),
+     (0.0, 0.0, 0.0, 0.0),
+     (0.0, 4.023133379230305, -6.249321565289, 2.675424484351598),
+     (0.0, -3.7324019615885042, 10.068970589843675, -5.685526961588504),
+     (0.0, 2.5548038301849423, -6.399112377351017, 3.5219323679207912),
+     (0.0, -1.3744241142186024, 3.272657752246729, -1.7672812570757455),
+     (0.0, 1.3824689317781436, -3.764937863556287, 2.382468931778144))
 # step-size controller: h *= SAFETY * err**ERROR_EXPONENT, clamped
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -102,13 +100,29 @@ class IntegratorOptions:
                                   f"must be '{OFFSET}' or '{SERIES}', got {self.start_mode!r}")
 
 
-def _dense(zeta, zeta0, h, y0, q) -> np.ndarray:
-    """Quartic interpolant y0 + h * q @ (s, s^2, s^3, s^4) of one accepted
-    step, s = (zeta - zeta0)/h.  Broadcasts over a leading step axis:
-    zeta, zeta0, h of shape (M,), y0 (M, 2) and q (M, 2, 4) give (M, 2)."""
+def _quartic(slopes, k) -> tuple[tuple[float, ...], ...]:
+    """Step k's interpolant coefficients of (s, s^2, s^3, s^4), for z and
+    for dz: its seven stage slopes times P.  Row 1 of P is zero and column
+    0 is (1, 0, ..., 0), so the first coefficient is the stored slope."""
+    (_, p11, p12, p13), _, (_, p31, p32, p33), (_, p41, p42, p43), \
+        (_, p51, p52, p53), (_, p61, p62, p63), (_, p71, p72, p73) = P
+    k1, m1, _, _, k3, m3, k4, m4, k5, m5, k6, m6, k7, m7 = \
+        slopes[14 * k:14 * k + 14]
+    return ((k1,
+             k1 * p11 + k3 * p31 + k4 * p41 + k5 * p51 + k6 * p61 + k7 * p71,
+             k1 * p12 + k3 * p32 + k4 * p42 + k5 * p52 + k6 * p62 + k7 * p72,
+             k1 * p13 + k3 * p33 + k4 * p43 + k5 * p53 + k6 * p63 + k7 * p73),
+            (m1,
+             m1 * p11 + m3 * p31 + m4 * p41 + m5 * p51 + m6 * p61 + m7 * p71,
+             m1 * p12 + m3 * p32 + m4 * p42 + m5 * p52 + m6 * p62 + m7 * p72,
+             m1 * p13 + m3 * p33 + m4 * p43 + m5 * p53 + m6 * p63 + m7 * p73))
+
+
+def _dense(zeta, zeta0, h, y0, q) -> float:
+    """One component y0 + h * q . (s, s^2, s^3, s^4) of a step's quartic
+    interpolant, s = (zeta - zeta0)/h, summed by Horner's rule."""
     s = (zeta - zeta0) / h
-    powers = np.stack([s, s * s, s ** 3, s ** 4], axis=-1)
-    return y0 + np.expand_dims(h, -1) * (q @ powers[..., None])[..., 0]
+    return y0 + h * (s * (q[0] + s * (q[1] + s * (q[2] + s * q[3]))))
 
 
 @dataclass(frozen=True)
@@ -119,45 +133,47 @@ class Event:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Completed integration: sample nodes, per-step dense output, events.
+    """Completed integration: sample nodes, per-step stage slopes, events.
 
-    Step k runs from zetas[k] to zetas[k+1]; its interpolant is
-    (zs[k], dzs[k]) + h * q[k] @ (s, s^2, s^3, s^4) with
-    h = zetas[k+1] - zetas[k] and s = (zeta - zetas[k])/h, so q has shape
-    (N-1, 2, 4).  q[k][:, 0] is the right-hand side at the left node, so
-    the piecewise curve is C1 there.  status is "completed" or "diverged";
-    diverged_at carries the zeta at which |z| crossed the divergence
-    guard, else None.
+    Step k runs from zetas[k] to zetas[k+1], h = zetas[k+1] - zetas[k];
+    slopes[14*k:14*k+14] holds its seven stage slopes (z', dz').  Its
+    interpolant (zs[k], dzs[k]) + h * quartic(k) . (s, s^2, s^3, s^4),
+    s = (zeta - zetas[k])/h, has slope rhs at zetas[k], so the curve is C1.
+    status is "completed" or "diverged"; diverged_at is the zeta where |z|
+    crossed the divergence guard, else None.
     """
 
     params: ModelParams
-    zetas: np.ndarray
-    zs: np.ndarray
-    dzs: np.ndarray
-    q: np.ndarray
+    zetas: array
+    zs: array
+    dzs: array
+    slopes: array
     events: tuple[Event, ...]
     status: str
     diverged_at: float | None
 
+    def quartic(self, k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Step k's interpolant coefficients, for z and for dz."""
+        return _quartic(self.slopes, k)
+
     def evaluate(self, zeta: float) -> tuple[float, float]:
         """Dense-output (z, dz) anywhere inside the integrated range."""
-        y = self.evaluate_many([float(zeta)])[0]
-        return (float(y[0]), float(y[1]))
+        return self.evaluate_many([zeta])[0]
 
-    def evaluate_many(self, zetas) -> np.ndarray:
-        """Dense-output evaluation on an array of points; returns (N, 2)."""
-        pts = np.asarray(zetas, dtype=float).ravel()
-        inside = (self.zetas[0] <= pts) & (pts <= self.zetas[-1])
-        if not inside.all():
-            raise ValidationError(
-                "zeta",
-                f"outside the integrated range [{float(self.zetas[0])!r}, "
-                f"{float(self.zetas[-1])!r}], got {float(pts[~inside][0])!r}")
-        k = np.searchsorted(self.zetas, pts, side="right") - 1
-        k = np.minimum(k, len(self.q) - 1)
-        t0 = self.zetas[k]
-        return _dense(pts, t0, self.zetas[k + 1] - t0,
-                      np.stack([self.zs[k], self.dzs[k]], axis=-1), self.q[k])
+    def evaluate_many(self, zetas) -> list[tuple[float, float]]:
+        """Dense-output (z, dz) at each point of an iterable."""
+        nodes, out, t0, t1 = self.zetas, [], math.nan, math.nan
+        for t in map(float, zetas):
+            if not t0 <= t < t1:  # sorted input builds each quartic once
+                if not nodes[0] <= t <= nodes[-1]:
+                    raise ValidationError("zeta", f"outside the integrated "
+                                          f"range [{nodes[0]!r}, "
+                                          f"{nodes[-1]!r}], got {t!r}")
+                k = min(bisect_right(nodes, t), len(nodes) - 1) - 1
+                t0, t1, (qz, qd) = nodes[k], nodes[k + 1], self.quartic(k)
+            out.append((_dense(t, t0, t1 - t0, self.zs[k], qz),
+                        _dense(t, t0, t1 - t0, self.dzs[k], qd)))
+        return out
 
 
 def series_start(params: ModelParams, zeta_small: float) -> State:
@@ -299,35 +315,28 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
             status = DIVERGED
             break
 
-    zetas, zs, dzs = np.frombuffer(nodes).reshape(-1, 3).T.copy()
-    q = np.frombuffer(slopes).reshape(-1, 7, 2).transpose(0, 2, 1) @ P
-    za, zb = zs[:-1], zs[1:]  # steps whose end nodes bracket a zero of z
-    crossings = np.flatnonzero((za != 0.0)
-                               & ((zb == 0.0) | ((za > 0.0) != (zb > 0.0))))
+    zs = nodes[1::3]
+    # steps whose end nodes bracket a zero of z
+    crossings = [k for k, (za, zb) in enumerate(zip(zs, zs[1:]))
+                 if za != 0.0 and (zb == 0.0 or (za > 0.0) != (zb > 0.0))]
 
     def locate(k, g):  # root of g(z) on step k's interpolant
-        t0, z0, dz0, t1 = nodes[3 * k:3 * k + 4]
-        y0, qk = (z0, dz0), q[k]
-        return _bisect(lambda t: g(_dense(t, t0, t1 - t0, y0, qk)[0]), t0, t1)
+        t0, z0, _, t1 = nodes[3 * k:3 * k + 4]
+        qz = _quartic(slopes, k)[0]
+        return _bisect(lambda t: g(_dense(t, t0, t1 - t0, z0, qz)), t0, t1)
 
     events = [Event(locate(k, lambda z: z), EVENT_ZERO) for k in crossings]
     diverged_at = None
     if status == DIVERGED:
-        diverged_at = locate(len(q) - 1, lambda z: abs(z) - DIVERGENCE_GUARD)
+        diverged_at = locate(steps - 1, lambda z: abs(z) - DIVERGENCE_GUARD)
         events.append(Event(diverged_at, EVENT_DIVERGED))
-    return Trajectory(params=params, zetas=zetas, zs=zs, dzs=dzs, q=q,
-                      events=tuple(events), status=status,
-                      diverged_at=diverged_at)
+    return Trajectory(params=params, zetas=nodes[0::3], zs=zs,
+                      dzs=nodes[2::3], slopes=slopes, events=tuple(events),
+                      status=status, diverged_at=diverged_at)
 
 
 def first_zero(traj: Trajectory) -> float | None:
-    """Smallest zeta with z(zeta) = 0, or None if z never changes sign.
-
-    Crossings were located during integration by a sign change between
-    sample nodes followed by bisection on the dense interpolant, so this
-    is a lookup, not a new search.
-    """
-    for ev in traj.events:
-        if ev.kind == EVENT_ZERO:
-            return ev.zeta
-    return None
+    """Smallest zeta with z(zeta) = 0, or None if z never changes sign;
+    a lookup in the events that integrate() located."""
+    return next((ev.zeta for ev in traj.events if ev.kind == EVENT_ZERO),
+                None)

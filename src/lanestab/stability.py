@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (Equilibrium, ModelParams, ValidationError, equilibria)
 from .integrate import IntegratorOptions, _bisect, integrate
 
-LMI_GRID = np.logspace(np.log10(0.1), np.log10(100.0), 50)
+# 50 log-spaced points on [0.1, 100]: 10**y on numpy.linspace(-1, 2, 50)
+LMI_GRID = tuple(10.0 ** (i * (3.0 / 49) - 1.0) for i in range(49)) + (100.0,)
 LMI_VERIFY_TOL = 1e-12
 
 
@@ -52,9 +51,6 @@ class SymMat2:
         m = 0.5 * (self.a11 + self.a22)
         r = math.hypot(0.5 * (self.a11 - self.a22), self.a12)
         return (m - r, m + r)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,7 @@ def _require_even_n(params: ModelParams, what: str) -> None:
 
 
 def jacobian(zeta: float, x1: float, params: ModelParams,
-             branch: str = "left") -> np.ndarray:
+             branch: str = "left") -> tuple[tuple[float, float], ...]:
     """Jacobian of the shifted system at (x1, any x2), general 2x2.
 
     [[0, 1], [omega*(x1 -/+ omega**(-1/n))**(n-1) / (1 + 1/n), -2/zeta]],
@@ -123,7 +119,7 @@ def jacobian(zeta: float, x1: float, params: ModelParams,
     u = params.omega ** (-1.0 / params.n)
     base = x1 - u if branch == "left" else x1 + u
     a21 = params.omega * base ** (params.n - 1) / (1.0 + 1.0 / params.n)
-    return np.array([[0.0, 1.0], [a21, -2.0 / zeta]])
+    return ((0.0, 1.0), (a21, -2.0 / zeta))
 
 
 def certificate_P(zeta: float, params: ModelParams) -> SymMat2:
@@ -154,13 +150,11 @@ def lmi_residual(zeta: float, params: ModelParams) -> SymMat2:
     a = 1.0 / zeta
     w = params.omega ** (1.0 / params.n) / (1.0 + 1.0 / params.n)
     c = a / w
-    A = np.array([[0.0, 1.0], [-w, -2.0 * a]])
-    P = np.array([[a, 0.0], [0.0, c]])
-    # dP/dzeta: each entry scales like 1/zeta, so the derivative is -entry/zeta
-    Pz = np.array([[-a * a, 0.0], [0.0, -c * a]])
     g = -a
-    M = A.T @ P + P @ A + Pz - g * P
-    return SymMat2(float(M[0, 0]), float(M[0, 1]), float(M[1, 1]))
+    # A = [[0, 1], [-w, -2a]], P = diag(a, c), P' = -P/zeta: the entries of
+    # A'P + PA + P' - gP summed in that order, less the products with 0
+    return SymMat2(-a * a - g * a, -w * c + a,
+                   (-2.0 * a * c + c * (-2.0 * a) + -c * a) - g * c)
 
 
 def lyapunov_V(x1: float, x2: float, params: ModelParams) -> float:
@@ -278,15 +272,14 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
                         theta0=(u + perturbation) ** params.n,
                         zeta_start=params.zeta_start)
     traj = integrate(start, IntegratorOptions(zeta_end=zeta_end))
-    outside = np.abs(traj.zs - u) > threshold
-    hit = np.flatnonzero(outside)
-    if hit.size == 0:
+    k = next((k for k, z in enumerate(traj.zs) if abs(z - u) > threshold),
+             None)
+    if k is None:
         return None
-    k = int(hit[0])
     if k == 0:
-        return float(traj.zetas[0])
+        return traj.zetas[0]
     return _bisect(lambda t: abs(traj.evaluate(t)[0] - u) - threshold,
-                   float(traj.zetas[k - 1]), float(traj.zetas[k]))
+                   traj.zetas[k - 1], traj.zetas[k])
 
 
 def classify(params: ModelParams) -> StabilityReport:
@@ -303,10 +296,8 @@ def classify(params: ModelParams) -> StabilityReport:
     worst: float | None = None
     verified: bool | None = None
     if even:
-        worst = -math.inf
-        for zeta in LMI_GRID:
-            lo, hi = lmi_residual(float(zeta), params).eigenvalues()
-            worst = max(worst, hi)
+        worst = max(lmi_residual(zeta, params).eigenvalues()[1]
+                    for zeta in LMI_GRID)
         verified = worst <= LMI_VERIFY_TOL
     zeta0 = instability_zeta0(params)
     if even:

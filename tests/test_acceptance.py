@@ -84,10 +84,9 @@ def _segment_eval_mp(traj, k, zeta):
     s = (zeta - zeta0) / h
     powers = [s, s ** 2, s ** 3, s ** 4]
     out = []
-    for i, y0 in enumerate((traj.zs[k], traj.dzs[k])):
+    for y0, q in zip((traj.zs[k], traj.dzs[k]), traj.quartic(k)):
         acc = mp.mpf(float(y0))
-        acc += h * sum(mp.mpf(float(traj.q[k][i][j])) * powers[j]
-                       for j in range(4))
+        acc += h * sum(mp.mpf(float(q[j])) * powers[j] for j in range(4))
         out.append(acc)
     return out
 
@@ -140,7 +139,7 @@ def test_criterion_01_gamma2_oracle(gamma2_run, record_criterion):
     traj, runtime = gamma2_run
     profile = HaloProfile(theta0=1.0, omega=0.5)
     grid = np.linspace(1e-3, 10.0, 2001)
-    zs = traj.evaluate_many(grid)[:, 0]
+    zs = np.asarray(traj.evaluate_many(grid))[:, 0]
     err = max(abs(float(z) - gamma2_profile(float(t), profile))
               for t, z in zip(grid, zs))
     ok = err <= 1e-6 and runtime < 1.0
@@ -182,7 +181,7 @@ def test_criterion_03_omega_zero_powerlaw(record_criterion):
     p = make_params(2, 0.0)
     traj = integrate(p, IntegratorOptions(zeta_end=5.0))
     grid = np.linspace(1e-3, 4.2, 1501)
-    zs = traj.evaluate_many(grid)[:, 0]
+    zs = np.asarray(traj.evaluate_many(grid))[:, 0]
     err = max(abs(theta_from_z(float(z), 2)
                   - powerlaw_profile(float(t), 1.5, 1.0))
               for t, z in zip(grid, zs))
@@ -252,7 +251,8 @@ def test_criterion_06_lyapunov_descent(family_runs, record_criterion):
             def v_mp(x1, x2):
                 return _lyapunov_V_mp(x1, x2, u_mp, om_mp, n)
 
-            for k in rng.choice(len(traj.q), size=10, replace=False):
+            for k in rng.choice(len(traj.zetas) - 1, size=10,
+                                replace=False):
                 k = int(k)
                 zeta0 = float(traj.zetas[k])
                 an = lyapunov_Vdot(float(traj.dzs[k]), zeta0)
@@ -359,7 +359,7 @@ def test_criterion_10_figure_family(family_runs, record_criterion):
                             if len(zeros) == len(mp_zeros) and zeros
                             else math.inf)
         certificates[combo] = (zeta_cert, v_cert, level)
-        x1 = traj.zs - equilibria(p)[0].z_eq
+        x1 = np.asarray(traj.zs) - equilibria(p)[0].z_eq
         rings[combo] = int(np.count_nonzero((x1[1:] > 0) != (x1[:-1] > 0)))
 
     # boundary ordering across gamma at omega = 0.5, recorded but not gated
@@ -419,7 +419,7 @@ def test_criterion_11_property_suites(tmp_path, capsys, record_criterion):
 
     p = make_params(2, 0.5)
     u = 0.5 ** -0.5
-    j = jacobian(3.0, 0.2, p, branch="left")
+    j = np.asarray(jacobian(3.0, 0.2, p, branch="left"))
     fd = (rhs(3.0, 0.2 + 1e-6 - u, 0.0, p)[1]
           - rhs(3.0, 0.2 - 1e-6 - u, 0.0, p)[1]) / 2e-6
     checks["jacobian vs finite differences"] = \

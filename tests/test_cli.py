@@ -203,6 +203,25 @@ def test_oracle_gamma2_tiny_omega_boundary(tmp_path, capsys):
     assert "zeta_M = 3.46410161514\n" in stdout
 
 
+def test_oracle_gamma2_rejects_an_overflowing_range(tmp_path, capsys):
+    """shc's sinh overflows once sqrt(omega/2)*zeta passes asinh(max
+    float), about 710.48; the range is refused naming --zeta-end and the
+    largest zeta that works."""
+    out = tmp_path / "g.csv"
+    code, _, err = _run(["oracle", "--kind", "gamma2", "--omega", "0.5",
+                         "--zeta-end", "1500", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: --zeta-end: ")
+    assert not out.exists()
+    top = float(err.split("past zeta = ")[1].split(",")[0])
+    assert 1420.0 < top < 1421.0
+    code, _, _ = _run(["oracle", "--kind", "gamma2", "--omega", "0.5",
+                       "--zeta-end", repr(top), "--out", str(out)], capsys)
+    assert code == 0
+    last = out.read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == top and math.isfinite(float(last[1]))
+
+
 def test_oracle_waterbag(tmp_path, capsys):
     code, _, err = _run(["oracle", "--kind", "waterbag",
                          "--out", str(tmp_path / "w.csv")], capsys)
@@ -311,6 +330,22 @@ def test_sweep_validation(tmp_path, capsys):
                          "--out-dir", str(tmp_path)], capsys)
     assert code == 1
     assert "--n" in err
+
+
+def test_sweep_rejects_colliding_run_files(tmp_path, capsys):
+    """Run files are named run_n{n}_omega{omega:g}.csv; two omegas that
+    agree to 6 significant digits, or a repeated n, would write two runs
+    to one file, so the grid is refused before any run starts."""
+    for argv, flag in ((["--n", "2", "--omega", "1e-7,1.0000001e-7"],
+                        "--omega"),
+                       (["--n", "2", "--omega", "0.5,0.5"], "--omega"),
+                       (["--n", "2,4,2", "--omega", "0.5"], "--n")):
+        out_dir = tmp_path / "s"
+        code, _, err = _run(["sweep", *argv, "--zeta-end", "5",
+                             "--out-dir", str(out_dir)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {flag}: ")
+        assert not out_dir.exists()
 
 
 def test_sweep_records_per_run_errors(tmp_path, capsys):
@@ -434,6 +469,14 @@ def test_cli_import_does_not_load_scipy():
     proc = _python("-c", "import sys, lanestab.cli; "
                          "print(sorted(m for m in sys.modules "
                          "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = _python("-c", "import sys, lanestab.cli; "
+                         "print(sorted(m for m in sys.modules "
+                         "if m.split('.')[0] == 'numpy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

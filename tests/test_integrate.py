@@ -108,7 +108,7 @@ def test_trajectory_shape(run_n2_omega_half):
     assert traj.zetas[0] == 1e-3
     assert traj.zetas[-1] == 30.0
     assert np.all(np.diff(traj.zetas) > 0.0)
-    assert traj.q.shape == (len(traj.zetas) - 1, 2, 4)
+    assert len(traj.slopes) == 14 * (len(traj.zetas) - 1)
     assert len(traj.zs) == len(traj.zetas) == len(traj.dzs)
     # even n keeps theta = z**n nonnegative by construction
     assert all(theta_from_z(float(z), 2) >= 0.0 for z in traj.zs)
@@ -121,9 +121,10 @@ def test_dense_output_reproduces_nodes(run_n2_omega_half):
         assert abs(z - traj.zs[k]) <= 1e-12
         assert abs(dz - traj.dzs[k]) <= 1e-12
     # each interpolant must hand over to the next node it was fitted against
-    for k in range(0, len(traj.q), 53):
+    for k in range(0, len(traj.zetas) - 1, 53):
         h = traj.zetas[k + 1] - traj.zetas[k]
-        y_right = np.array([traj.zs[k], traj.dzs[k]]) + h * traj.q[k].sum(-1)
+        y_right = np.array([traj.zs[k], traj.dzs[k]]) \
+            + h * np.sum(traj.quartic(k), axis=-1)
         assert abs(y_right[0] - traj.zs[k + 1]) <= 1e-10
         assert abs(y_right[1] - traj.dzs[k + 1]) <= 1e-10
 
@@ -132,10 +133,17 @@ def test_evaluate_many_and_range_checks(run_n2_omega_half):
     traj = run_n2_omega_half
     grid = np.linspace(0.01, 29.9, 57)
     out = traj.evaluate_many(grid)
-    assert out.shape == (57, 2)
+    assert np.asarray(out).shape == (57, 2)
+    assert all(type(v) is float for row in out for v in row)
     for t, row in zip(grid, out):
         z, dz = traj.evaluate(float(t))
         assert row[0] == z and row[1] == dz
+    # points that share a step reuse its quartic, in either order, and the
+    # last node belongs to the last step
+    fine = [*np.linspace(traj.zetas[0], traj.zetas[3], 40), traj.zetas[-1]]
+    for pts in (fine, fine[::-1]):
+        assert traj.evaluate_many(pts) == [traj.evaluate(t) for t in pts]
+    assert abs(traj.evaluate(traj.zetas[-1])[0] - traj.zs[-1]) <= 1e-10
     for bad in (5e-4, 30.5):
         with pytest.raises(ValidationError) as exc:
             traj.evaluate(bad)
@@ -144,7 +152,7 @@ def test_evaluate_many_and_range_checks(run_n2_omega_half):
     with pytest.raises(ValidationError) as exc:
         traj.evaluate_many(np.append(grid, 30.5))
     assert exc.value.field == "zeta"
-    assert traj.evaluate_many([]).shape == (0, 2)
+    assert traj.evaluate_many([]) == []
 
 
 @pytest.mark.parametrize("n, status", [(2, COMPLETED), (3, DIVERGED)])
@@ -155,9 +163,9 @@ def test_interpolant_starts_on_the_vector_field(n, status):
     p = make_params(n, 0.5)
     traj = integrate(p, IntegratorOptions(zeta_end=60.0))
     assert traj.status == status
-    for k in range(len(traj.q)):
+    for k in range(len(traj.zetas) - 1):
         want = rhs(float(traj.zetas[k]), traj.zs[k], traj.dzs[k], p)
-        assert tuple(traj.q[k, :, 0]) == want
+        assert tuple(q[0] for q in traj.quartic(k)) == want
 
 
 def test_ode_residual_on_dense_output():
@@ -216,7 +224,7 @@ def test_oracle_gamma2_closed_form():
     traj = integrate(p, IntegratorOptions(zeta_end=10.0, start_mode="series"))
     profile = HaloProfile(theta0=1.0, omega=0.5)
     grid = np.linspace(1e-3, 10.0, 301)
-    zs = traj.evaluate_many(grid)[:, 0]
+    zs = np.asarray(traj.evaluate_many(grid))[:, 0]
     err = max(abs(float(z) - gamma2_profile(float(t), profile))
               for t, z in zip(grid, zs))
     assert err <= 1e-6
@@ -227,7 +235,7 @@ def test_oracle_powerlaw_closed_form():
     p = make_params(2, 0.0)
     traj = integrate(p, IntegratorOptions(zeta_end=4.2))
     grid = np.linspace(1e-3, 4.2, 301)
-    zs = traj.evaluate_many(grid)[:, 0]
+    zs = np.asarray(traj.evaluate_many(grid))[:, 0]
     err = max(abs(theta_from_z(float(z), 2) - powerlaw_profile(float(t), 1.5, 1.0))
               for t, z in zip(grid, zs))
     assert err <= 1e-6
@@ -252,7 +260,7 @@ def test_first_zero_none_on_constant_solution():
     traj = integrate(p, IntegratorOptions(zeta_end=20.0))
     assert first_zero(traj) is None
     assert traj.events == ()
-    assert np.all(traj.zs == 2.0)
+    assert np.all(np.asarray(traj.zs) == 2.0)
     assert traj.evaluate(7.3) == (2.0, 0.0)
 
 
@@ -317,7 +325,7 @@ def test_matches_scipy_rk45_step_for_step(zeta_end, steps):
         ref.step()
         nodes.append(ref.t)
     assert ref.status == "finished"
-    assert len(traj.q) == len(nodes) - 1 == steps
+    assert len(traj.zetas) == len(nodes) == steps + 1
     assert np.allclose(traj.zetas, nodes, rtol=1e-6, atol=0.0)
     assert abs(traj.zs[-1] - ref.y[0]) <= 1e-7
     assert abs(traj.dzs[-1] - ref.y[1]) <= 1e-7
@@ -331,8 +339,8 @@ def test_overflowing_trial_stage_is_a_rejected_step():
     traj = integrate(make_params(200, 0.5), IntegratorOptions(zeta_end=60.0))
     assert traj.status == COMPLETED
     assert traj.zetas[-1] == 60.0
-    assert len(traj.q) == 211
-    assert np.all(np.isfinite(traj.q))
+    assert len(traj.zetas) - 1 == 211
+    assert np.all(np.isfinite([traj.quartic(k) for k in range(211)]))
     assert 1.0 < np.max(np.abs(traj.zs)) < 1.1
 
 

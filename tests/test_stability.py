@@ -76,18 +76,18 @@ def test_symmat_eigenvalues_match_linalg():
         a11, a12, a22 = rng.uniform(-5.0, 5.0, size=3)
         m = SymMat2(float(a11), float(a12), float(a22))
         lo, hi = m.eigenvalues()
-        ref = np.linalg.eigvalsh(m.as_array())
+        ref = np.linalg.eigvalsh([[m.a11, m.a12], [m.a12, m.a22]])
         assert math.isclose(lo, float(ref[0]), rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(hi, float(ref[1]), rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_jacobian_at_origin():
     p = make_params(2, 0.25)
-    j = jacobian(2.0, 0.0, p, branch="left")
+    j = np.asarray(jacobian(2.0, 0.0, p, branch="left"))
     assert j[0, 0] == 0.0 and j[0, 1] == 1.0
     assert math.isclose(j[1, 0], -1.0 / 3.0, rel_tol=1e-15)
     assert j[1, 1] == -1.0
-    j = jacobian(2.0, 0.0, p, branch="right")
+    j = np.asarray(jacobian(2.0, 0.0, p, branch="right"))
     assert math.isclose(j[1, 0], 1.0 / 3.0, rel_tol=1e-15)
 
 
@@ -119,7 +119,7 @@ def test_jacobian_matches_finite_differences():
             up = rhs(zeta, x1 + h + z_br, x2, p)[1]
             dn = rhs(zeta, x1 - h + z_br, x2, p)[1]
             fd = (up - dn) / (2.0 * h)
-            j = jacobian(zeta, x1, p, branch=branch)
+            j = np.asarray(jacobian(zeta, x1, p, branch=branch))
             assert abs(fd - j[1, 0]) <= 1e-6 * max(abs(j[1, 0]), 1e-3)
             assert j[1, 1] == -2.0 / zeta
 
