@@ -27,7 +27,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import closedform, svgplot
+from . import closedform
 from .integrate import (DIVERGED, IntegrationError, IntegratorOptions,
                         OFFSET, SERIES, Trajectory, first_zero, integrate)
 from .model import (ModelParams, ValidationError, equilibria, make_params,
@@ -209,6 +209,13 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _finite(fn, t: float) -> bool:
+    try:
+        return math.isfinite(fn(t))
+    except OverflowError:
+        return False
+
+
 def cmd_oracle(args) -> int:
     if args.kind not in ORACLE_KINDS + ("waterbag",):
         raise ValidationError("kind",
@@ -225,12 +232,14 @@ def cmd_oracle(args) -> int:
         raise ValidationError("gamma", "required for the powerlaw oracle")
     fn, end, note = _closed_form(args.kind, args.theta0, args.omega,
                                  args.gamma)
-    if args.kind == "gamma2":  # sinh overflows past asinh(max float)
-        top = math.nextafter(math.asinh(sys.float_info.max)
-                             / math.sqrt(args.omega / 2.0), 0.0)
-        if hi > top:
-            raise ValidationError("zeta_end", f"the gamma2 profile overflows "
-                                  f"past zeta = {top!r}, got {hi!r}")
+    # the gamma2 profile overflows monotonically in zeta, in sinh or in
+    # its zeta**2 term, whichever comes first
+    if args.kind == "gamma2" and not _finite(fn, hi):
+        lo, top = 0.0, hi  # bisect to adjacent floats, fn finite at lo
+        while lo < (mid := 0.5 * (lo + top)) < top:
+            lo, top = (mid, top) if _finite(fn, mid) else (lo, mid)
+        raise ValidationError("zeta_end", f"the gamma2 profile overflows "
+                              f"past zeta = {lo!r}, got {hi!r}")
     hi = min(hi, end)
     lines = ["zeta,theta"] + ["%.17g,%.17g" % (t, fn(t))
                               for t in _linspace(0.0, hi, int(args.points))]
@@ -340,6 +349,13 @@ def _read_csv_columns(path: Path) -> dict[str, list[float]]:
     return cols
 
 
+def _columns(path: Path, x: str, y: str) -> tuple[list[float], list[float]]:
+    cols = _read_csv_columns(path)
+    if x not in cols or y not in cols:
+        raise ValidationError("input", f"{path} lacks {x}/{y} columns")
+    return cols[x], cols[y]
+
+
 def _equilibrium_markers(summary_path: Path) -> list[tuple[float, float, str]]:
     if not summary_path.exists():
         return []
@@ -366,36 +382,35 @@ def cmd_plot(args) -> int:
     if not src.exists():
         raise ValidationError("input", f"no such file: {src}")
     out = Path(args.out) if args.out else src.with_suffix(".svg")
+    from . import svgplot  # only plots draw; other commands start faster
 
     if args.kind == "profile":
-        cols = _read_csv_columns(src)
-        if "zeta" not in cols or "theta" not in cols:
-            raise ValidationError("input",
-                                  f"{src} lacks zeta/theta columns")
-        svg = svgplot.line_chart([(src.stem, cols["zeta"], cols["theta"])],
+        svg = svgplot.line_chart([(src.stem, *_columns(src, "zeta", "theta"))],
                                  xlabel="zeta", ylabel="theta",
                                  title="density profile")
     elif args.kind == "phase":
-        cols = _read_csv_columns(src)
-        if "z" not in cols or "dz" not in cols:
-            raise ValidationError("input", f"{src} lacks z/dz columns")
         markers = _equilibrium_markers(src.with_suffix(".summary.json"))
-        svg = svgplot.line_chart([(src.stem, cols["z"], cols["dz"])],
+        svg = svgplot.line_chart([(src.stem, *_columns(src, "z", "dz"))],
                                  xlabel="z", ylabel="dz",
                                  title="phase portrait", markers=markers)
     else:
         try:
-            payload = json.loads(src.read_text())
-            runs = payload["runs"]
+            runs = json.loads(src.read_text())["runs"]
+            if not isinstance(runs, list):
+                raise TypeError("runs is not a list")
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError("input", f"malformed sweep index {src}: {exc}")
         series = []
-        for run in runs:
-            if run.get("bounded") is not True:
-                continue
-            cols = _read_csv_columns(src.parent / run["file"])
-            label = f"n={run['n']}, omega={run['omega']:g}"
-            series.append((label, cols["zeta"], cols["theta"]))
+        for i, run in enumerate(runs):
+            try:
+                if run.get("bounded") is not True:
+                    continue
+                path = src.parent / run["file"]
+                label = f"n={run['n']}, omega={run['omega']:g}"
+            except (AttributeError, KeyError, TypeError, ValueError):
+                raise ValidationError("input", f"malformed sweep index {src}: "
+                                      f"runs[{i}] = {run!r}") from None
+            series.append((label, *_columns(path, "zeta", "theta")))
         if not series:
             raise ValidationError("input", f"{src} lists no bounded runs")
         svg = svgplot.line_chart(series, xlabel="zeta", ylabel="theta",

@@ -16,33 +16,31 @@ Everything here is scalar math on validated inputs; no arrays, no state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import ValidationError
+from .model import ValidationError, _Record
 
 SHC_SERIES_CUTOFF = 1e-4
 
 
-@dataclass(frozen=True)
-class HaloProfile:
+class HaloProfile(_Record):
     """Parameters of the gamma = 2 closed form.
 
     The halo has a real boundary only while omega * theta0 < 1, so the
     constructor enforces that window.
     """
 
-    theta0: float
-    omega: float
+    __slots__ = ("theta0", "omega")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.theta0) and self.theta0 > 0.0):
+    def __init__(self, theta0: float, omega: float):
+        if not (math.isfinite(theta0) and theta0 > 0.0):
             raise ValidationError("theta0",
-                                  f"must be finite and > 0, got {self.theta0!r}")
-        if not (0.0 < self.omega < 1.0 / self.theta0):
+                                  f"must be finite and > 0, got {theta0!r}")
+        if not (0.0 < omega < 1.0 / theta0):
             raise ValidationError(
                 "omega",
-                f"must satisfy 0 < omega < 1/theta0 = {1.0 / self.theta0!r} "
-                f"for a real halo boundary, got {self.omega!r}")
+                f"must satisfy 0 < omega < 1/theta0 = {1.0 / theta0!r} "
+                f"for a real halo boundary, got {omega!r}")
+        super().__init__(theta0, omega)
 
 
 def shc(x: float) -> float:

@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from .model import ModelParams, State, ValidationError, rhs
+from .model import ModelParams, State, ValidationError, _Record, rhs
 
 OFFSET = "offset"
 SERIES = "series"
@@ -70,34 +69,32 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class IntegratorOptions:
+class IntegratorOptions(_Record):
     """Run controls.  zeta_end must exceed the params' zeta_start, which is
     only checkable inside integrate()."""
 
-    zeta_end: float
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_steps: int = 1_000_000
-    start_mode: str = OFFSET
+    __slots__ = ("zeta_end", "rel_tol", "abs_tol", "max_steps", "start_mode")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.zeta_end) and self.zeta_end > 0.0):
+    def __init__(self, zeta_end: float, rel_tol: float = 1e-9,
+                 abs_tol: float = 1e-12, max_steps: int = 1_000_000,
+                 start_mode: str = OFFSET):
+        if not (math.isfinite(zeta_end) and zeta_end > 0.0):
             raise ValidationError("zeta_end",
-                                  f"must be finite and > 0, got {self.zeta_end!r}")
-        if not (0.0 < self.rel_tol <= 1e-3):
+                                  f"must be finite and > 0, got {zeta_end!r}")
+        if not (0.0 < rel_tol <= 1e-3):
             raise ValidationError("rel_tol",
-                                  f"must lie in (0, 1e-3], got {self.rel_tol!r}")
-        if not (0.0 < self.abs_tol <= self.rel_tol):
+                                  f"must lie in (0, 1e-3], got {rel_tol!r}")
+        if not (0.0 < abs_tol <= rel_tol):
             raise ValidationError("abs_tol",
-                                  f"must lie in (0, rel_tol], got {self.abs_tol!r}")
-        if isinstance(self.max_steps, bool) or int(self.max_steps) != self.max_steps \
-                or self.max_steps < 1:
+                                  f"must lie in (0, rel_tol], got {abs_tol!r}")
+        if isinstance(max_steps, bool) or int(max_steps) != max_steps \
+                or max_steps < 1:
             raise ValidationError("max_steps",
-                                  f"must be a positive integer, got {self.max_steps!r}")
-        if self.start_mode not in (OFFSET, SERIES):
+                                  f"must be a positive integer, got {max_steps!r}")
+        if start_mode not in (OFFSET, SERIES):
             raise ValidationError("start_mode",
-                                  f"must be '{OFFSET}' or '{SERIES}', got {self.start_mode!r}")
+                                  f"must be '{OFFSET}' or '{SERIES}', got {start_mode!r}")
+        super().__init__(zeta_end, rel_tol, abs_tol, max_steps, start_mode)
 
 
 def _quartic(slopes, k) -> tuple[tuple[float, ...], ...]:
@@ -125,14 +122,11 @@ def _dense(zeta, zeta0, h, y0, q) -> float:
     return y0 + h * (s * (q[0] + s * (q[1] + s * (q[2] + s * q[3]))))
 
 
-@dataclass(frozen=True)
-class Event:
-    zeta: float
-    kind: str
+class Event(_Record):
+    __slots__ = ("zeta", "kind")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Completed integration: sample nodes, per-step stage slopes, events.
 
     Step k runs from zetas[k] to zetas[k+1], h = zetas[k+1] - zetas[k];
@@ -143,14 +137,8 @@ class Trajectory:
     crossed the divergence guard, else None.
     """
 
-    params: ModelParams
-    zetas: array
-    zs: array
-    dzs: array
-    slopes: array
-    events: tuple[Event, ...]
-    status: str
-    diverged_at: float | None
+    __slots__ = ("params", "zetas", "zs", "dzs", "slopes", "events",
+                 "status", "diverged_at")
 
     def quartic(self, k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Step k's interpolant coefficients, for z and for dz."""

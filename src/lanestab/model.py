@@ -22,7 +22,6 @@ by the integrator and the stability certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 STABLE_LEFT = "stable_left"
 UNSTABLE_RIGHT = "unstable_right"
@@ -38,8 +37,49 @@ class ValidationError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Record:
+    """Immutable value record over the fields a subclass names in __slots__,
+    as a frozen dataclass without that module's import cost: fields are set
+    once, by position or keyword, assigning or deleting one raises
+    AttributeError, and equality, hash and repr go by the field values."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or \
+                sorted((*names[:len(args)], *kwargs)) != sorted(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"{', '.join(names)}; got {len(args)} by position "
+                            f"and {', '.join(kwargs) or 'none'} by keyword")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() \
+            if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+
+class ModelParams(_Record):
     """Immutable problem parameters.
 
     n is the polytropic index in gamma = 1 + 1/n, omega the scattering to
@@ -48,10 +88,7 @@ class ModelParams:
     singular at zeta = 0).
     """
 
-    n: int
-    omega: float
-    theta0: float
-    zeta_start: float
+    __slots__ = ("n", "omega", "theta0", "zeta_start")
 
     @property
     def gamma(self) -> float:
@@ -63,26 +100,22 @@ class ModelParams:
         return 0.0 < self.omega < 1.0
 
 
-@dataclass(frozen=True)
-class State:
+class State(_Record):
     """Point (zeta, z, dz) on a solution curve.  zeta = 0 is singular and
     is never a valid evaluation point."""
 
-    zeta: float
-    z: float
-    dz: float
+    __slots__ = ("zeta", "z", "dz")
 
-    def __post_init__(self):
-        if not self.zeta > 0.0:
-            raise ValidationError("zeta", f"must be > 0, got {self.zeta!r}")
+    def __init__(self, zeta: float, z: float, dz: float):
+        if not zeta > 0.0:
+            raise ValidationError("zeta", f"must be > 0, got {zeta!r}")
+        super().__init__(zeta, z, dz)
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(_Record):
     """A constant solution z(zeta) = z_eq with its stability kind."""
 
-    z_eq: float
-    kind: str
+    __slots__ = ("z_eq", "kind")
 
 
 def make_params(n: int, omega: float, theta0: float = 1.0,

@@ -23,9 +23,8 @@ All functions are pure; classify() assembles them into a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import (Equilibrium, ModelParams, ValidationError, equilibria)
+from .model import ModelParams, ValidationError, _Record, equilibria
 from .integrate import IntegratorOptions, _bisect, integrate
 
 # 50 log-spaced points on [0.1, 100]: 10**y on numpy.linspace(-1, 2, 50)
@@ -33,13 +32,10 @@ LMI_GRID = tuple(10.0 ** (i * (3.0 / 49) - 1.0) for i in range(49)) + (100.0,)
 LMI_VERIFY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SymMat2:
-    """Symmetric 2x2 matrix [[a11, a12], [a12, a22]]."""
+class SymMat2(_Record):
+    """Symmetric 2x2 matrix [[a11, a12], [a12, a22]] of floats."""
 
-    a11: float
-    a12: float
-    a22: float
+    __slots__ = ("a11", "a12", "a22")
 
     def eigenvalues(self) -> tuple[float, float]:
         """Both eigenvalues, ascending.
@@ -53,18 +49,12 @@ class SymMat2:
         return (m - r, m + r)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(_Record):
     """classify() output; serializes to the CLI's JSON schema."""
 
-    params: ModelParams
-    equilibria: tuple[Equilibrium, ...]
-    alpha_max: float | None
-    lmi_verified: bool | None
-    lmi_worst_eig: float | None
-    instability_zeta0: float
-    stable_regime: bool
-    summary: str
+    __slots__ = ("params", "equilibria", "alpha_max", "lmi_verified",
+                 "lmi_worst_eig", "instability_zeta0", "stable_regime",
+                 "summary")
 
     def to_json_dict(self) -> dict:
         d: dict = {
@@ -249,12 +239,21 @@ def instability_Vdot(x1: float, x2: float, zeta: float,
                      - 5.0 * (n + 1) / (zeta * zeta))
 
 
-def instability_zeta0(params: ModelParams) -> float:
-    """Onset radius zeta0 = sqrt(1 + 5*(1+1/n)*2**(n-1)*omega**(-1/n))."""
+def instability_zeta0(params: ModelParams) -> float | None:
+    """Onset radius zeta0 = sqrt(1 + 5*(1+1/n)*2**(n-1)*omega**(-1/n)), or
+    None past the float range (n above about 2046).  The exact 2**((n-1)//2)
+    comes out of the root, so nothing overflows on the way, and wherever the
+    direct formula is finite the result equals it bit for bit."""
     _require_positive_omega(params)
     n = params.n
     u = params.omega ** (-1.0 / n)
-    return math.sqrt(1.0 + 5.0 * (1.0 + 1.0 / n) * 2.0 ** (n - 1) * u)
+    h = (n - 1) // 2
+    root = math.sqrt(2.0 ** (-2 * h)
+                     + 5.0 * (1.0 + 1.0 / n) * 2.0 ** (n - 1 - 2 * h) * u)
+    try:
+        return math.ldexp(root, h)
+    except OverflowError:
+        return None
 
 
 def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
@@ -300,15 +299,15 @@ def classify(params: ModelParams) -> StabilityReport:
                     for zeta in LMI_GRID)
         verified = worst <= LMI_VERIFY_TOL
     zeta0 = instability_zeta0(params)
+    onset = "certificate onset zeta0 " + (
+        f"= {zeta0:.6g}." if zeta0 is not None else "beyond the float range.")
     if even:
         summary = (f"even n = {params.n}: left equilibrium z = {eqs[0].z_eq:.6g} "
                    f"is asymptotically stable (LMI residual verified: {verified}); "
-                   f"right equilibrium z = {eqs[1].z_eq:.6g} is unstable, "
-                   f"certificate onset zeta0 = {zeta0:.6g}.")
+                   f"right equilibrium z = {eqs[1].z_eq:.6g} is unstable, {onset}")
     else:
         summary = (f"odd n = {params.n}: the sole equilibrium z = "
-                   f"{eqs[0].z_eq:.6g} is unstable, certificate onset "
-                   f"zeta0 = {zeta0:.6g}.")
+                   f"{eqs[0].z_eq:.6g} is unstable, {onset}")
     if not params.stable_regime:
         summary += (f" omega = {params.omega:g} lies outside the trapped "
                     f"regime 0 < omega < 1, so the unit-density start is "

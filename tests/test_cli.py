@@ -203,23 +203,45 @@ def test_oracle_gamma2_tiny_omega_boundary(tmp_path, capsys):
     assert "zeta_M = 3.46410161514\n" in stdout
 
 
-def test_oracle_gamma2_rejects_an_overflowing_range(tmp_path, capsys):
-    """shc's sinh overflows once sqrt(omega/2)*zeta passes asinh(max
-    float), about 710.48; the range is refused naming --zeta-end and the
-    largest zeta that works."""
+def _gamma2_top(tmp_path, capsys, omega, zeta_end, points="400"):
+    """The largest zeta the refusal of --zeta-end names; that zeta itself
+    writes a finite table."""
     out = tmp_path / "g.csv"
-    code, _, err = _run(["oracle", "--kind", "gamma2", "--omega", "0.5",
-                         "--zeta-end", "1500", "--out", str(out)], capsys)
+    argv = ["oracle", "--kind", "gamma2", "--omega", omega, "--points",
+            points, "--out", str(out)]
+    code, _, err = _run(argv + ["--zeta-end", zeta_end], capsys)
     assert code == 1
     assert err.startswith("error: --zeta-end: ")
     assert not out.exists()
     top = float(err.split("past zeta = ")[1].split(",")[0])
-    assert 1420.0 < top < 1421.0
-    code, _, _ = _run(["oracle", "--kind", "gamma2", "--omega", "0.5",
-                       "--zeta-end", repr(top), "--out", str(out)], capsys)
+    code, _, _ = _run(argv + ["--zeta-end", repr(top)], capsys)
     assert code == 0
-    last = out.read_text().splitlines()[-1].split(",")
-    assert float(last[0]) == top and math.isfinite(float(last[1]))
+    table = [[float(c) for c in ln.split(",")]
+             for ln in out.read_text().splitlines()[1:]]
+    assert table[-1][0] == top
+    assert all(math.isfinite(theta) for _, theta in table)
+    return top
+
+
+def test_oracle_gamma2_rejects_an_overflowing_range(tmp_path, capsys):
+    """shc's sinh overflows once sqrt(omega/2)*zeta passes asinh(max
+    float), about 710.48; the range is refused naming --zeta-end and the
+    largest zeta that works."""
+    top = _gamma2_top(tmp_path, capsys, "0.5", "1500")
+    assert 1420.0 < top < 1421.0
+
+
+def test_oracle_gamma2_rejects_the_zeta_squared_overflow(tmp_path, capsys):
+    """At small omega the term zeta**2*_shc_excess(x)/2 ~ shc(x)/omega
+    overflows well before sinh does (x about 697 at omega = 1e-8, not
+    710); the table wrote -inf there.  The named zeta is the last float
+    that works."""
+    top = _gamma2_top(tmp_path, capsys, "1e-8", "1e7", points="11")
+    assert 9.8e6 < top < 9.9e6
+    code, _, _ = _run(["oracle", "--kind", "gamma2", "--omega", "1e-8",
+                       "--zeta-end", repr(math.nextafter(top, math.inf)),
+                       "--out", str(tmp_path / "h.csv")], capsys)
+    assert code == 1
 
 
 def test_oracle_waterbag(tmp_path, capsys):
@@ -276,6 +298,25 @@ def test_stability_cli_json_and_file(tmp_path, capsys):
     assert [e["kind"] for e in report["equilibria"]] == ["stable_left",
                                                          "unstable_right"]
     assert out.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("n, onset", [(1024, 2.1217134328803796e+154),
+                                      (1025, 3.000553493491564e+154),
+                                      (5000, None)])
+def test_stability_cli_for_large_n(n, onset, capsys):
+    """2**(n-1) overflowed a float from n = 1025 on (a traceback), and
+    n = 1024 printed Infinity, which is not JSON; past the float range
+    the onset radius is null."""
+    code, stdout, _ = _run(["stability", "--n", str(n), "--omega", "0.5",
+                            "--json"], capsys)
+    assert code == 0
+    zeta0 = json.loads(stdout, parse_constant=pytest.fail)["instability_zeta0"]
+    assert zeta0 is None if onset is None else \
+        math.isclose(zeta0, onset, rel_tol=1e-13)
+    code, stdout, _ = _run(["stability", "--n", str(n), "--omega", "0.5"],
+                           capsys)
+    assert code == 0
+    assert ("onset zeta0 beyond the float range." in stdout) == (onset is None)
 
 
 def test_stability_cli_human_summary(capsys):
@@ -441,6 +482,28 @@ def test_plot_profile_family_rejects_index_without_bounded_runs(tmp_path,
     assert "lists no bounded runs" in err
 
 
+@pytest.mark.parametrize("runs, what", [
+    ([{"n": 2, "omega": 0.5, "bounded": True}], "runs[0] = "),
+    ([{"bounded": False}, {"file": "a.csv", "bounded": True}], "runs[1] = "),
+    ([{"n": 2, "omega": "0.5", "file": "a.csv", "bounded": True}],
+     "runs[0] = "),
+    (["run_n2_omega0.5.csv"], "runs[0] = "),
+    ({"n": 2}, "runs is not a list"),
+], ids=["no-file", "no-n", "omega-not-a-number", "row-not-an-object",
+        "runs-an-object"])
+def test_plot_profile_family_rejects_malformed_rows(tmp_path, capsys, runs,
+                                                    what):
+    """A bounded row without "file" ended in KeyError and a runs object in
+    AttributeError, both with a traceback."""
+    index = tmp_path / "index.json"
+    index.write_text(json.dumps({"runs": runs}))
+    code, _, err = _run(["plot", "--input", str(index), "--kind",
+                         "profile-family"], capsys)
+    assert code == 1
+    assert err.startswith(f"error: --input: malformed sweep index {index}: "
+                          f"{what}")
+
+
 def test_plot_missing_input(tmp_path, capsys):
     code, _, err = _run(["plot", "--input", str(tmp_path / "absent.csv")],
                         capsys)
@@ -477,6 +540,16 @@ def test_cli_import_does_not_load_numpy():
     proc = _python("-c", "import sys, lanestab.cli; "
                          "print(sorted(m for m in sys.modules "
                          "if m.split('.')[0] == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_does_not_load_dataclasses_or_svgplot():
+    """dataclasses with inspect costs every process several milliseconds;
+    only plot needs the SVG writer."""
+    proc = _python("-c", "import sys, lanestab.cli; "
+                         "print(sorted(m for m in sys.modules if m in "
+                         "('dataclasses', 'lanestab.svgplot')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -87,6 +87,24 @@ def test_options_validation(kwargs, field):
     assert exc.value.field == field
 
 
+def test_options_by_position_keyword_and_default():
+    full = IntegratorOptions(5.0, 1e-8, 1e-10, 100, "series")
+    assert full == IntegratorOptions(zeta_end=5.0, rel_tol=1e-8, abs_tol=1e-10,
+                                     max_steps=100, start_mode="series")
+    assert full == IntegratorOptions(5.0, 1e-8, start_mode="series",
+                                     max_steps=100, abs_tol=1e-10)
+    opts = IntegratorOptions(5.0)
+    assert (opts.zeta_end, opts.rel_tol, opts.abs_tol, opts.max_steps,
+            opts.start_mode) == (5.0, 1e-9, 1e-12, 1_000_000, "offset")
+    assert opts == IntegratorOptions(zeta_end=5.0) != full
+    for args, kwargs in [((), {}), ((), {"rel_tol": 1e-8}),  # missing
+                         ((5.0,), {"tol": 1e-8}),  # unknown
+                         ((5.0,), {"zeta_end": 6.0}),  # duplicated
+                         ((5.0, 1e-8, 1e-10, 100, "series", 1), {})]:
+        with pytest.raises(TypeError):
+            IntegratorOptions(*args, **kwargs)
+
+
 def test_zeta_end_must_exceed_zeta_start():
     p = make_params(2, 0.5, zeta_start=1e-3)
     with pytest.raises(ValidationError) as exc:

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from lanestab import (
+    Equilibrium,
+    HaloProfile,
+    IntegratorOptions,
+    ModelParams,
     State,
+    SymMat2,
     ValidationError,
+    classify,
+    integrate,
     equilibria,
     make_params,
     rhs,
@@ -18,7 +26,19 @@ from lanestab import (
     theta_from_z,
     z_from_theta,
 )
+from lanestab.integrate import Event
 from lanestab.model import STABLE_LEFT, UNSTABLE_ODD, UNSTABLE_RIGHT
+
+
+def _records():
+    """One instance of each of the nine records, with one of its fields."""
+    p = make_params(2, 0.5)
+    return [(p, "omega"), (State(1.0, 1.0, 0.0), "z"),
+            (equilibria(p)[0], "z_eq"), (IntegratorOptions(10.0), "rel_tol"),
+            (Event(1.0, "zero"), "zeta"),
+            (integrate(p, IntegratorOptions(1.0)), "status"),
+            (HaloProfile(1.0, 0.5), "omega"), (SymMat2(1.0, 0.0, 2.0), "a12"),
+            (classify(p), "instability_zeta0")]
 
 
 def test_make_params_basic():
@@ -84,12 +104,57 @@ def test_state_requires_positive_zeta():
 
 
 def test_immutability():
+    records = _records()
+    assert len({type(rec) for rec, _ in records}) == 9
+    for rec, field in records:
+        before = getattr(rec, field)
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0.9)
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+        with pytest.raises(AttributeError):
+            rec.unknown_field = 0.9
+        assert getattr(rec, field) is before
+
+
+def test_records_compare_hash_and_print_by_value():
     p = make_params(2, 0.5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p.omega = 0.9
-    s = State(1.0, 1.0, 0.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        s.z = 2.0
+    assert repr(p) == ("ModelParams(n=2, omega=0.5, theta0=1.0, "
+                       "zeta_start=0.001)")
+    assert repr(State(1.0, 2.0, -0.5)) == "State(zeta=1.0, z=2.0, dz=-0.5)"
+    assert repr(equilibria(p)[1]) == ("Equilibrium(z_eq=1.4142135623730951, "
+                                      "kind='unstable_right')")
+    assert repr(Event(2.5, "zero")) == "Event(zeta=2.5, kind='zero')"
+    assert repr(SymMat2(1.0, 0.0, -2.0)) == "SymMat2(a11=1.0, a12=0.0, a22=-2.0)"
+    assert repr(HaloProfile(1.0, 0.5)) == "HaloProfile(theta0=1.0, omega=0.5)"
+    assert repr(classify(p)).startswith(
+        "StabilityReport(params=ModelParams(n=2, omega=0.5, theta0=1.0, "
+        "zeta_start=0.001), equilibria=(Equilibrium(z_eq=-1.4142135623730951, "
+        "kind='stable_left'), Equilibrium(")
+    same = ModelParams(n=2, omega=0.5, theta0=1.0, zeta_start=1e-3)
+    assert p == same and not p != same and hash(p) == hash(same)
+    assert hash(p) == hash((2, 0.5, 1.0, 1e-3))  # a frozen dataclass's hash
+    assert p != make_params(2, 0.25) and p != make_params(4, 0.5)
+    assert p != (2, 0.5, 1.0, 1e-3)
+    # equal field values in another record type are not equal
+    assert Event(1.0, "zero") != Equilibrium(1.0, "zero")
+    assert len({Event(1.0, "zero"), Event(1.0, "zero"), Event(1.0, "x")}) == 2
+    assert classify(p) == classify(same) != classify(make_params(4, 0.5))
+    for rec, _ in _records():
+        assert copy.copy(rec) == rec == pickle.loads(pickle.dumps(rec))
+
+
+def test_records_take_fields_by_position_or_keyword():
+    assert ModelParams(2, 0.5, theta0=1.0, zeta_start=1e-3) \
+        == make_params(2, 0.5)
+    assert Equilibrium(kind="stable_left", z_eq=-1.0) \
+        == Equilibrium(-1.0, "stable_left")
+    for args, kwargs in [((2, 0.5, 1.0), {}),  # missing
+                         ((2, 0.5, 1.0, 1e-3), {"gamma": 1.5}),  # unknown
+                         ((2, 0.5, 1.0, 1e-3), {"n": 2}),  # duplicated
+                         ((2, 0.5, 1.0, 1e-3, 0.0), {})]:  # too many
+        with pytest.raises(TypeError):
+            ModelParams(*args, **kwargs)
 
 
 def test_theta_from_z_examples():

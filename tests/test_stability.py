@@ -261,6 +261,30 @@ def test_instability_zeta0_values():
     assert math.isclose(instability_zeta0(p3), expect, rel_tol=1e-15)
 
 
+def test_instability_zeta0_for_every_n():
+    """Bit for bit the direct formula wherever that one is finite (n up to
+    1023), finite to n = 2046 and None past the float range, where the
+    direct formula raised OverflowError (n >= 1025) or gave inf."""
+    for n in list(range(1, 80)) + [255, 256, 511, 1000, 1022, 1023]:
+        for omega in (1e-6, 0.125, 0.5, 0.9, 3.0):
+            p = make_params(n, omega)
+            u = omega ** (-1.0 / n)
+            direct = math.sqrt(1.0 + 5.0 * (1.0 + 1.0 / n) * 2.0 ** (n - 1) * u)
+            assert instability_zeta0(p) == direct or (
+                direct == math.inf and math.isfinite(instability_zeta0(p)))
+    for n in (1024, 1025, 2046):
+        z0 = instability_zeta0(make_params(n, 0.5))
+        assert math.isfinite(z0)
+        # z0**2 = 1 + 5(1 + 1/n) 2**(n-1) u, checked on the logarithm
+        assert math.isclose(2.0 * math.log2(z0), (n - 1) + math.log2(
+            5.0 * (1.0 + 1.0 / n) * 0.5 ** (-1.0 / n)), rel_tol=1e-14)
+    for n in (2047, 5000, 10 ** 9):
+        report = classify(make_params(n, 0.5))
+        assert report.instability_zeta0 is None
+        assert "onset zeta0 beyond the float range" in report.summary
+        assert report.to_json_dict()["instability_zeta0"] is None
+
+
 def test_instability_rate_nonnegative_on_certified_region():
     """The rate is certified nonnegative on the ball intersected with
     x1 >= -u/2; that is the region on which the onset radius calibration
