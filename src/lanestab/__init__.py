@@ -13,24 +13,20 @@ from .closedform import (HaloProfile, gamma2_profile, gaussian_profile,
                          shc, waterbag_profile)
 from .integrate import (IntegrationError, IntegratorOptions, Trajectory,
                         first_zero, integrate, series_start)
-from .model import (Equilibrium, ModelParams, State, ValidationError,
-                    equilibria, make_params, rhs, shift_to_origin,
-                    theta_from_z, z_from_theta)
-from .stability import (StabilityReport, SymMat2, basin_alpha, basin_contains,
-                        certificate_P, classify, escape_zeta, instability_V,
-                        instability_Vdot, instability_zeta0, jacobian,
-                        lmi_residual, lyapunov_V, lyapunov_Vdot)
+from .model import (Equilibrium, ModelParams, ValidationError, equilibria,
+                    make_params, rhs, theta_from_z)
+from .stability import (StabilityReport, basin_alpha, basin_contains,
+                        classify, escape_zeta, instability_Vdot,
+                        instability_zeta0, lyapunov_V, lyapunov_Vdot)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Equilibrium", "HaloProfile", "IntegrationError", "IntegratorOptions",
-    "ModelParams", "StabilityReport", "State", "SymMat2", "Trajectory",
-    "ValidationError", "basin_alpha", "basin_contains", "certificate_P",
-    "classify", "equilibria", "escape_zeta", "first_zero", "gamma2_profile",
-    "gaussian_profile", "halo_boundary", "instability_V", "instability_Vdot",
-    "instability_zeta0", "integrate", "jacobian", "lane_emden_radius",
-    "lmi_residual", "lyapunov_V", "lyapunov_Vdot", "make_params",
-    "powerlaw_profile", "rhs", "series_start", "shc", "shift_to_origin",
-    "theta_from_z", "waterbag_profile", "z_from_theta",
+    "ModelParams", "StabilityReport", "Trajectory", "ValidationError",
+    "basin_alpha", "basin_contains", "classify", "equilibria", "escape_zeta",
+    "first_zero", "gamma2_profile", "gaussian_profile", "halo_boundary",
+    "instability_Vdot", "instability_zeta0", "integrate", "lane_emden_radius",
+    "lyapunov_V", "lyapunov_Vdot", "make_params", "powerlaw_profile", "rhs",
+    "series_start", "shc", "theta_from_z", "waterbag_profile",
 ]

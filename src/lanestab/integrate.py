@@ -24,7 +24,7 @@ import math
 from array import array
 from bisect import bisect_right
 
-from .model import ModelParams, State, ValidationError, _Record, rhs
+from .model import ModelParams, ValidationError, _Record, rhs
 
 OFFSET = "offset"
 SERIES = "series"
@@ -164,8 +164,8 @@ class Trajectory(_Record):
         return out
 
 
-def series_start(params: ModelParams, zeta_small: float) -> State:
-    """Quadratic start state from the expansion z = z0 + c*zeta^2.
+def series_start(params: ModelParams, zeta_small: float) -> tuple[float, float]:
+    """Start state (z, dz) at zeta_small from the expansion z = z0 + c*zeta^2.
 
     Substituting the ansatz into (zeta^2 z')' = zeta^2 (omega z^n - 1)/(n+1)
     and matching leading terms gives 6c = (omega z0^n - 1)/(n+1), hence
@@ -180,8 +180,7 @@ def series_start(params: ModelParams, zeta_small: float) -> State:
     z0 = params.theta0 ** (1.0 / params.n)
     # omega*z0**n equals omega*theta0 exactly; using theta0 skips a pow round trip
     c = (params.omega * params.theta0 - 1.0) / (6.0 * (params.n + 1.0))
-    return State(zeta_small, z0 + c * zeta_small * zeta_small,
-                 2.0 * c * zeta_small)
+    return (z0 + c * zeta_small * zeta_small, 2.0 * c * zeta_small)
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -221,8 +220,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
             raise ValidationError("zeta_start", f"series start needs "
                                   f"zeta_start <= 0.01, got "
                                   f"{params.zeta_start!r}")
-        s0 = series_start(params, params.zeta_start)
-        z, dz = s0.z, s0.dz
+        z, dz = series_start(params, params.zeta_start)
     else:
         z, dz = params.theta0 ** (1.0 / params.n), 0.0
 

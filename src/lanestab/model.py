@@ -100,18 +100,6 @@ class ModelParams(_Record):
         return 0.0 < self.omega < 1.0
 
 
-class State(_Record):
-    """Point (zeta, z, dz) on a solution curve.  zeta = 0 is singular and
-    is never a valid evaluation point."""
-
-    __slots__ = ("zeta", "z", "dz")
-
-    def __init__(self, zeta: float, z: float, dz: float):
-        if not zeta > 0.0:
-            raise ValidationError("zeta", f"must be > 0, got {zeta!r}")
-        super().__init__(zeta, z, dz)
-
-
 class Equilibrium(_Record):
     """A constant solution z(zeta) = z_eq with its stability kind."""
 
@@ -145,18 +133,6 @@ def theta_from_z(z: float, n: int) -> float:
     return float(z) ** n
 
 
-def z_from_theta(theta: float, n: int) -> float:
-    """Principal root z = theta**(1/n); requires theta >= 0.
-
-    The negative branch for odd n is deliberately not exposed, a density
-    is never negative.
-    """
-    theta = float(theta)
-    if theta < 0.0:
-        raise ValidationError("theta", f"must be >= 0, got {theta!r}")
-    return theta ** (1.0 / n)
-
-
 def rhs(zeta: float, z: float, dz: float, params: ModelParams) -> tuple[float, float]:
     """Right-hand side of the first-order system at radius zeta > 0.
 
@@ -171,6 +147,19 @@ def rhs(zeta: float, z: float, dz: float, params: ModelParams) -> tuple[float, f
     return (dz, accel)
 
 
+def _radius(params: ModelParams) -> float:
+    """u = omega**(-1/n), the |z| of every equilibrium.  Raises
+    ValidationError naming omega for omega = 0, and where u passes the
+    float range (n = 1 with omega below 1/max float, about 5.6e-309)."""
+    if params.omega <= 0.0:
+        raise ValidationError("omega", "no equilibrium exists for omega = 0")
+    try:
+        return params.omega ** (-1.0 / params.n)
+    except OverflowError:
+        raise ValidationError("omega", f"omega**(-1/n) passes the float range "
+                              f"at n = {params.n}, got {params.omega!r}") from None
+
+
 def equilibria(params: ModelParams) -> tuple[Equilibrium, ...]:
     """Constant solutions of the system, ordered by z_eq ascending.
 
@@ -179,15 +168,9 @@ def equilibria(params: ModelParams) -> tuple[Equilibrium, ...]:
     negative root no longer balances the forcing.  omega = 0 admits no
     constant solution at all.
     """
-    if params.omega <= 0.0:
-        raise ValidationError("omega", "no equilibrium exists for omega = 0")
-    z_eq = params.omega ** (-1.0 / params.n)
+    z_eq = _radius(params)
     if params.n % 2 == 0:
         return (Equilibrium(-z_eq, STABLE_LEFT),
                 Equilibrium(z_eq, UNSTABLE_RIGHT))
     return (Equilibrium(z_eq, UNSTABLE_ODD),)
 
-
-def shift_to_origin(state: State, eq: Equilibrium) -> tuple[float, float]:
-    """Coordinates x = (z - z_eq, dz) of the system shifted so eq sits at 0."""
-    return (state.z - eq.z_eq, state.dz)

@@ -4,8 +4,11 @@ For even n the shifted system about the left equilibrium
 z = -omega**(-1/n) carries two independent certificates:
 
 * a linear matrix inequality A'P + PA + P' <= g(zeta) P for the
-  linearization, with P = diag(1/zeta, (1+1/n)/(omega**(1/n) zeta)) and
-  g = -1/zeta, whose residual is exactly diagonal;
+  linearization A = [[0, 1], [-omega**(1/n)/(1+1/n), -2/zeta]], with
+  P = diag(1/zeta, (1+1/n)/(omega**(1/n) zeta)) and g = -1/zeta.  Its
+  residual is identically diag(0, -4(1+1/n)/(omega**(1/n) zeta^2)), negative
+  semidefinite for every zeta > 0, so classify() reports the LMI from this
+  identity rather than sampling it;
 * a scalar descent function V(x) with V' = -4 x2^2 / zeta along solutions,
   which yields a bounded positively invariant sublevel set (the basin
   estimate) below the level alpha_max = 4n / (omega**(1/n) (n+1)^2).
@@ -18,35 +21,16 @@ argument needs x1 >= -omega**(-1/n)/2 in addition to the ball bound; see
 instability_Vdot.
 
 All functions are pure; classify() assembles them into a report.
+Functions that take params raise ValidationError naming omega for omega = 0
+and where omega**(-1/n) passes the float range.
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import ModelParams, ValidationError, _Record, equilibria
+from .model import ModelParams, ValidationError, _Record, _radius, equilibria
 from .integrate import IntegratorOptions, _bisect, integrate
-
-# 50 log-spaced points on [0.1, 100]: 10**y on numpy.linspace(-1, 2, 50)
-LMI_GRID = tuple(10.0 ** (i * (3.0 / 49) - 1.0) for i in range(49)) + (100.0,)
-LMI_VERIFY_TOL = 1e-12
-
-
-class SymMat2(_Record):
-    """Symmetric 2x2 matrix [[a11, a12], [a12, a22]] of floats."""
-
-    __slots__ = ("a11", "a12", "a22")
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Both eigenvalues, ascending.
-
-        Closed form (tr +/- sqrt(tr^2 - 4 det))/2, evaluated as
-        mean +/- hypot(half gap, a12) to avoid the cancellation in the
-        discriminant.
-        """
-        m = 0.5 * (self.a11 + self.a22)
-        r = math.hypot(0.5 * (self.a11 - self.a22), self.a12)
-        return (m - r, m + r)
 
 
 class StabilityReport(_Record):
@@ -81,70 +65,10 @@ def _require_positive_zeta(zeta: float) -> float:
     return zeta
 
 
-def _require_positive_omega(params: ModelParams) -> None:
-    if params.omega <= 0.0:
-        raise ValidationError("omega",
-                              "equilibrium analysis needs omega > 0")
-
-
 def _require_even_n(params: ModelParams, what: str) -> None:
     if params.n % 2 != 0:
         raise ValidationError(
             "n", f"{what} exists only for even n (left equilibrium), got {params.n}")
-
-
-def jacobian(zeta: float, x1: float, params: ModelParams,
-             branch: str = "left") -> tuple[tuple[float, float], ...]:
-    """Jacobian of the shifted system at (x1, any x2), general 2x2.
-
-    [[0, 1], [omega*(x1 -/+ omega**(-1/n))**(n-1) / (1 + 1/n), -2/zeta]],
-    minus for the left branch, plus for the right.  At the origin on the
-    left branch this is [[0, 1], [-omega**(1/n)/(1+1/n), -2/zeta]].
-    """
-    zeta = _require_positive_zeta(zeta)
-    _require_positive_omega(params)
-    if branch not in ("left", "right"):
-        raise ValidationError("branch",
-                              f"must be 'left' or 'right', got {branch!r}")
-    u = params.omega ** (-1.0 / params.n)
-    base = x1 - u if branch == "left" else x1 + u
-    a21 = params.omega * base ** (params.n - 1) / (1.0 + 1.0 / params.n)
-    return ((0.0, 1.0), (a21, -2.0 / zeta))
-
-
-def certificate_P(zeta: float, params: ModelParams) -> SymMat2:
-    """The LMI's quadratic form P(zeta) = diag(1/zeta, (1+1/n)/(omega**(1/n) zeta)).
-
-    Positive definite for every zeta > 0 and decrescent (both entries decay
-    like 1/zeta).
-    """
-    zeta = _require_positive_zeta(zeta)
-    _require_positive_omega(params)
-    a = 1.0 / zeta
-    c = a * (1.0 + 1.0 / params.n) / params.omega ** (1.0 / params.n)
-    return SymMat2(a, 0.0, c)
-
-
-def lmi_residual(zeta: float, params: ModelParams) -> SymMat2:
-    """Residual M = A'P + PA + P' - g(zeta) P of the linearized certificate.
-
-    A is the origin Jacobian on the left branch, g = -1/zeta.  Analytically
-    M = diag(0, -4(1+1/n)/(omega**(1/n) zeta^2)): the top-left and
-    off-diagonal entries cancel exactly, so M is negative semidefinite for
-    every zeta > 0.  The arithmetic below mirrors those cancellations so
-    they survive floating point to the last ulp.
-    """
-    zeta = _require_positive_zeta(zeta)
-    _require_positive_omega(params)
-    _require_even_n(params, "the linearized certificate")
-    a = 1.0 / zeta
-    w = params.omega ** (1.0 / params.n) / (1.0 + 1.0 / params.n)
-    c = a / w
-    g = -a
-    # A = [[0, 1], [-w, -2a]], P = diag(a, c), P' = -P/zeta: the entries of
-    # A'P + PA + P' - gP summed in that order, less the products with 0
-    return SymMat2(-a * a - g * a, -w * c + a,
-                   (-2.0 * a * c + c * (-2.0 * a) + -c * a) - g * c)
 
 
 def lyapunov_V(x1: float, x2: float, params: ModelParams) -> float:
@@ -154,12 +78,16 @@ def lyapunov_V(x1: float, x2: float, params: ModelParams) -> float:
     with u = omega**(-1/n).  V(0, 0) = 0 and V >= 0 on the ball of radius
     2u about the origin.
     """
-    _require_positive_omega(params)
+    u = _radius(params)
     _require_even_n(params, "the descent function")
     n = params.n
-    u = params.omega ** (-1.0 / n)
+    try:
+        tail = u ** (n + 1)
+    except OverflowError:
+        raise ValidationError("omega", f"omega**(-(n+1)/n) passes the float "
+                              f"range at n = {n}, got {params.omega!r}") from None
     # writing both bracket terms through u makes V(0,0) cancel to exactly 0
-    bracket = (x1 - u) ** (n + 1) + u ** (n + 1)
+    bracket = (x1 - u) ** (n + 1) + tail
     return -2.0 * params.omega / (n + 1) ** 2 * bracket \
         + 2.0 * x1 / (n + 1) + x2 * x2
 
@@ -175,7 +103,8 @@ def lyapunov_Vdot(x2: float, zeta: float) -> float:
 
 def basin_alpha(params: ModelParams) -> float:
     """Critical level alpha_max = 4n/(omega**(1/n)(n+1)**2) = V(2u, 0)."""
-    _require_positive_omega(params)
+    if params.omega <= 0.0:
+        raise ValidationError("omega", "equilibrium analysis needs omega > 0")
     _require_even_n(params, "the basin estimate")
     n = params.n
     return 4.0 * n / (params.omega ** (1.0 / n) * (n + 1) ** 2)
@@ -195,30 +124,17 @@ def basin_contains(x1: float, x2: float, delta: float,
     if not (0.0 < delta < alpha):
         raise ValidationError("delta",
                               f"must lie in (0, alpha_max = {alpha!r}), got {delta!r}")
-    u = params.omega ** (-1.0 / params.n)
+    u = _radius(params)
     if math.hypot(x1, x2) > 2.0 * u:
         return False
     return lyapunov_V(x1, x2, params) <= alpha - delta
 
 
-def instability_V(x1: float, x2: float, zeta: float,
-                  params: ModelParams) -> float:
-    """Instability certificate about the repelling equilibrium +u.
-
-    V = (omega*(x1 + u)**n - 1)*x2 + (n+1)*x2**2/zeta.  V(0, zeta) = 0 and
-    V > 0 for x1 = 0, x2 != 0.
-    """
-    zeta = _require_positive_zeta(zeta)
-    _require_positive_omega(params)
-    n = params.n
-    u = params.omega ** (-1.0 / n)
-    return (params.omega * (x1 + u) ** n - 1.0) * x2 \
-        + (n + 1) * x2 * x2 / zeta
-
-
 def instability_Vdot(x1: float, x2: float, zeta: float,
                      params: ModelParams) -> float:
-    """Rate of instability_V along solutions.
+    """Rate along solutions of the instability certificate about the
+    repelling equilibrium +u, V = (omega*(x1 + u)**n - 1)*x2 + (n+1)*x2**2/zeta
+    (V(0, zeta) = 0 and V > 0 for x1 = 0, x2 != 0):
 
     (omega*(x1+u)**n - 1)**2/(n+1) + x2**2*(n*omega*(x1+u)**(n-1) - 5(n+1)/zeta**2).
 
@@ -230,9 +146,8 @@ def instability_Vdot(x1: float, x2: float, zeta: float,
     assume positivity on the full ball.
     """
     zeta = _require_positive_zeta(zeta)
-    _require_positive_omega(params)
+    u = _radius(params)
     n = params.n
-    u = params.omega ** (-1.0 / n)
     drive = params.omega * (x1 + u) ** n - 1.0
     return drive * drive / (n + 1) \
         + x2 * x2 * (n * params.omega * (x1 + u) ** (n - 1)
@@ -241,17 +156,17 @@ def instability_Vdot(x1: float, x2: float, zeta: float,
 
 def instability_zeta0(params: ModelParams) -> float | None:
     """Onset radius zeta0 = sqrt(1 + 5*(1+1/n)*2**(n-1)*omega**(-1/n)), or
-    None past the float range (n above about 2046).  The exact 2**((n-1)//2)
-    comes out of the root, so nothing overflows on the way, and wherever the
-    direct formula is finite the result equals it bit for bit."""
-    _require_positive_omega(params)
+    None past the float range (n above about 2046, or n = 1 with omega
+    below about 5.6e-308).  The exact 2**((n-1)//2) comes out of the root,
+    so nothing overflows on the way, and wherever the direct formula is
+    finite the result equals it bit for bit."""
+    u = _radius(params)
     n = params.n
-    u = params.omega ** (-1.0 / n)
     h = (n - 1) // 2
     root = math.sqrt(2.0 ** (-2 * h)
                      + 5.0 * (1.0 + 1.0 / n) * 2.0 ** (n - 1 - 2 * h) * u)
     try:
-        return math.ldexp(root, h)
+        return math.ldexp(root, h) if root < math.inf else None
     except OverflowError:
         return None
 
@@ -265,10 +180,14 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
     this run exhibits the escape concretely.  The start replaces theta0
     with (z_eq + perturbation)**n; all other params fields are kept.
     """
-    _require_positive_omega(params)
-    u = params.omega ** (-1.0 / params.n)
-    start = ModelParams(n=params.n, omega=params.omega,
-                        theta0=(u + perturbation) ** params.n,
+    u = _radius(params)
+    try:
+        theta0 = (u + perturbation) ** params.n
+    except OverflowError:
+        raise ValidationError("omega", f"the displaced start (omega**(-1/n) + "
+                              f"perturbation)**n passes the float range at "
+                              f"n = {params.n}, got {params.omega!r}") from None
+    start = ModelParams(n=params.n, omega=params.omega, theta0=theta0,
                         zeta_start=params.zeta_start)
     traj = integrate(start, IntegratorOptions(zeta_end=zeta_end))
     k = next((k for k, z in enumerate(traj.zs) if abs(z - u) > threshold),
@@ -284,20 +203,14 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
 def classify(params: ModelParams) -> StabilityReport:
     """Assemble equilibria, certificates, and a verdict for the params.
 
-    The LMI residual is checked on a fixed 50-point log grid of zeta in
-    [0.1, 100]; because the residual is exactly diagonal with a zero and a
-    strictly negative entry, grid sampling plus the off-diagonal identity
-    is a complete check, not a heuristic.
+    For even n the LMI is reported from its closed-form residual
+    diag(0, -4(1+1/n)/(omega**(1/n) zeta^2)): verified, with largest
+    eigenvalue exactly 0.0 at every zeta > 0.  For odd n both are None.
     """
     eqs = equilibria(params)
     even = params.n % 2 == 0
     alpha = basin_alpha(params) if even else None
-    worst: float | None = None
-    verified: bool | None = None
-    if even:
-        worst = max(lmi_residual(zeta, params).eigenvalues()[1]
-                    for zeta in LMI_GRID)
-        verified = worst <= LMI_VERIFY_TOL
+    verified, worst = (True, 0.0) if even else (None, None)
     zeta0 = instability_zeta0(params)
     onset = "certificate onset zeta0 " + (
         f"= {zeta0:.6g}." if zeta0 is not None else "beyond the float range.")

@@ -1,0 +1,92 @@
+"""Independent oracles for the stability certificates.
+
+The package reports the even-n LMI from its closed form: the residual
+M = A'P + PA + P' - g(zeta) P is exactly diag(0, -4(1+1/n)/(omega**(1/n)
+zeta^2)).  This module evaluates that residual entry by entry, with the
+Jacobian, the certificate matrix P and the odd-n instability function, so
+the tests check the identity and the certificates numerically instead of
+trusting it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+from lanestab import ValidationError
+from lanestab.stability import _require_even_n, _require_positive_zeta
+
+# 50 log-spaced points on [0.1, 100]: 10**y on numpy.linspace(-1, 2, 50)
+LMI_GRID = tuple(10.0 ** (i * (3.0 / 49) - 1.0) for i in range(49)) + (100.0,)
+
+
+class SymMat2(NamedTuple):
+    """Symmetric 2x2 matrix [[a11, a12], [a12, a22]] of floats."""
+
+    a11: float
+    a12: float
+    a22: float
+
+    def eigenvalues(self) -> tuple[float, float]:
+        """Both eigenvalues, ascending: mean +/- hypot(half gap, a12),
+        which avoids the cancellation in the discriminant."""
+        m = 0.5 * (self.a11 + self.a22)
+        r = math.hypot(0.5 * (self.a11 - self.a22), self.a12)
+        return (m - r, m + r)
+
+
+def _require_positive_omega(params) -> None:
+    if params.omega <= 0.0:
+        raise ValidationError("omega", "equilibrium analysis needs omega > 0")
+
+
+def jacobian(zeta, x1, params, branch="left"):
+    """Jacobian of the shifted system at (x1, any x2):
+    [[0, 1], [omega*(x1 -/+ u)**(n-1) / (1 + 1/n), -2/zeta]], u = omega**(-1/n),
+    minus for the left branch, plus for the right."""
+    zeta = _require_positive_zeta(zeta)
+    _require_positive_omega(params)
+    if branch not in ("left", "right"):
+        raise ValidationError("branch",
+                              f"must be 'left' or 'right', got {branch!r}")
+    u = params.omega ** (-1.0 / params.n)
+    base = x1 - u if branch == "left" else x1 + u
+    a21 = params.omega * base ** (params.n - 1) / (1.0 + 1.0 / params.n)
+    return ((0.0, 1.0), (a21, -2.0 / zeta))
+
+
+def certificate_P(zeta, params) -> SymMat2:
+    """The LMI's form P(zeta) = diag(1/zeta, (1+1/n)/(omega**(1/n) zeta))."""
+    zeta = _require_positive_zeta(zeta)
+    _require_positive_omega(params)
+    a = 1.0 / zeta
+    c = a * (1.0 + 1.0 / params.n) / params.omega ** (1.0 / params.n)
+    return SymMat2(a, 0.0, c)
+
+
+def lmi_residual(zeta, params) -> SymMat2:
+    """M = A'P + PA + P' - g(zeta) P with A the left-branch origin Jacobian
+    [[0, 1], [-w, -2a]], w = omega**(1/n)/(1+1/n), a = 1/zeta, P = diag(a, a/w),
+    P' = -P/zeta and g = -a; the entries are summed in that order, less the
+    products with 0, so the cancellations survive to the last ulp."""
+    zeta = _require_positive_zeta(zeta)
+    _require_positive_omega(params)
+    _require_even_n(params, "the linearized certificate")
+    a = 1.0 / zeta
+    w = params.omega ** (1.0 / params.n) / (1.0 + 1.0 / params.n)
+    c = a / w
+    g = -a
+    return SymMat2(-a * a - g * a, -w * c + a,
+                   (-2.0 * a * c + c * (-2.0 * a) + -c * a) - g * c)
+
+
+def instability_V(x1, x2, zeta, params) -> float:
+    """Instability function about the repelling equilibrium +u:
+    V = (omega*(x1 + u)**n - 1)*x2 + (n+1)*x2**2/zeta, whose rate along
+    solutions is lanestab.instability_Vdot."""
+    zeta = _require_positive_zeta(zeta)
+    _require_positive_omega(params)
+    n = params.n
+    u = params.omega ** (-1.0 / n)
+    return (params.omega * (x1 + u) ** n - 1.0) * x2 \
+        + (n + 1) * x2 * x2 / zeta

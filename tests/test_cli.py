@@ -113,6 +113,17 @@ def test_unknown_flag_exits_one(capsys):
     assert "error" in err
 
 
+def test_solve_tiny_omega_is_a_validation_error(tmp_path, capsys):
+    """For even n the CSV's V column needs omega**(-(n+1)/n); past the
+    float range this was an OverflowError traceback after the run."""
+    out = tmp_path / "run.csv"
+    code, stdout, err = _run(["solve", "--n", "4", "--omega", "1e-250",
+                              "--zeta-end", "5", "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: --omega: ") and "float range" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_check_oracle(tmp_path, capsys):
     out = tmp_path / "halo.csv"
     code, stdout, _ = _run(["solve", "--n", "1", "--omega", "0.5",
@@ -332,6 +343,18 @@ def test_stability_cli_rejects_omega_zero(capsys):
     assert "--omega" in err
 
 
+def test_stability_cli_tiny_omega_is_a_validation_error(tmp_path, capsys):
+    """omega**(-1/n) passes the float range for n = 1 below about 5.6e-309;
+    this was an OverflowError traceback from model.equilibria."""
+    out = tmp_path / "report.json"
+    for extra in ([], ["--json"]):
+        code, stdout, err = _run(["stability", "--n", "1", "--omega",
+                                  "1e-310", "--out", str(out), *extra], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: --omega: ") and "float range" in err
+        assert not out.exists()
+
+
 def test_sweep_outputs_are_deterministic(tmp_path, capsys):
     argv_tail = ["--n", "2,3", "--omega", "0.45,0.9", "--zeta-end", "40"]
     outputs = []
@@ -400,6 +423,21 @@ def test_sweep_records_per_run_errors(tmp_path, capsys):
     assert "error" in runs[0]
 
 
+def test_sweep_records_tiny_omega_runs_as_errors(tmp_path, capsys):
+    """The CSV's V column needs omega**(-(n+1)/n), past the float range
+    here; the sweep aborted on its first run and wrote no index."""
+    out_dir = tmp_path / "s"
+    code, _, _ = _run(["sweep", "--n", "2,4", "--omega", "1e-250",
+                       "--zeta-end", "5", "--out-dir", str(out_dir)], capsys)
+    assert code == 2
+    runs = json.loads((out_dir / "index.json").read_text())["runs"]
+    assert [(r["n"], r["status"]) for r in runs] == [(2, "error"),
+                                                     (4, "error")]
+    assert all(r["error"].startswith("omega: ") and "float range" in r["error"]
+               for r in runs)
+    assert sorted(f.name for f in out_dir.iterdir()) == ["index.json"]
+
+
 def test_plot_profile_svg(tmp_path, capsys):
     csv = tmp_path / "run.csv"
     _run(["solve", "--n", "2", "--omega", "0.5", "--zeta-end", "10",
@@ -426,6 +464,48 @@ def test_plot_phase_marks_equilibria(tmp_path, capsys):
     assert len(circles) == 2
     fills = {c.get("fill") for c in circles}
     assert len(fills) == 2
+
+
+def test_plot_phase_without_markers_past_the_float_range(tmp_path, capsys):
+    """n = 1 at omega = 1e-310 integrates, but its equilibrium is past the
+    float range; the phase plot draws without markers, as for omega = 0,
+    where the marker lookup was an OverflowError traceback."""
+    csv = tmp_path / "run.csv"
+    code, _, _ = _run(["solve", "--n", "1", "--omega", "1e-310",
+                       "--zeta-end", "5", "--out", str(csv)], capsys)
+    assert code == 0
+    out = tmp_path / "phase.svg"
+    code, _, _ = _run(["plot", "--input", str(csv), "--kind", "phase",
+                       "--out", str(out)], capsys)
+    assert code == 0
+    root = ET.fromstring(out.read_text())
+    assert len(root.findall(f".//{SVG}polyline")) == 1
+    assert root.findall(f".//{SVG}circle") == []
+
+
+@pytest.mark.parametrize("text, kind, what", [
+    ("", "profile", "is empty"),
+    ("zeta,theta\n0.1,1.0\n0.2\n", "profile", "has a ragged row"),
+    ("zeta,theta\n0.1,abc\n", "profile", "has a non-numeric cell"),
+    ("zeta,z\n0.1,1.0\n", "profile", "lacks zeta/theta columns"),
+    ("zeta,theta\n0.1,1.0\n", "phase", "lacks z/dz columns"),
+    ("", "profile-family", "is empty"),
+    ("zeta,z\n0.1,1.0\n", "profile-family", "lacks zeta/theta columns"),
+], ids=["empty", "ragged", "non-numeric", "no-theta", "no-dz",
+        "family-empty", "family-no-theta"])
+def test_plot_rejects_malformed_csv(tmp_path, capsys, text, kind, what):
+    csv = tmp_path / "run.csv"
+    csv.write_text(text)
+    src = csv
+    if kind == "profile-family":
+        src = tmp_path / "index.json"
+        src.write_text(json.dumps({"runs": [
+            {"n": 2, "omega": 0.5, "file": csv.name, "bounded": True}]}))
+    code, _, err = _run(["plot", "--input", str(src), "--kind", kind], capsys)
+    assert code == 1
+    assert err.startswith(f"error: --input: {csv} {what}")
+    assert not (tmp_path / "run.svg").exists()
+    assert not (tmp_path / "index.svg").exists()
 
 
 def test_plot_profile_family_and_determinism(tmp_path, capsys):

@@ -49,13 +49,12 @@ def test_series_coefficient_rederived_symbolically():
 
 def test_series_start_state():
     p = make_params(2, 0.5)
-    s = series_start(p, 1e-3)
+    z, dz = series_start(p, 1e-3)
     c = (0.5 * 1.0 - 1.0) / (6.0 * 3.0)
     assert c == -1.0 / 36.0
     # same float operations as the implementation, so equality is exact
-    assert s.zeta == 1e-3
-    assert s.z == 1.0 + c * 1e-3 * 1e-3
-    assert s.dz == 2.0 * c * 1e-3
+    assert z == 1.0 + c * 1e-3 * 1e-3
+    assert dz == 2.0 * c * 1e-3
 
 
 def test_series_start_domain():

@@ -1,5 +1,9 @@
 """Certificates: LMI residual, descent function, basin, instability rate.
 
+The LMI residual, its matrix P, the Jacobian and the instability function
+come from the test oracle module certificate_oracle; classify() reports the
+LMI from the closed form that the oracle checks.
+
 The two rate formulas are rederived symbolically in-test (chain rule along
 the system's vector field) before any numeric value is trusted.
 """
@@ -17,22 +21,20 @@ from lanestab import (
     ValidationError,
     basin_alpha,
     basin_contains,
-    certificate_P,
     classify,
     equilibria,
     escape_zeta,
-    instability_V,
     instability_Vdot,
     instability_zeta0,
     integrate,
-    jacobian,
-    lmi_residual,
     lyapunov_V,
     lyapunov_Vdot,
     make_params,
     rhs,
 )
-from lanestab.stability import LMI_GRID, SymMat2
+
+from certificate_oracle import (LMI_GRID, SymMat2, certificate_P,
+                                instability_V, jacobian, lmi_residual)
 
 # frozen from 40-digit arithmetic: 4n/(omega**(1/n) (n+1)**2) at n=2, omega=0.5
 ALPHA_MAX_N2_OMEGA_HALF = 1.2570787221094178
@@ -159,6 +161,25 @@ def test_lmi_residual_structure():
                 assert abs(m.a12) <= 1e-14
                 assert math.isclose(m.a22, closed, rel_tol=1e-12)
                 assert m.eigenvalues()[1] <= 1e-12
+
+
+def test_lmi_identity_behind_classify():
+    """classify() reports the LMI from the closed-form residual
+    diag(0, negative); on criterion 05's grid, at the figure parameters and
+    at omega far above them, the oracle's entry-by-entry residual has that
+    form to one rounding of the off-diagonal cancellation a - w*(a/w).  The
+    50-point sampling this replaced reported that rounding as worst_eig
+    (5.3e-18 at n = 2, omega = 1e30)."""
+    for n in (2, 4, 6):
+        for omega in (0.1, 0.5, 0.9, 1e30, 1e100):
+            p = make_params(n, omega)
+            for zeta in LMI_GRID:
+                m = lmi_residual(zeta, p)
+                assert m.a11 == 0.0 and m.a22 < 0.0
+                assert abs(m.a12) <= 2.0 * math.ulp(1.0 / zeta)
+            report = classify(p)
+            assert report.lmi_verified is True
+            assert report.lmi_worst_eig == 0.0
 
 
 def test_lmi_rejects_odd_n():
@@ -335,6 +356,29 @@ def test_escape_from_repelling_equilibrium():
     # the right equilibrium of an even-n system repels the same way
     esc2 = escape_zeta(make_params(2, 0.5))
     assert esc2 is not None and esc2 < 50.0
+
+
+def test_tiny_omega_is_a_validation_error():
+    """omega**(-1/n) passes the float range for n = 1 below omega = 1/max
+    float, and the displaced start's theta0 ~ 1/omega for every n there;
+    the descent function's u**(n+1) does so already at larger omega.  Each
+    was an OverflowError; now a ValidationError naming omega."""
+    calls = [lambda: equilibria(make_params(1, 1e-310)),
+             lambda: escape_zeta(make_params(1, 1e-310)),
+             lambda: escape_zeta(make_params(2, 1e-310)),
+             lambda: instability_Vdot(0.0, 0.0, 1.0, make_params(1, 1e-310)),
+             lambda: lyapunov_V(0.0, 0.0, make_params(4, 1e-250)),
+             lambda: lyapunov_V(0.0, 0.0, make_params(2, 1e-250))]
+    for call in calls:
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.field == "omega"
+        assert "float range" in exc.value.message
+    # n = 1 just above the bound: the onset radius is past the float range
+    # (it was inf, printed as Infinity), the equilibrium is not
+    p = make_params(1, 1e-308)
+    assert instability_zeta0(p) is None
+    assert equilibria(p)[0].z_eq == 1e-308 ** -1.0
 
 
 def test_escape_none_when_window_too_short():
