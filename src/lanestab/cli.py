@@ -37,29 +37,13 @@ from .stability import classify, lyapunov_V, lyapunov_Vdot
 CSV_HEADER_FULL = "zeta,z,dz,theta,V,Vdot"
 CSV_HEADER_BARE = "zeta,z,dz,theta"
 ORACLE_KINDS = ("gamma2", "powerlaw", "gaussian")
-PLOT_KINDS = ("profile", "phase", "profile-family")
 BOUNDED_LIMIT = 1e3
 STABLE_COLOR = "#000000"
 UNSTABLE_COLOR = "#d62728"
 
-FLAG_BY_FIELD = {
-    "n": "--n",
-    "omega": "--omega",
-    "theta0": "--theta0",
-    "zeta_start": "--zeta0",
-    "zeta_small": "--zeta0",
-    "zeta_end": "--zeta-end",
-    "rel_tol": "--rtol",
-    "abs_tol": "--atol",
-    "start_mode": "--start-mode",
-    "max_steps": "--max-steps",
-    "check_oracle": "--check-oracle",
-    "kind": "--kind",
-    "gamma": "--gamma",
-    "points": "--points",
-    "input": "--input",
-    "out_dir": "--out-dir",
-}
+# a ValidationError field names the flag "--" + field, "-" for "_", except
+FLAG_BY_FIELD = {"zeta_start": "--zeta0", "rel_tol": "--rtol",
+                 "abs_tol": "--atol"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,26 +87,41 @@ def _params_dict(params: ModelParams) -> dict:
             "zeta0": params.zeta_start}
 
 
-def _solve_summary(params: ModelParams, traj: Trajectory,
-                   zeta_star: float | None, oracle: dict | None) -> dict:
-    d: dict = {"params": _params_dict(params),
-               "stable_regime": params.stable_regime}
-    if zeta_star is not None:
-        d["zeta_star"] = zeta_star
-    if traj.diverged_at is not None:
-        d["diverged_at"] = traj.diverged_at
-    if oracle is not None:
-        d["oracle"] = oracle
-    return d
+def _outcome(traj: Trajectory, zeta_star: float | None) -> dict:
+    """The run-outcome keys of the solve sidecar and of a sweep index row."""
+    d = {"zeta_star": zeta_star, "diverged_at": traj.diverged_at}
+    return {key: value for key, value in d.items() if value is not None}
+
+
+def _run_name(params: ModelParams) -> str:
+    return f"run_n{params.n}_omega{params.omega:g}.csv"
+
+
+def _last_finite(fn, hi: float) -> float:
+    """The largest float t <= hi with fn(t) finite, for an fn that is
+    finite from 0 up to some point and nowhere past it."""
+    def finite(t):
+        try:
+            return math.isfinite(fn(t))
+        except (OverflowError, ValidationError):
+            return False
+
+    if math.isinf(hi) or finite(hi):
+        return hi
+    lo = 0.0  # bisect to adjacent floats, fn finite at lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    return lo
 
 
 def _closed_form(kind: str, theta0: float, omega: float | None,
                  gamma: float | None):
     """(theta(zeta), domain end, note) of one closed-form profile.
 
-    The domain end is math.inf where the formula is total.  The note is
-    None or a callable giving the line `oracle` prints; it is lazy because
-    `solve --check-oracle` never prints it.
+    The domain end is math.inf where the formula is total, else the last
+    float with a finite value.  The note is None or a callable giving the
+    line `oracle` prints; it is lazy because `solve --check-oracle` never
+    prints it.
     """
     if kind == "gamma2":
         profile = closedform.HaloProfile(theta0=theta0, omega=omega)
@@ -131,10 +130,12 @@ def _closed_form(kind: str, theta0: float, omega: float | None,
                         f"{closedform.halo_boundary(profile):.12g}")
     if kind == "powerlaw":
         fn = lambda t: closedform.powerlaw_profile(t, gamma, theta0)
-        if gamma > 1.0:
-            end = closedform.powerlaw_boundary(gamma, theta0)
-            return fn, end, lambda: f"profile boundary zeta_star = {end:.12g}"
-        return fn, math.inf, None
+        if 0.0 <= gamma <= 1.0:
+            return fn, math.inf, None
+        # rounding can leave zeta_star itself with no finite value
+        end = _last_finite(fn, closedform.powerlaw_boundary(gamma, theta0))
+        note = lambda: f"profile boundary zeta_star = {end:.12g}"
+        return fn, end, note if gamma > 1.0 else None
     if kind == "gaussian":
         return (lambda t: closedform.gaussian_profile(t, theta0), math.inf,
                 None)
@@ -152,13 +153,11 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 def _oracle_comparison(kind: str, params: ModelParams,
                        traj: Trajectory) -> dict:
     """Max |numeric - closed form| of theta on a 1001-point grid of the run
-    range, capped below the profile's domain end."""
+    range, capped at the profile's domain end."""
     fn, end, _ = _closed_form(kind, params.theta0, params.omega, params.gamma)
-    grid = _linspace(traj.zetas[0], min(traj.zetas[-1],
-                                        math.nextafter(end, 0.0)), 1001)
-    vals = traj.evaluate_many(grid)
+    grid = _linspace(traj.zetas[0], min(traj.zetas[-1], end), 1001)
     err = max(abs(theta_from_z(z, params.n) - fn(t))
-              for t, (z, _) in zip(grid, vals))
+              for t, (z, _) in zip(grid, traj.evaluate_many(grid)))
     return {"kind": kind, "max_abs_err": err}
 
 
@@ -169,10 +168,6 @@ def _integrator_options(args) -> IntegratorOptions:
 
 
 def cmd_solve(args) -> int:
-    if args.check_oracle is not None and args.check_oracle not in ORACLE_KINDS:
-        raise ValidationError("check_oracle",
-                              f"must be one of {ORACLE_KINDS}, got "
-                              f"{args.check_oracle!r}")
     params = make_params(args.n, args.omega, args.theta0, args.zeta0)
     if args.check_oracle == "gamma2" and params.n != 1:
         raise ValidationError("check_oracle",
@@ -182,12 +177,13 @@ def cmd_solve(args) -> int:
                               f"the {args.check_oracle} oracle needs --omega 0")
     traj = integrate(params, _integrator_options(args))
     zeta_star = first_zero(traj)
-    oracle = None if args.check_oracle is None else \
-        _oracle_comparison(args.check_oracle, params, traj)
-    out = Path(args.out) if args.out else \
-        Path(f"run_n{params.n}_omega{params.omega:g}.csv")
+    summary = {"params": _params_dict(params),
+               "stable_regime": params.stable_regime,
+               **_outcome(traj, zeta_star)}
+    if args.check_oracle is not None:
+        summary["oracle"] = _oracle_comparison(args.check_oracle, params, traj)
+    out = Path(args.out or _run_name(params))
     _write_text(out, _trajectory_csv(traj))
-    summary = _solve_summary(params, traj, zeta_star, oracle)
     sidecar = out.with_suffix(".summary.json")
     _write_text(sidecar, _json_text(summary))
     if args.json:
@@ -202,47 +198,32 @@ def cmd_solve(args) -> int:
                   f"in {len(traj.zetas) - 1} steps")
         if zeta_star is not None:
             print(f"zeta_star = {zeta_star:.12g}")
-        if oracle is not None:
-            print(f"oracle {oracle['kind']}: max |numeric - closed form| = "
-                  f"{oracle['max_abs_err']:.3e}")
+        if args.check_oracle is not None:
+            print(f"oracle {args.check_oracle}: max |numeric - closed form| "
+                  f"= {summary['oracle']['max_abs_err']:.3e}")
     return 0
 
 
-def _finite(fn, t: float) -> bool:
-    try:
-        return math.isfinite(fn(t))
-    except OverflowError:
-        return False
-
-
 def cmd_oracle(args) -> int:
-    if args.kind not in ORACLE_KINDS + ("waterbag",):
-        raise ValidationError("kind",
-                              f"must be one of {ORACLE_KINDS + ('waterbag',)}, "
-                              f"got {args.kind!r}")
-    hi = float(args.zeta_end)
+    hi = args.zeta_end
     if not (math.isfinite(hi) and hi > 0.0):
         raise ValidationError("zeta_end", f"must be finite and > 0, got {hi!r}")
-    if isinstance(args.points, bool) or args.points < 2:
+    if args.points < 2:
         raise ValidationError("points", f"must be an integer >= 2, got {args.points!r}")
-    if args.kind in ("gamma2", "waterbag") and args.omega is None:
-        raise ValidationError("omega", f"required for the {args.kind} oracle")
-    if args.kind == "powerlaw" and args.gamma is None:
-        raise ValidationError("gamma", "required for the powerlaw oracle")
+    need = {"gamma2": "omega", "waterbag": "omega",
+            "powerlaw": "gamma"}.get(args.kind)
+    if need is not None and getattr(args, need) is None:
+        raise ValidationError(need, f"required for the {args.kind} oracle")
     fn, end, note = _closed_form(args.kind, args.theta0, args.omega,
                                  args.gamma)
     # the gamma2 profile overflows monotonically in zeta, in sinh or in
     # its zeta**2 term, whichever comes first
-    if args.kind == "gamma2" and not _finite(fn, hi):
-        lo, top = 0.0, hi  # bisect to adjacent floats, fn finite at lo
-        while lo < (mid := 0.5 * (lo + top)) < top:
-            lo, top = (mid, top) if _finite(fn, mid) else (lo, mid)
+    if args.kind == "gamma2" and (top := _last_finite(fn, hi)) < hi:
         raise ValidationError("zeta_end", f"the gamma2 profile overflows "
-                              f"past zeta = {lo!r}, got {hi!r}")
-    hi = min(hi, end)
-    lines = ["zeta,theta"] + ["%.17g,%.17g" % (t, fn(t))
-                              for t in _linspace(0.0, hi, int(args.points))]
-    out = Path(args.out) if args.out else Path(f"oracle_{args.kind}.csv")
+                              f"past zeta = {top!r}, got {hi!r}")
+    lines = ["zeta,theta"] + ["%.17g,%.17g" % (t, fn(t)) for t in
+                              _linspace(0.0, min(hi, end), args.points)]
+    out = Path(args.out or f"oracle_{args.kind}.csv")
     _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
     if note is not None:
@@ -283,7 +264,7 @@ def cmd_sweep(args) -> int:
     # validate the whole grid before the first run starts
     run_params = [make_params(n, om, args.theta0, args.zeta0)
                   for n in ns for om in omegas]
-    # run files are named run_n{n}_omega{omega:g}.csv; none may repeat
+    # no two runs may share a _run_name
     for field, tags in (("n", ns), ("omega", [f"{om:g}" for om in omegas])):
         if len(set(tags)) < len(tags):
             raise ValidationError(field, "two values give runs one file "
@@ -292,24 +273,18 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
 
     entries = []
-    failed = False
     for params in run_params:
         entry = {**_params_dict(params), "zeta_end": opts.zeta_end}
         try:
             traj = integrate(params, opts)
             text = _trajectory_csv(traj)
         except Exception as exc:  # recorded per run; the sweep never aborts
-            failed = True
             entry.update(status="error", error=str(exc))
         else:
-            fname = f"run_n{params.n}_omega{params.omega:g}.csv"
+            fname = _run_name(params)
             _write_text(out_dir / fname, text)
-            entry.update(file=fname, status=traj.status)
-            zeta_star = first_zero(traj)
-            if zeta_star is not None:
-                entry["zeta_star"] = zeta_star
-            if traj.diverged_at is not None:
-                entry["diverged_at"] = traj.diverged_at
+            entry.update(file=fname, status=traj.status,
+                         **_outcome(traj, first_zero(traj)))
             entry["max_abs_z"] = max_abs_z = max(map(abs, traj.zs))
             entry["bounded"] = (traj.status != DIVERGED
                                 and max_abs_z <= BOUNDED_LIMIT)
@@ -317,7 +292,7 @@ def cmd_sweep(args) -> int:
 
     _write_text(out_dir / "index.json", _json_text({"runs": entries}))
     print(f"wrote {out_dir / 'index.json'} ({len(entries)} runs)")
-    return 2 if failed else 0
+    return 2 if any(e["status"] == "error" for e in entries) else 0
 
 
 def _read_csv_columns(path: Path) -> dict[str, list[float]]:
@@ -351,8 +326,6 @@ def _columns(path: Path, x: str, y: str) -> tuple[list[float], list[float]]:
 
 
 def _equilibrium_markers(summary_path: Path) -> list[tuple[float, float, str]]:
-    if not summary_path.exists():
-        return []
     try:
         p = json.loads(summary_path.read_text())["params"]
         # a ValidationError where no equilibrium exists (omega = 0) or it
@@ -361,20 +334,12 @@ def _equilibrium_markers(summary_path: Path) -> list[tuple[float, float, str]]:
                                      p["zeta0"]))
     except (OSError, KeyError, TypeError, ValueError):
         return []
-    markers = []
-    for eq in eqs:
-        color = STABLE_COLOR if eq.kind == "stable_left" else UNSTABLE_COLOR
-        markers.append((eq.z_eq, 0.0, color))
-    return markers
+    return [(eq.z_eq, 0.0, STABLE_COLOR if eq.kind == "stable_left"
+             else UNSTABLE_COLOR) for eq in eqs]
 
 
 def cmd_plot(args) -> int:
-    if args.kind not in PLOT_KINDS:
-        raise ValidationError("kind",
-                              f"must be one of {PLOT_KINDS}, got {args.kind!r}")
     src = Path(args.input)
-    if not src.exists():
-        raise ValidationError("input", f"no such file: {src}")
     out = Path(args.out) if args.out else src.with_suffix(".svg")
     from . import svgplot  # only plots draw; other commands start faster
 
@@ -415,10 +380,10 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _add_model_flags(sp, require_omega: bool = True) -> None:
+def _add_model_flags(sp) -> None:
     sp.add_argument("--n", type=int, required=True,
                     help="polytrope index n in gamma = 1 + 1/n")
-    sp.add_argument("--omega", type=float, required=require_omega,
+    sp.add_argument("--omega", type=float, required=True,
                     help="multiple-scattering to trapping ratio")
     sp.add_argument("--theta0", type=float, default=1.0,
                     help="central density theta(zeta0) (default 1.0)")
@@ -433,8 +398,8 @@ def _add_integrator_flags(sp) -> None:
                     help="relative tolerance (default 1e-9)")
     sp.add_argument("--atol", type=float, default=1e-12,
                     help="absolute tolerance (default 1e-12)")
-    sp.add_argument("--start-mode", default=OFFSET,
-                    help=f"'{OFFSET}' or '{SERIES}' (default {OFFSET})")
+    sp.add_argument("--start-mode", default=OFFSET, choices=(OFFSET, SERIES),
+                    help=f"start strategy (default {OFFSET})")
     sp.add_argument("--max-steps", type=int, default=1_000_000,
                     help="step budget (default 1e6)")
 
@@ -445,19 +410,19 @@ def build_parser() -> argparse.ArgumentParser:
                                  "orbital-mode stability certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", parents=[], help="integrate one run")
+    sp = sub.add_parser("solve", help="integrate one run")
     _add_model_flags(sp)
     _add_integrator_flags(sp)
     sp.add_argument("--out", help="trajectory CSV path (default run_n{n}_omega{omega}.csv)")
     sp.add_argument("--json", action="store_true",
                     help="print the JSON summary to stdout")
-    sp.add_argument("--check-oracle", default=None,
-                    help="compare against a closed form: gamma2|powerlaw|gaussian")
+    sp.add_argument("--check-oracle", choices=ORACLE_KINDS,
+                    help="compare against a closed form")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("oracle", help="tabulate a closed-form profile")
     sp.add_argument("--kind", required=True,
-                    help="gamma2|powerlaw|gaussian|waterbag")
+                    choices=ORACLE_KINDS + ("waterbag",))
     sp.add_argument("--theta0", type=float, default=1.0)
     sp.add_argument("--omega", type=float, default=None)
     sp.add_argument("--gamma", type=float, default=None)
@@ -489,22 +454,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True,
                     help="trajectory CSV or sweep index.json")
     sp.add_argument("--kind", default="profile",
-                    help="profile|phase|profile-family")
+                    choices=("profile", "phase", "profile-family"))
     sp.add_argument("--out", help="SVG path (default: input with .svg)")
     sp.set_defaults(func=cmd_plot)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
     except ValidationError as exc:
-        flag = FLAG_BY_FIELD.get(exc.field, exc.field)
+        flag = FLAG_BY_FIELD.get(exc.field,
+                                 "--" + exc.field.replace("_", "-"))
         print(f"error: {flag}: {exc.message}", file=sys.stderr)
         return 1
     except IntegrationError as exc:

@@ -121,37 +121,50 @@ def halo_boundary(p: HaloProfile) -> float:
     return zeta
 
 
+def _powerlaw_head(gamma: float, theta0: float) -> tuple[float, float]:
+    """(gamma, theta0^(gamma-1)) of a power law, both checked.  For gamma < 0
+    a head of 0 leaves the centre density 0^(1/(gamma-1)) undefined."""
+    gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValidationError("gamma", f"must be finite, got {gamma!r}")
+    if gamma == 1.0:
+        raise ValidationError("gamma", "the gamma = 1 limit is gaussian_profile")
+    if gamma == 0.0:
+        raise ValidationError("gamma", "the gamma = 0 case is waterbag_profile")
+    theta0 = float(theta0)
+    if not (math.isfinite(theta0) and theta0 > 0.0):
+        raise ValidationError("theta0", f"must be finite and > 0, got {theta0!r}")
+    try:
+        head = theta0 ** (gamma - 1.0)
+    except OverflowError:
+        head = math.inf
+    if math.isinf(head) or (head == 0.0 and gamma < 0.0):
+        raise ValidationError("theta0", f"theta0**(gamma - 1) passes the float "
+                              f"range at gamma = {gamma!r}, got {theta0!r}")
+    return gamma, head
+
+
 def powerlaw_boundary(gamma: float, theta0: float) -> float:
     """Radius zeta_star = sqrt(6 gamma theta0^(gamma-1) / (gamma-1)) where
-    the gamma > 1 power-law density vanishes."""
-    return math.sqrt(6.0 * gamma * theta0 ** (gamma - 1.0) / (gamma - 1.0))
+    the power-law density vanishes (gamma > 1) or diverges (gamma < 0)."""
+    gamma, head = _powerlaw_head(gamma, theta0)
+    return math.sqrt(6.0 * gamma * head / (gamma - 1.0))
 
 
 def powerlaw_profile(zeta: float, gamma: float, theta0: float) -> float:
     """omega -> 0 density [theta0^(gamma-1) - (gamma-1) zeta^2 / (6 gamma)]^(1/(gamma-1)).
 
-    For gamma > 1 the bracket hits zero at powerlaw_boundary and
-    evaluation beyond that is a domain error.  gamma = 1 belongs to
+    For gamma > 1 and gamma < 0 the bracket hits zero at powerlaw_boundary
+    and evaluation beyond that is a domain error.  gamma = 1 belongs to
     gaussian_profile and gamma = 0 to waterbag_profile.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValidationError("gamma", f"must be finite, got {gamma!r}")
-    if gamma == 1.0:
-        raise ValidationError("gamma",
-                              "the gamma = 1 limit is gaussian_profile")
-    if gamma == 0.0:
-        raise ValidationError("gamma",
-                              "the gamma = 0 case is waterbag_profile")
-    theta0 = float(theta0)
-    if not (math.isfinite(theta0) and theta0 > 0.0):
-        raise ValidationError("theta0", f"must be finite and > 0, got {theta0!r}")
-    bracket = theta0 ** (gamma - 1.0) - (gamma - 1.0) * zeta * zeta / (6.0 * gamma)
+    gamma, head = _powerlaw_head(gamma, theta0)
+    bracket = head - (gamma - 1.0) * zeta * zeta / (6.0 * gamma)
     exponent = 1.0 / (gamma - 1.0)
     if bracket < 0.0 or (bracket == 0.0 and exponent < 0.0):
         raise ValidationError(
             "zeta",
-            f"outside the profile domain; the density vanishes at "
+            f"outside the profile domain, which ends at "
             f"zeta_star = {powerlaw_boundary(gamma, theta0)!r}")
     return bracket ** exponent
 

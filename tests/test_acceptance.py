@@ -457,3 +457,50 @@ def test_criterion_11_property_suites(tmp_path, capsys, record_criterion):
                      "(full suites run in the sibling test files)" if ok
                      else f"failing: {failed}"))
     assert ok, failed
+
+
+ORBIT_RUNS = ((2, 0.6), (2, 0.7), (4, 0.6), (4, 0.7), (6, 0.6), (6, 0.7))
+
+
+def test_criterion_12_orbital_mode(record_criterion):
+    """Linearized at z_eq, x = z - z_eq obeys x'' + 2x'/zeta + k**2 x = 0
+    with k**2 = n*omega**(1/n)/(n + 1), solved by A*sin(k*zeta + phi)/zeta.
+    On the long-solve runs (default start, zeta to 2000) the mean full
+    period between alternate zeros of x on [1000, 2000] is 2*pi/k to 5e-5
+    relative, and the maxima of zeta*|x| in the half periods on
+    [900, 2000] spread by at most 1.5% of their mean.  Zeros are linear
+    interpolants between nodes; maxima are taken on the nodes, which
+    understates each by well under 0.1%."""
+    rows, worst_period, worst_spread, fewest = [], 0.0, 0.0, math.inf
+    for n, omega in ORBIT_RUNS:
+        p = make_params(n, omega)
+        traj = integrate(p, IntegratorOptions(zeta_end=2000.0))
+        t = np.asarray(traj.zetas)
+        x = np.asarray(traj.zs) - equilibria(p)[0].z_eq
+        i = np.nonzero((x[:-1] > 0.0) != (x[1:] > 0.0))[0]
+        zeros = t[i] - x[i] * (t[i + 1] - t[i]) / (x[i + 1] - x[i])
+        late = zeros[zeros >= 1000.0]
+        k = math.sqrt(n * omega ** (1.0 / n) / (n + 1.0))
+        period = float(np.mean(late[2:] - late[:-2]))
+        period_dev = abs(period * k / (2.0 * math.pi) - 1.0)
+        env = t * np.abs(x)
+        halves = zeros[zeros >= 900.0]
+        peaks = np.array([env[(t > a) & (t < b)].max()
+                          for a, b in zip(halves[:-1], halves[1:])])
+        spread = float((peaks.max() - peaks.min()) / peaks.mean())
+        fewest = min(fewest, len(late) - 2, len(peaks))
+        worst_period = max(worst_period, period_dev)
+        worst_spread = max(worst_spread, spread)
+        rows.append(f"({n},{omega}): {period_dev:.1e}, {100 * spread:.2f}%")
+    ok = worst_period <= 5e-5 and worst_spread <= 0.015 and fewest >= 200
+    record_criterion(12, ok,
+                     f"orbital mode A*sin(k*zeta + phi)/zeta to zeta 2000, "
+                     f"at least {fewest} periods or half periods per run: "
+                     f"worst |mean period * k/(2 pi) - 1| = "
+                     f"{worst_period:.2e} (gate 5e-05), worst spread of the "
+                     f"half-period maxima of zeta*|z - z_eq| = "
+                     f"{100 * worst_spread:.2f}% (gate 1.5%); per run "
+                     f"[{'; '.join(rows)}]")
+    assert worst_period <= 5e-5
+    assert worst_spread <= 0.015
+    assert fewest >= 200

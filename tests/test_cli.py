@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -22,9 +24,12 @@ from lanestab import (
     lyapunov_V,
     lyapunov_Vdot,
     make_params,
+    powerlaw_profile,
     theta_from_z,
+    ValidationError,
 )
-from lanestab.cli import CSV_HEADER_BARE, CSV_HEADER_FULL, main
+from lanestab.cli import CSV_HEADER_BARE, CSV_HEADER_FULL, build_parser, main
+from lanestab.closedform import powerlaw_boundary
 
 SVG = "{http://www.w3.org/2000/svg}"
 SRC = str(Path(lanestab.__file__).resolve().parents[1])
@@ -111,6 +116,41 @@ def test_unknown_flag_exits_one(capsys):
                         capsys)
     assert code == 1
     assert "error" in err
+
+
+MODEL = ["--n", "2", "--omega", "0.5"]
+
+
+@pytest.mark.parametrize("field, argv", [
+    ("n", ["solve", "--n", "0", "--omega", "0.5"]),
+    ("omega", ["stability", "--n", "2", "--omega", "-1"]),
+    ("theta0", ["stability", *MODEL, "--theta0", "0"]),
+    ("zeta0", ["solve", *MODEL, "--start-mode", "series", "--zeta0", "0.5"]),
+    ("zeta-end", ["sweep", *MODEL, "--zeta-end", "0"]),
+    ("rtol", ["solve", *MODEL, "--rtol", "0.1"]),
+    ("atol", ["solve", *MODEL, "--atol", "1e-6"]),
+    ("max-steps", ["solve", *MODEL, "--max-steps", "0"]),
+    ("check-oracle", ["solve", *MODEL, "--check-oracle", "gamma2"]),
+    ("kind", ["oracle", "--kind", "cubic"]),
+    ("start-mode", ["sweep", *MODEL, "--start-mode", "bogus"]),
+    ("gamma", ["oracle", "--kind", "powerlaw", "--gamma", "1"]),
+    ("points", ["oracle", "--kind", "gaussian", "--points", "1"]),
+    ("input", ["plot", "--input", "absent.csv"]),
+])
+def test_rejected_field_names_its_flag(field, argv, tmp_path, capsys,
+                                       monkeypatch):
+    """A ValidationError on a field names "--" + field ("-" for "_"), or
+    the renamed flag; argparse names a rejected choice itself.  Either way
+    the flag on stderr is one that the subcommand accepts."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(argv, capsys)
+    assert code == 1
+    flag = re.search(r"error: (?:argument )?(--[a-z0-9-]+)", err).group(1)
+    assert flag == "--" + field
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert flag in sub.choices[argv[0]]._option_string_actions
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_tiny_omega_is_a_validation_error(tmp_path, capsys):
@@ -289,6 +329,43 @@ def test_oracle_powerlaw_caps_grid_at_boundary(tmp_path, capsys):
     assert "zeta_star" in stdout
     last_zeta = float(out.read_text().splitlines()[-1].split(",")[0])
     assert last_zeta <= math.sqrt(18.0) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("gamma, theta0, error", [
+    # the last row was zeta_star itself, where the bracket rounded below 0
+    ("1.2", "1", None), ("2.5", "1", None), ("4", "1", None),
+    ("7", "1", None), ("3", "0.3", None), ("7", "0.3", None),
+    ("2", "1e-300", None), ("1.2", "5e-324", None),
+    # gamma < 0 has finite support too, and was never capped
+    ("-1", "1", None), ("-0.5", "3.7", None), ("-5", "1e8", None),
+    # theta0**(gamma - 1) past the float range: an OverflowError traceback,
+    # or an underflow to 0 that left no finite density at all
+    ("-1", "1e-300", "--theta0"), ("5", "1e100", "--theta0"),
+    ("-1", "1e300", "--theta0"),
+])
+def test_oracle_powerlaw_table_ends_at_the_last_finite_value(
+        gamma, theta0, error, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    code, _, err = _run(["oracle", "--kind", "powerlaw", f"--gamma={gamma}",
+                         f"--theta0={theta0}", "--zeta-end", "100",
+                         "--points", "50", "--out", str(out)], capsys)
+    if error is not None:
+        assert code == 1 and err.startswith(f"error: {error}: ")
+        assert not out.exists()
+        return
+    assert code == 0, err
+    g, t0 = float(gamma), float(theta0)
+    table = [[float(c) for c in ln.split(",")]
+             for ln in out.read_text().splitlines()[1:]]
+    assert all(math.isfinite(theta) for _, theta in table)
+    last, zeta_star = table[-1][0], powerlaw_boundary(g, t0)
+    assert last <= zeta_star
+    if last < zeta_star:  # the next float up has no finite value
+        try:
+            beyond = powerlaw_profile(math.nextafter(last, math.inf), g, t0)
+        except (ValidationError, OverflowError):
+            beyond = math.inf
+        assert not math.isfinite(beyond)
 
 
 def test_oracle_rejects_unknown_kind(tmp_path, capsys):
