@@ -24,14 +24,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 from . import closedform
 from .integrate import (DIVERGED, IntegrationError, IntegratorOptions,
                         OFFSET, SERIES, Trajectory, first_zero, integrate)
-from .model import (ModelParams, ValidationError, equilibria, make_params,
-                    theta_from_z)
+from .model import (ModelParams, ValidationError, _require_positive,
+                    equilibria, make_params, theta_from_z)
 from .stability import classify, lyapunov_V, lyapunov_Vdot
 
 CSV_HEADER_FULL = "zeta,z,dz,theta,V,Vdot"
@@ -47,6 +48,12 @@ FLAG_BY_FIELD = {"zeta_start": "--zeta0", "rel_tol": "--rtol",
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1e-3 and -inf for options
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$")
+
     # argparse exits with 2 by default; 2 is reserved for numerical failure
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -150,17 +157,6 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return [i * step + start for i in range(num - 1)] + [stop]
 
 
-def _oracle_comparison(kind: str, params: ModelParams,
-                       traj: Trajectory) -> dict:
-    """Max |numeric - closed form| of theta on a 1001-point grid of the run
-    range, capped at the profile's domain end."""
-    fn, end, _ = _closed_form(kind, params.theta0, params.omega, params.gamma)
-    grid = _linspace(traj.zetas[0], min(traj.zetas[-1], end), 1001)
-    err = max(abs(theta_from_z(z, params.n) - fn(t))
-              for t, (z, _) in zip(grid, traj.evaluate_many(grid)))
-    return {"kind": kind, "max_abs_err": err}
-
-
 def _integrator_options(args) -> IntegratorOptions:
     return IntegratorOptions(zeta_end=args.zeta_end, rel_tol=args.rtol,
                              abs_tol=args.atol, max_steps=args.max_steps,
@@ -175,13 +171,25 @@ def cmd_solve(args) -> int:
     if args.check_oracle in ("powerlaw", "gaussian") and params.omega != 0.0:
         raise ValidationError("check_oracle",
                               f"the {args.check_oracle} oracle needs --omega 0")
+    if args.check_oracle is not None:
+        fn, end, _ = _closed_form(args.check_oracle, params.theta0,
+                                  params.omega, params.gamma)
+        if end <= params.zeta_start:
+            raise ValidationError("check_oracle", f"the {args.check_oracle} "
+                                  f"profile ends at zeta = {end!r}, not past "
+                                  f"--zeta0 = {params.zeta_start!r}")
     traj = integrate(params, _integrator_options(args))
     zeta_star = first_zero(traj)
     summary = {"params": _params_dict(params),
                "stable_regime": params.stable_regime,
                **_outcome(traj, zeta_star)}
     if args.check_oracle is not None:
-        summary["oracle"] = _oracle_comparison(args.check_oracle, params, traj)
+        # max |numeric - closed form| of theta on a 1001-point grid of the
+        # run range, capped at the profile's domain end
+        grid = _linspace(traj.zetas[0], min(traj.zetas[-1], end), 1001)
+        summary["oracle"] = {"kind": args.check_oracle, "max_abs_err": max(
+            abs(theta_from_z(z, params.n) - fn(t))
+            for t, (z, _) in zip(grid, traj.evaluate_many(grid)))}
     out = Path(args.out or _run_name(params))
     _write_text(out, _trajectory_csv(traj))
     sidecar = out.with_suffix(".summary.json")
@@ -205,9 +213,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    hi = args.zeta_end
-    if not (math.isfinite(hi) and hi > 0.0):
-        raise ValidationError("zeta_end", f"must be finite and > 0, got {hi!r}")
+    hi = _require_positive("zeta_end", args.zeta_end)
     if args.points < 2:
         raise ValidationError("points", f"must be an integer >= 2, got {args.points!r}")
     need = {"gamma2": "omega", "waterbag": "omega",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ValidationError, _Record
+from .model import ValidationError, _Record, _require_positive
 
 SHC_SERIES_CUTOFF = 1e-4
 
@@ -32,9 +32,7 @@ class HaloProfile(_Record):
     __slots__ = ("theta0", "omega")
 
     def __init__(self, theta0: float, omega: float):
-        if not (math.isfinite(theta0) and theta0 > 0.0):
-            raise ValidationError("theta0",
-                                  f"must be finite and > 0, got {theta0!r}")
+        theta0 = _require_positive("theta0", theta0)
         if not (0.0 < omega < 1.0 / theta0):
             raise ValidationError(
                 "omega",
@@ -131,9 +129,7 @@ def _powerlaw_head(gamma: float, theta0: float) -> tuple[float, float]:
         raise ValidationError("gamma", "the gamma = 1 limit is gaussian_profile")
     if gamma == 0.0:
         raise ValidationError("gamma", "the gamma = 0 case is waterbag_profile")
-    theta0 = float(theta0)
-    if not (math.isfinite(theta0) and theta0 > 0.0):
-        raise ValidationError("theta0", f"must be finite and > 0, got {theta0!r}")
+    theta0 = _require_positive("theta0", theta0)
     try:
         head = theta0 ** (gamma - 1.0)
     except OverflowError:
@@ -171,17 +167,13 @@ def powerlaw_profile(zeta: float, gamma: float, theta0: float) -> float:
 
 def gaussian_profile(zeta: float, theta0: float) -> float:
     """gamma -> 1 density theta0 * exp(-zeta^2/6)."""
-    theta0 = float(theta0)
-    if not (math.isfinite(theta0) and theta0 > 0.0):
-        raise ValidationError("theta0", f"must be finite and > 0, got {theta0!r}")
+    theta0 = _require_positive("theta0", theta0)
     return theta0 * math.exp(-zeta * zeta / 6.0)
 
 
 def lane_emden_radius(omega: float) -> float:
     """Step radius xi0 = 3 * (4 pi omega)^(-1/3) of the gamma = 0 profile."""
-    omega = float(omega)
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValidationError("omega", f"must be finite and > 0, got {omega!r}")
+    omega = _require_positive("omega", omega)
     return 3.0 * (4.0 * math.pi * omega) ** (-1.0 / 3.0)
 
 

@@ -24,7 +24,8 @@ import math
 from array import array
 from bisect import bisect_right
 
-from .model import ModelParams, ValidationError, _Record, rhs
+from .model import (ModelParams, ValidationError, _Record,
+                    _require_positive, rhs)
 
 OFFSET = "offset"
 SERIES = "series"
@@ -78,9 +79,7 @@ class IntegratorOptions(_Record):
     def __init__(self, zeta_end: float, rel_tol: float = 1e-9,
                  abs_tol: float = 1e-12, max_steps: int = 1_000_000,
                  start_mode: str = OFFSET):
-        if not (math.isfinite(zeta_end) and zeta_end > 0.0):
-            raise ValidationError("zeta_end",
-                                  f"must be finite and > 0, got {zeta_end!r}")
+        zeta_end = _require_positive("zeta_end", zeta_end)
         if not (0.0 < rel_tol <= 1e-3):
             raise ValidationError("rel_tol",
                                   f"must lie in (0, 1e-3], got {rel_tol!r}")
@@ -164,23 +163,23 @@ class Trajectory(_Record):
         return out
 
 
-def series_start(params: ModelParams, zeta_small: float) -> tuple[float, float]:
-    """Start state (z, dz) at zeta_small from the expansion z = z0 + c*zeta^2.
+def series_start(params: ModelParams) -> tuple[float, float]:
+    """Start state (z, dz) at zeta_start from the expansion z = z0 + c*zeta^2.
 
     Substituting the ansatz into (zeta^2 z')' = zeta^2 (omega z^n - 1)/(n+1)
     and matching leading terms gives 6c = (omega z0^n - 1)/(n+1), hence
     c = (omega z0^n - 1)/(6(n+1)) with z0 = theta0^(1/n); dz = 2c*zeta and
     the truncation error is O(zeta^4).  Valid only very close to the
-    singular point, so zeta_small is capped at 0.01.
+    singular point, so zeta_start is capped at 0.01.
     """
-    zeta_small = float(zeta_small)
-    if not (0.0 < zeta_small <= 0.01):
-        raise ValidationError("zeta_small",
-                              f"must lie in (0, 0.01], got {zeta_small!r}")
+    zeta = params.zeta_start
+    if zeta > 0.01:
+        raise ValidationError("zeta_start", f"series start needs "
+                              f"zeta_start <= 0.01, got {zeta!r}")
     z0 = params.theta0 ** (1.0 / params.n)
     # omega*z0**n equals omega*theta0 exactly; using theta0 skips a pow round trip
     c = (params.omega * params.theta0 - 1.0) / (6.0 * (params.n + 1.0))
-    return (z0 + c * zeta_small * zeta_small, 2.0 * c * zeta_small)
+    return (z0 + c * zeta * zeta, 2.0 * c * zeta)
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -216,11 +215,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
         raise ValidationError("zeta_end", f"must exceed zeta_start = "
                               f"{params.zeta_start!r}, got {opts.zeta_end!r}")
     if opts.start_mode == SERIES:
-        if params.zeta_start > 0.01:
-            raise ValidationError("zeta_start", f"series start needs "
-                                  f"zeta_start <= 0.01, got "
-                                  f"{params.zeta_start!r}")
-        z, dz = series_start(params, params.zeta_start)
+        z, dz = series_start(params)
     else:
         z, dz = params.theta0 ** (1.0 / params.n), 0.0
 

@@ -106,6 +106,15 @@ class Equilibrium(_Record):
     __slots__ = ("z_eq", "kind")
 
 
+def _require_positive(field: str, value) -> float:
+    """float(value); a ValidationError naming field where that is not a
+    positive finite number."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(field, f"must be finite and > 0, got {value!r}")
+    return value
+
+
 def make_params(n: int, omega: float, theta0: float = 1.0,
                 zeta_start: float = 1e-3) -> ModelParams:
     """Validate and build a ModelParams.
@@ -117,15 +126,9 @@ def make_params(n: int, omega: float, theta0: float = 1.0,
     omega = float(omega)
     if not math.isfinite(omega) or omega < 0.0:
         raise ValidationError("omega", f"must be finite and >= 0, got {omega!r}")
-    theta0 = float(theta0)
-    if not math.isfinite(theta0) or theta0 <= 0.0:
-        raise ValidationError("theta0", f"must be finite and > 0, got {theta0!r}")
-    zeta_start = float(zeta_start)
-    if not math.isfinite(zeta_start) or zeta_start <= 0.0:
-        raise ValidationError("zeta_start",
-                              f"must be finite and > 0, got {zeta_start!r}")
-    return ModelParams(n=int(n), omega=omega, theta0=theta0,
-                       zeta_start=zeta_start)
+    return ModelParams(n=int(n), omega=omega,
+                       theta0=_require_positive("theta0", theta0),
+                       zeta_start=_require_positive("zeta_start", zeta_start))
 
 
 def theta_from_z(z: float, n: int) -> float:

@@ -34,10 +34,10 @@ from .integrate import IntegratorOptions, _bisect, integrate
 
 
 class StabilityReport(_Record):
-    """classify() output; serializes to the CLI's JSON schema."""
+    """classify() output; serializes to the CLI's JSON schema.  The LMI
+    holds by its identity exactly when alpha_max is set (even n)."""
 
-    __slots__ = ("params", "equilibria", "alpha_max", "lmi_verified",
-                 "lmi_worst_eig", "instability_zeta0", "stable_regime",
+    __slots__ = ("params", "equilibria", "alpha_max", "instability_zeta0",
                  "summary")
 
     def to_json_dict(self) -> dict:
@@ -50,11 +50,9 @@ class StabilityReport(_Record):
         }
         if self.alpha_max is not None:
             d["alpha_max"] = self.alpha_max
-        if self.lmi_verified is not None:
-            d["lmi"] = {"verified": self.lmi_verified,
-                        "worst_eig": self.lmi_worst_eig}
+            d["lmi"] = {"verified": True, "worst_eig": 0.0}
         d["instability_zeta0"] = self.instability_zeta0
-        d["stable_regime"] = self.stable_regime
+        d["stable_regime"] = self.params.stable_regime
         return d
 
 
@@ -203,20 +201,19 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
 def classify(params: ModelParams) -> StabilityReport:
     """Assemble equilibria, certificates, and a verdict for the params.
 
-    For even n the LMI is reported from its closed-form residual
-    diag(0, -4(1+1/n)/(omega**(1/n) zeta^2)): verified, with largest
-    eigenvalue exactly 0.0 at every zeta > 0.  For odd n both are None.
+    For even n the LMI holds by its closed-form residual
+    diag(0, -4(1+1/n)/(omega**(1/n) zeta^2)), negative semidefinite at
+    every zeta > 0; odd n has no LMI and no alpha_max.
     """
     eqs = equilibria(params)
     even = params.n % 2 == 0
     alpha = basin_alpha(params) if even else None
-    verified, worst = (True, 0.0) if even else (None, None)
     zeta0 = instability_zeta0(params)
     onset = "certificate onset zeta0 " + (
         f"= {zeta0:.6g}." if zeta0 is not None else "beyond the float range.")
     if even:
         summary = (f"even n = {params.n}: left equilibrium z = {eqs[0].z_eq:.6g} "
-                   f"is asymptotically stable (LMI residual verified: {verified}); "
+                   f"is asymptotically stable (LMI residual verified: True); "
                    f"right equilibrium z = {eqs[1].z_eq:.6g} is unstable, {onset}")
     else:
         summary = (f"odd n = {params.n}: the sole equilibrium z = "
@@ -226,7 +223,4 @@ def classify(params: ModelParams) -> StabilityReport:
                     f"regime 0 < omega < 1, so the unit-density start is "
                     f"not inside the basin estimate.")
     return StabilityReport(params=params, equilibria=eqs, alpha_max=alpha,
-                           lmi_verified=verified, lmi_worst_eig=worst,
-                           instability_zeta0=zeta0,
-                           stable_regime=params.stable_regime,
-                           summary=summary)
+                           instability_zeta0=zeta0, summary=summary)

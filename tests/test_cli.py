@@ -17,6 +17,7 @@ import pytest
 import lanestab
 from lanestab import (
     IntegratorOptions,
+    classify,
     equilibria,
     gamma2_profile,
     HaloProfile,
@@ -118,6 +119,38 @@ def test_unknown_flag_exits_one(capsys):
     assert "error" in err
 
 
+def test_output_under_a_regular_file_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, stdout, err = _run(["solve", "--n", "2", "--omega", "0.5",
+                              "--zeta-end", "1",
+                              "--out", str(blocker / "run.csv")], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and str(blocker) in err
+    assert sorted(tmp_path.iterdir()) == [blocker]
+
+
+def test_negative_values_in_exponent_form(tmp_path, capsys):
+    """argparse took -1e-3 and -inf for options ("expected one argument");
+    as separate arguments they now reach the flags' own checks."""
+    tables = []
+    for gamma in (["--gamma", "-1e-3"], ["--gamma=-1e-3"]):
+        out = tmp_path / f"table{len(tables)}.csv"
+        code, _, _ = _run(["oracle", "--kind", "powerlaw", *gamma,
+                           "--out", str(out)], capsys)
+        assert code == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    code, _, err = _run(["oracle", "--kind", "powerlaw", "--gamma", "-inf",
+                         "--out", str(tmp_path / "inf.csv")], capsys)
+    assert code == 1 and err == "error: --gamma: must be finite, got -inf\n"
+    code, _, err = _run(["solve", "--n", "2", "--omega", "-1e-3",
+                         "--out", str(tmp_path / "run.csv")], capsys)
+    assert code == 1 and err.startswith("error: --omega: must be finite")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["table0.csv",
+                                                          "table1.csv"]
+
+
 MODEL = ["--n", "2", "--omega", "0.5"]
 
 
@@ -136,6 +169,8 @@ MODEL = ["--n", "2", "--omega", "0.5"]
     ("gamma", ["oracle", "--kind", "powerlaw", "--gamma", "1"]),
     ("points", ["oracle", "--kind", "gaussian", "--points", "1"]),
     ("input", ["plot", "--input", "absent.csv"]),
+    ("zeta-end", ["oracle", "--kind", "gaussian", "--zeta-end", "nan"]),
+    ("zeta-end", ["oracle", "--kind", "gaussian", "--zeta-end", "-1"]),
 ])
 def test_rejected_field_names_its_flag(field, argv, tmp_path, capsys,
                                        monkeypatch):
@@ -173,6 +208,33 @@ def test_solve_check_oracle(tmp_path, capsys):
     summary = json.loads(stdout)
     assert summary["oracle"]["kind"] == "gamma2"
     assert summary["oracle"]["max_abs_err"] <= 1e-6
+    code, stdout, _ = _run(["solve", "--n", "1", "--omega", "0.5",
+                            "--zeta-end", "1", "--out", str(out),
+                            "--check-oracle", "gamma2"], capsys)
+    assert code == 0
+    assert stdout.splitlines()[-1] == ("oracle gamma2: max |numeric - closed "
+                                       "form| = %.3e"
+                                       % summary["oracle"]["max_abs_err"])
+
+
+def test_solve_check_oracle_refuses_a_profile_ending_before_zeta0(tmp_path,
+                                                                  capsys):
+    """At n = 1, theta0 = 1e-8 the power law ends at zeta* = 3.46e-4, below
+    --zeta0 = 1e-3: the check is refused before the run, on its own flag
+    (the run used to fail afterwards on a nonexistent --zeta)."""
+    out = tmp_path / "run.csv"
+    code, stdout, err = _run(["solve", "--n", "1", "--omega", "0",
+                              "--theta0", "1e-8", "--out", str(out),
+                              "--check-oracle", "powerlaw"], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: --check-oracle: the powerlaw profile ends "
+                          f"at zeta = {powerlaw_boundary(2.0, 1e-8)!r}")
+    assert list(tmp_path.iterdir()) == []
+    # a start below zeta* runs the check
+    code, _, _ = _run(["solve", "--n", "1", "--omega", "0", "--theta0", "1e-8",
+                       "--zeta0", "1e-4", "--out", str(out),
+                       "--check-oracle", "powerlaw"], capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize("kind", ["gamma2", "powerlaw", "gaussian"])
@@ -210,6 +272,11 @@ def test_solve_divergence_is_reported_success(tmp_path, capsys):
     assert code == 0
     summary = json.loads(stdout)
     assert 10.0 < summary["diverged_at"] < 20.0
+    code, text, _ = _run(["solve", "--n", "3", "--omega", "0.125",
+                          "--theta0", "8.2", "--zeta-end", "50",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    assert f"diverged_at = {summary['diverged_at']:.12g} (|z| crossed" in text
 
 
 def test_solve_deterministic_bytes(tmp_path, capsys):
@@ -386,6 +453,12 @@ def test_stability_cli_json_and_file(tmp_path, capsys):
     assert [e["kind"] for e in report["equilibria"]] == ["stable_left",
                                                          "unstable_right"]
     assert out.read_bytes() == stdout.encode()
+    out.unlink()
+    code, text, _ = _run(["stability", "--n", "2", "--omega", "0.5",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_bytes() == stdout.encode()
+    assert text == classify(make_params(2, 0.5)).summary + f"\nwrote {out}\n"
 
 
 @pytest.mark.parametrize("n, onset", [(1024, 2.1217134328803796e+154),
@@ -471,6 +544,11 @@ def test_sweep_validation(tmp_path, capsys):
                          "--out-dir", str(tmp_path)], capsys)
     assert code == 1
     assert "--n" in err
+
+    code, _, err = _run(["sweep", "--n", ",", "--omega", "0.5",
+                         "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == "error: --n: needs at least one value\n"
 
 
 def test_sweep_rejects_colliding_run_files(tmp_path, capsys):

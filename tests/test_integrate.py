@@ -48,8 +48,8 @@ def test_series_coefficient_rederived_symbolically():
 
 
 def test_series_start_state():
-    p = make_params(2, 0.5)
-    z, dz = series_start(p, 1e-3)
+    p = make_params(2, 0.5, zeta_start=1e-3)
+    z, dz = series_start(p)
     c = (0.5 * 1.0 - 1.0) / (6.0 * 3.0)
     assert c == -1.0 / 36.0
     # same float operations as the implementation, so equality is exact
@@ -58,12 +58,12 @@ def test_series_start_state():
 
 
 def test_series_start_domain():
-    p = make_params(2, 0.5)
-    series_start(p, 0.01)
+    """series_start owns the 0.01 cap; make_params owns zeta_start > 0."""
+    series_start(make_params(2, 0.5, zeta_start=0.01))
     for bad in (0.0, -1e-3, 0.02):
         with pytest.raises(ValidationError) as exc:
-            series_start(p, bad)
-        assert exc.value.field == "zeta_small"
+            series_start(make_params(2, 0.5, zeta_start=bad))
+        assert exc.value.field == "zeta_start"
 
 
 @pytest.mark.parametrize(

@@ -18,12 +18,22 @@ from lanestab import (
     classify,
     integrate,
     equilibria,
+    gaussian_profile,
+    lane_emden_radius,
     make_params,
     rhs,
     theta_from_z,
 )
+from lanestab.cli import build_parser
+from lanestab.closedform import powerlaw_boundary
 from lanestab.integrate import Event
 from lanestab.model import STABLE_LEFT, UNSTABLE_ODD, UNSTABLE_RIGHT
+
+
+def _oracle_zeta_end(value):
+    args = build_parser().parse_args(["oracle", "--kind", "gaussian",
+                                      f"--zeta-end={value!r}"])
+    return args.func(args)
 
 
 def _records():
@@ -81,6 +91,29 @@ def test_make_params_rejections(kwargs, field):
         make_params(**kwargs)
     assert exc.value.field == field
     assert str(exc.value).startswith(field + ":")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call, field", [
+    (lambda v: make_params(2, 0.5, theta0=v), "theta0"),
+    (lambda v: make_params(2, 0.5, zeta_start=v), "zeta_start"),
+    (lambda v: IntegratorOptions(zeta_end=v), "zeta_end"),
+    (lambda v: HaloProfile(theta0=v, omega=0.5), "theta0"),
+    (lambda v: powerlaw_boundary(2.0, v), "theta0"),
+    (lambda v: gaussian_profile(1.0, v), "theta0"),
+    (lambda v: lane_emden_radius(v), "omega"),
+    (_oracle_zeta_end, "zeta_end"),
+], ids=["make_params.theta0", "make_params.zeta_start",
+        "IntegratorOptions.zeta_end", "HaloProfile.theta0",
+        "powerlaw.theta0", "gaussian_profile.theta0",
+        "lane_emden_radius.omega", "oracle.zeta_end"])
+def test_positive_value_rule(call, field, value):
+    """Every site of the finite-and-positive rule names its own field and
+    states the rule in the same words."""
+    with pytest.raises(ValidationError) as exc:
+        call(value)
+    assert exc.value.field == field
+    assert exc.value.message == f"must be finite and > 0, got {value!r}"
 
 
 def test_omega_zero_is_a_valid_parameter():

@@ -177,9 +177,9 @@ def test_lmi_identity_behind_classify():
                 m = lmi_residual(zeta, p)
                 assert m.a11 == 0.0 and m.a22 < 0.0
                 assert abs(m.a12) <= 2.0 * math.ulp(1.0 / zeta)
-            report = classify(p)
-            assert report.lmi_verified is True
-            assert report.lmi_worst_eig == 0.0
+            lmi = classify(p).to_json_dict()["lmi"]
+            assert lmi["verified"] is True
+            assert lmi["worst_eig"] == 0.0
 
 
 def test_lmi_rejects_odd_n():
@@ -264,6 +264,12 @@ def test_basin_membership_cases():
 def test_basin_alpha_even_only():
     with pytest.raises(ValidationError):
         basin_alpha(make_params(5, 0.5))
+
+
+def test_basin_alpha_needs_positive_omega():
+    with pytest.raises(ValidationError) as exc:
+        basin_alpha(make_params(2, 0.0))
+    assert exc.value.field == "omega"
 
 
 def test_instability_v_anchor_values():
@@ -385,6 +391,12 @@ def test_escape_none_when_window_too_short():
     assert escape_zeta(make_params(1, 0.5), zeta_end=5.0) is None
 
 
+def test_escape_at_the_start_outside_the_tube():
+    """A perturbation past the threshold has left the tube at zeta_start."""
+    p = make_params(1, 0.5)
+    assert escape_zeta(p, perturbation=20.0) == p.zeta_start
+
+
 def test_convergence_toward_left_equilibrium():
     p = make_params(2, 0.5)
     traj = integrate(p, IntegratorOptions(zeta_end=200.0))
@@ -393,14 +405,14 @@ def test_convergence_toward_left_equilibrium():
 
 def test_classify_even_report():
     report = classify(make_params(2, 0.5))
-    assert report.stable_regime
-    assert report.lmi_verified is True
-    assert report.lmi_worst_eig is not None and report.lmi_worst_eig <= 1e-12
+    d = report.to_json_dict()
+    assert d["stable_regime"] is True
+    assert d["lmi"]["verified"] is True
+    assert d["lmi"]["worst_eig"] is not None and d["lmi"]["worst_eig"] <= 1e-12
     assert math.isclose(report.alpha_max, ALPHA_MAX_N2_OMEGA_HALF, rel_tol=1e-14)
     kinds = [eq.kind for eq in report.equilibria]
     assert kinds == ["stable_left", "unstable_right"]
     assert "stable" in report.summary
-    d = report.to_json_dict()
     assert list(d.keys()) == ["params", "equilibria", "alpha_max", "lmi",
                               "instability_zeta0", "stable_regime"]
     assert list(d["lmi"].keys()) == ["verified", "worst_eig"]
@@ -411,15 +423,15 @@ def test_classify_even_report():
 def test_classify_odd_report():
     report = classify(make_params(3, 0.125))
     assert report.alpha_max is None
-    assert report.lmi_verified is None
     assert [eq.kind for eq in report.equilibria] == ["unstable_odd"]
     assert report.equilibria[0].z_eq == 2.0
     d = report.to_json_dict()
+    assert "lmi" not in d
     assert list(d.keys()) == ["params", "equilibria", "instability_zeta0",
                               "stable_regime"]
 
 
 def test_classify_flags_untrapped_omega():
     report = classify(make_params(2, 1.5))
-    assert not report.stable_regime
+    assert report.to_json_dict()["stable_regime"] is False
     assert "outside the trapped" in report.summary
