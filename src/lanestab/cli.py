@@ -31,8 +31,8 @@ from pathlib import Path
 from . import closedform
 from .integrate import (DIVERGED, IntegrationError, IntegratorOptions,
                         OFFSET, SERIES, Trajectory, first_zero, integrate)
-from .model import (ModelParams, ValidationError, _require_positive,
-                    equilibria, make_params, theta_from_z)
+from .model import (STABLE_LEFT, ModelParams, ValidationError, _params_json,
+                    _require_positive, equilibria, make_params, theta_from_z)
 from .stability import classify, lyapunov_V, lyapunov_Vdot
 
 CSV_HEADER_FULL = "zeta,z,dz,theta,V,Vdot"
@@ -87,11 +87,6 @@ def _trajectory_csv(traj: Trajectory) -> str:
             "%.17g,%.17g,%.17g,%.17g" % (t, z, dz, theta_from_z(z, n))
             for t, z, dz in rows]
     return "\n".join(lines) + "\n"
-
-
-def _params_dict(params: ModelParams) -> dict:
-    return {"n": params.n, "omega": params.omega, "theta0": params.theta0,
-            "zeta0": params.zeta_start}
 
 
 def _outcome(traj: Trajectory, zeta_star: float | None) -> dict:
@@ -180,7 +175,7 @@ def cmd_solve(args) -> int:
                                   f"--zeta0 = {params.zeta_start!r}")
     traj = integrate(params, _integrator_options(args))
     zeta_star = first_zero(traj)
-    summary = {"params": _params_dict(params),
+    summary = {"params": _params_json(params),
                "stable_regime": params.stable_regime,
                **_outcome(traj, zeta_star)}
     if args.check_oracle is not None:
@@ -280,7 +275,7 @@ def cmd_sweep(args) -> int:
 
     entries = []
     for params in run_params:
-        entry = {**_params_dict(params), "zeta_end": opts.zeta_end}
+        entry = {**_params_json(params), "zeta_end": opts.zeta_end}
         try:
             traj = integrate(params, opts)
             text = _trajectory_csv(traj)
@@ -340,7 +335,7 @@ def _equilibrium_markers(summary_path: Path) -> list[tuple[float, float, str]]:
                                      p["zeta0"]))
     except (OSError, KeyError, TypeError, ValueError):
         return []
-    return [(eq.z_eq, 0.0, STABLE_COLOR if eq.kind == "stable_left"
+    return [(eq.z_eq, 0.0, STABLE_COLOR if eq.kind == STABLE_LEFT
              else UNSTABLE_COLOR) for eq in eqs]
 
 

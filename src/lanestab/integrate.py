@@ -25,14 +25,12 @@ from array import array
 from bisect import bisect_right
 
 from .model import (ModelParams, ValidationError, _Record,
-                    _require_positive, rhs)
+                    _require_positive, _require_positive_int, rhs)
 
 OFFSET = "offset"
 SERIES = "series"
 COMPLETED = "completed"
 DIVERGED = "diverged"
-EVENT_ZERO = "zero"
-EVENT_DIVERGED = "diverged"
 
 DIVERGENCE_GUARD = 1e12
 BISECT_MAX_ITER = 40
@@ -86,10 +84,7 @@ class IntegratorOptions(_Record):
         if not (0.0 < abs_tol <= rel_tol):
             raise ValidationError("abs_tol",
                                   f"must lie in (0, rel_tol], got {abs_tol!r}")
-        if isinstance(max_steps, bool) or int(max_steps) != max_steps \
-                or max_steps < 1:
-            raise ValidationError("max_steps",
-                                  f"must be a positive integer, got {max_steps!r}")
+        max_steps = _require_positive_int("max_steps", max_steps)
         if start_mode not in (OFFSET, SERIES):
             raise ValidationError("start_mode",
                                   f"must be '{OFFSET}' or '{SERIES}', got {start_mode!r}")
@@ -121,23 +116,26 @@ def _dense(zeta, zeta0, h, y0, q) -> float:
     return y0 + h * (s * (q[0] + s * (q[1] + s * (q[2] + s * q[3]))))
 
 
-class Event(_Record):
-    __slots__ = ("zeta", "kind")
-
-
 class Trajectory(_Record):
-    """Completed integration: sample nodes, per-step stage slopes, events.
+    """Completed integration: sample nodes, per-step stage slopes, and the
+    ascending zetas (events) where z crosses zero.
 
     Step k runs from zetas[k] to zetas[k+1], h = zetas[k+1] - zetas[k];
     slopes[14*k:14*k+14] holds its seven stage slopes (z', dz').  Its
     interpolant (zs[k], dzs[k]) + h * quartic(k) . (s, s^2, s^3, s^4),
     s = (zeta - zetas[k])/h, has slope rhs at zetas[k], so the curve is C1.
-    status is "completed" or "diverged"; diverged_at is the zeta where |z|
-    crossed the divergence guard, else None.
+    diverged_at is the zeta where |z| crossed the divergence guard, else
+    None.
     """
 
     __slots__ = ("params", "zetas", "zs", "dzs", "slopes", "events",
-                 "status", "diverged_at")
+                 "diverged_at")
+
+    @property
+    def status(self) -> str:
+        """The outcome: "diverged" exactly when diverged_at is set, else
+        "completed"."""
+        return COMPLETED if self.diverged_at is None else DIVERGED
 
     def quartic(self, k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Step k's interpolant coefficients, for z and for dz."""
@@ -202,14 +200,20 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _crossing(zetas, zs, slopes, k, g) -> float:
+    """Root of g(z) on step k's quartic, given g changes sign over the step."""
+    t0, t1, qz = zetas[k], zetas[k + 1], _quartic(slopes, k)[0]
+    return _bisect(lambda t: g(_dense(t, t0, t1 - t0, zs[k], qz)), t0, t1)
+
+
 def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     """Integrate from zeta_start to zeta_end, or to the divergence guard.
 
     Raises IntegrationError on step-size underflow, on an overflowing
     right-hand side at the start, or when max_steps runs out.  A guard
     crossing |z| > 1e12 is not an error: the trajectory is returned with
-    status "diverged", a "diverged" event, and diverged_at set to the
-    crossing zeta found by bisection.
+    diverged_at set to the crossing zeta found by bisection, so its status
+    is "diverged".
     """
     if not opts.zeta_end > params.zeta_start:
         raise ValidationError("zeta_end", f"must exceed zeta_start = "
@@ -233,7 +237,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     h_abs = min(1e-4, (t_end - t) / 100.0)
     nodes = array("d", (t, z, dz))  # (zeta, z, dz) per node
     slopes = array("d")  # the 7 stage slopes (z', dz') per accepted step
-    status, steps = COMPLETED, 0
+    steps = 0
 
     while t < t_end:
         if steps >= opts.max_steps:
@@ -293,31 +297,20 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
         nodes.extend((t_new, z_new, dz_new))
         t, z, dz, k1z, k1d = t_new, z_new, dz_new, k7z, k7d
         if abs(z) > DIVERGENCE_GUARD:
-            status = DIVERGED
             break
 
-    zs = nodes[1::3]
-    # steps whose end nodes bracket a zero of z
-    crossings = [k for k, (za, zb) in enumerate(zip(zs, zs[1:]))
-                 if za != 0.0 and (zb == 0.0 or (za > 0.0) != (zb > 0.0))]
-
-    def locate(k, g):  # root of g(z) on step k's interpolant
-        t0, z0, _, t1 = nodes[3 * k:3 * k + 4]
-        qz = _quartic(slopes, k)[0]
-        return _bisect(lambda t: g(_dense(t, t0, t1 - t0, z0, qz)), t0, t1)
-
-    events = [Event(locate(k, lambda z: z), EVENT_ZERO) for k in crossings]
-    diverged_at = None
-    if status == DIVERGED:
-        diverged_at = locate(steps - 1, lambda z: abs(z) - DIVERGENCE_GUARD)
-        events.append(Event(diverged_at, EVENT_DIVERGED))
-    return Trajectory(params=params, zetas=nodes[0::3], zs=zs,
-                      dzs=nodes[2::3], slopes=slopes, events=tuple(events),
-                      status=status, diverged_at=diverged_at)
+    zetas, zs = nodes[0::3], nodes[1::3]
+    # the zero crossings, on the steps whose end nodes bracket a zero of z
+    events = tuple(_crossing(zetas, zs, slopes, k, lambda z: z)
+                   for k, (za, zb) in enumerate(zip(zs, zs[1:]))
+                   if za != 0.0 and (zb == 0.0 or (za > 0.0) != (zb > 0.0)))
+    diverged_at = _crossing(zetas, zs, slopes, steps - 1,
+                            lambda z: abs(z) - DIVERGENCE_GUARD) \
+        if abs(z) > DIVERGENCE_GUARD else None
+    return Trajectory(params=params, zetas=zetas, zs=zs, dzs=nodes[2::3],
+                      slopes=slopes, events=events, diverged_at=diverged_at)
 
 
 def first_zero(traj: Trajectory) -> float | None:
-    """Smallest zeta with z(zeta) = 0, or None if z never changes sign;
-    a lookup in the events that integrate() located."""
-    return next((ev.zeta for ev in traj.events if ev.kind == EVENT_ZERO),
-                None)
+    """Smallest zeta with z(zeta) = 0, or None if z never changes sign."""
+    return traj.events[0] if traj.events else None

@@ -115,18 +115,35 @@ def _require_positive(field: str, value) -> float:
     return value
 
 
+def _require_positive_int(field: str, value) -> int:
+    """int(value); a ValidationError naming field where value is a bool or
+    not a positive integer (nan and inf included)."""
+    try:
+        if not isinstance(value, bool) and int(value) == value >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(field, f"must be a positive integer, got {value!r}")
+
+
+def _params_json(params: ModelParams) -> dict:
+    """The params block of the solve sidecar, a sweep row and the
+    stability report."""
+    return {"n": params.n, "omega": params.omega, "theta0": params.theta0,
+            "zeta0": params.zeta_start}
+
+
 def make_params(n: int, omega: float, theta0: float = 1.0,
                 zeta_start: float = 1e-3) -> ModelParams:
     """Validate and build a ModelParams.
 
     Raises ValidationError naming the offending field.
     """
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise ValidationError("n", f"must be a positive integer, got {n!r}")
+    n = _require_positive_int("n", n)
     omega = float(omega)
     if not math.isfinite(omega) or omega < 0.0:
         raise ValidationError("omega", f"must be finite and >= 0, got {omega!r}")
-    return ModelParams(n=int(n), omega=omega,
+    return ModelParams(n=n, omega=omega,
                        theta0=_require_positive("theta0", theta0),
                        zeta_start=_require_positive("zeta_start", zeta_start))
 
@@ -143,7 +160,7 @@ def rhs(zeta: float, z: float, dz: float, params: ModelParams) -> tuple[float, f
     steps this function; it multiplies by 1/(n+1) rather than dividing,
     and emitted trajectories depend on that rounding.
     """
-    if zeta <= 0.0:
+    if not zeta > 0.0:
         raise ValidationError("zeta", f"must be > 0, got {zeta!r}")
     accel = (params.omega * z ** params.n - 1.0) * (1.0 / (params.n + 1.0)) \
         - 2.0 * dz / zeta

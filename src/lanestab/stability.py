@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 
-from .model import ModelParams, ValidationError, _Record, _radius, equilibria
-from .integrate import IntegratorOptions, _bisect, integrate
+from .model import (ModelParams, ValidationError, _Record, _params_json,
+                    _radius, _require_positive, equilibria)
+from .integrate import IntegratorOptions, _crossing, integrate
 
 
 class StabilityReport(_Record):
@@ -42,9 +43,7 @@ class StabilityReport(_Record):
 
     def to_json_dict(self) -> dict:
         d: dict = {
-            "params": {"n": self.params.n, "omega": self.params.omega,
-                       "theta0": self.params.theta0,
-                       "zeta0": self.params.zeta_start},
+            "params": _params_json(self.params),
             "equilibria": [{"z": e.z_eq, "kind": e.kind}
                            for e in self.equilibria],
         }
@@ -54,13 +53,6 @@ class StabilityReport(_Record):
         d["instability_zeta0"] = self.instability_zeta0
         d["stable_regime"] = self.params.stable_regime
         return d
-
-
-def _require_positive_zeta(zeta: float) -> float:
-    zeta = float(zeta)
-    if zeta <= 0.0:
-        raise ValidationError("zeta", f"must be > 0, got {zeta!r}")
-    return zeta
 
 
 def _require_even_n(params: ModelParams, what: str) -> None:
@@ -95,14 +87,13 @@ def lyapunov_Vdot(x2: float, zeta: float) -> float:
 
     Independent of x1 and of the parameters; never positive.
     """
-    zeta = _require_positive_zeta(zeta)
+    zeta = _require_positive("zeta", zeta)
     return -4.0 * x2 * x2 / zeta
 
 
 def basin_alpha(params: ModelParams) -> float:
     """Critical level alpha_max = 4n/(omega**(1/n)(n+1)**2) = V(2u, 0)."""
-    if params.omega <= 0.0:
-        raise ValidationError("omega", "equilibrium analysis needs omega > 0")
+    _radius(params)  # names omega where no equilibrium exists
     _require_even_n(params, "the basin estimate")
     n = params.n
     return 4.0 * n / (params.omega ** (1.0 / n) * (n + 1) ** 2)
@@ -143,7 +134,7 @@ def instability_Vdot(x1: float, x2: float, zeta: float,
     does go negative at large |x2| when x1 < -u/2, so callers must not
     assume positivity on the full ball.
     """
-    zeta = _require_positive_zeta(zeta)
+    zeta = _require_positive("zeta", zeta)
     u = _radius(params)
     n = params.n
     drive = params.omega * (x1 + u) ** n - 1.0
@@ -194,8 +185,8 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
         return None
     if k == 0:
         return traj.zetas[0]
-    return _bisect(lambda t: abs(traj.evaluate(t)[0] - u) - threshold,
-                   traj.zetas[k - 1], traj.zetas[k])
+    return _crossing(traj.zetas, traj.zs, traj.slopes, k - 1,
+                     lambda z: abs(z - u) - threshold)
 
 
 def classify(params: ModelParams) -> StabilityReport:

@@ -14,7 +14,8 @@ import math
 from typing import NamedTuple
 
 from lanestab import ValidationError
-from lanestab.stability import _require_even_n, _require_positive_zeta
+from lanestab.model import _require_positive
+from lanestab.stability import _require_even_n
 
 # 50 log-spaced points on [0.1, 100]: 10**y on numpy.linspace(-1, 2, 50)
 LMI_GRID = tuple(10.0 ** (i * (3.0 / 49) - 1.0) for i in range(49)) + (100.0,)
@@ -44,7 +45,7 @@ def jacobian(zeta, x1, params, branch="left"):
     """Jacobian of the shifted system at (x1, any x2):
     [[0, 1], [omega*(x1 -/+ u)**(n-1) / (1 + 1/n), -2/zeta]], u = omega**(-1/n),
     minus for the left branch, plus for the right."""
-    zeta = _require_positive_zeta(zeta)
+    zeta = _require_positive("zeta", zeta)
     _require_positive_omega(params)
     if branch not in ("left", "right"):
         raise ValidationError("branch",
@@ -57,7 +58,7 @@ def jacobian(zeta, x1, params, branch="left"):
 
 def certificate_P(zeta, params) -> SymMat2:
     """The LMI's form P(zeta) = diag(1/zeta, (1+1/n)/(omega**(1/n) zeta))."""
-    zeta = _require_positive_zeta(zeta)
+    zeta = _require_positive("zeta", zeta)
     _require_positive_omega(params)
     a = 1.0 / zeta
     c = a * (1.0 + 1.0 / params.n) / params.omega ** (1.0 / params.n)
@@ -69,7 +70,7 @@ def lmi_residual(zeta, params) -> SymMat2:
     [[0, 1], [-w, -2a]], w = omega**(1/n)/(1+1/n), a = 1/zeta, P = diag(a, a/w),
     P' = -P/zeta and g = -a; the entries are summed in that order, less the
     products with 0, so the cancellations survive to the last ulp."""
-    zeta = _require_positive_zeta(zeta)
+    zeta = _require_positive("zeta", zeta)
     _require_positive_omega(params)
     _require_even_n(params, "the linearized certificate")
     a = 1.0 / zeta
@@ -84,7 +85,7 @@ def instability_V(x1, x2, zeta, params) -> float:
     """Instability function about the repelling equilibrium +u:
     V = (omega*(x1 + u)**n - 1)*x2 + (n+1)*x2**2/zeta, whose rate along
     solutions is lanestab.instability_Vdot."""
-    zeta = _require_positive_zeta(zeta)
+    zeta = _require_positive("zeta", zeta)
     _require_positive_omega(params)
     n = params.n
     u = params.omega ** (-1.0 / n)

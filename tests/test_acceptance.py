@@ -348,7 +348,7 @@ def test_criterion_10_figure_family(family_runs, record_criterion):
         p = traj.params
         max_abs_z = float(np.max(np.abs(traj.zs)))
         bounded[combo] = traj.status == "completed" and max_abs_z <= 1e3
-        zeros = [ev.zeta for ev in traj.events if ev.kind == "zero"]
+        zeros = list(traj.events)
         mp_zeros, zeta_cert, v_cert, level = _mp_zeros_and_certificate(p)
         zero_counts[combo] = (len(zeros), len(mp_zeros))
         zeta_gaps[combo] = (max(abs(a - b) for a, b in zip(zeros, mp_zeros))

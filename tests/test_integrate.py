@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from lanestab import (
     series_start,
     theta_from_z,
 )
-from lanestab.integrate import COMPLETED, DIVERGED, EVENT_DIVERGED, EVENT_ZERO
+from lanestab.integrate import COMPLETED, DIVERGED, Trajectory
 
 
 @pytest.fixture(scope="module")
@@ -266,8 +268,8 @@ def test_first_zero_matches_halo_boundary():
     assert abs(zc - halo_boundary(HaloProfile(theta0=1.0, omega=0.5))) <= 1e-6
     z_at, _ = traj.evaluate(zc)
     assert abs(z_at) <= 1e-9
-    kinds = [ev.kind for ev in traj.events]
-    assert EVENT_ZERO in kinds
+    assert zc == traj.events[0]
+    assert all(type(ev) is float for ev in traj.events)
 
 
 def test_first_zero_none_on_constant_solution():
@@ -289,8 +291,7 @@ def test_divergence_guard_structured_outcome():
     assert traj.status == DIVERGED
     assert traj.diverged_at is not None
     assert 10.0 < traj.diverged_at < 20.0
-    assert traj.events[-1].kind == EVENT_DIVERGED
-    assert traj.events[-1].zeta == traj.diverged_at
+    assert traj.events == ()  # z runs away upward; the guard is no event
     z_at, _ = traj.evaluate(traj.diverged_at)
     assert abs(abs(z_at) - 1e12) <= 1e-3 * 1e12
     assert traj.zetas[-1] >= traj.diverged_at
@@ -298,7 +299,38 @@ def test_divergence_guard_structured_outcome():
 
 def test_events_are_ordered(run_n2_omega_half):
     evs = run_n2_omega_half.events
-    assert all(a.zeta < b.zeta for a, b in zip(evs, evs[1:]))
+    assert evs and all(a < b for a, b in zip(evs, evs[1:]))
+
+
+def test_diverged_run_keeps_its_zero_crossings():
+    """Odd n runs down through z = 0 before it blows up: the zero is an
+    event, the guard crossing is diverged_at, and the status follows."""
+    traj = integrate(make_params(3, 0.5), IntegratorOptions(zeta_end=60.0))
+    assert traj.status == DIVERGED
+    assert len(traj.events) == 1 and type(traj.events[0]) is float
+    assert first_zero(traj) == traj.events[0] < traj.diverged_at
+    assert abs(traj.evaluate(traj.events[0])[0]) <= 1e-9
+    # the guard step is far steeper here than in the n = 2 runaway, so the
+    # 1e-13 relative bisection width in zeta leaves about 0.2% in z
+    z_at, _ = traj.evaluate(traj.diverged_at)
+    assert abs(z_at + 1e12) <= 1e-2 * 1e12
+
+
+@pytest.mark.parametrize("n, status", [(2, COMPLETED), (3, DIVERGED)])
+def test_trajectory_survives_copy_and_pickle(n, status):
+    """status is derived from diverged_at, so a rebuilt Trajectory keeps it;
+    it is read-only like every field."""
+    traj = integrate(make_params(n, 0.5), IntegratorOptions(zeta_end=30.0))
+    assert traj.status == status
+    for twin in (copy.copy(traj), copy.deepcopy(traj),
+                 pickle.loads(pickle.dumps(traj))):
+        assert twin == traj
+        assert twin.status == status
+        assert twin.events == traj.events
+        assert twin.diverged_at == traj.diverged_at
+    with pytest.raises(AttributeError):
+        traj.status = COMPLETED if status == DIVERGED else DIVERGED
+    assert "status" not in Trajectory.__slots__
 
 
 def test_max_steps_exhaustion_raises():

@@ -26,7 +26,6 @@ from lanestab import (
 )
 from lanestab.cli import build_parser
 from lanestab.closedform import powerlaw_boundary
-from lanestab.integrate import Event
 from lanestab.model import STABLE_LEFT, UNSTABLE_ODD, UNSTABLE_RIGHT
 
 
@@ -37,11 +36,11 @@ def _oracle_zeta_end(value):
 
 
 def _records():
-    """One instance of each of the seven records, with one of its fields."""
+    """One instance of each of the six records, with one of its fields."""
     p = make_params(2, 0.5)
     return [(p, "omega"), (equilibria(p)[0], "z_eq"),
-            (IntegratorOptions(10.0), "rel_tol"), (Event(1.0, "zero"), "zeta"),
-            (integrate(p, IntegratorOptions(1.0)), "status"),
+            (IntegratorOptions(10.0), "rel_tol"),
+            (integrate(p, IntegratorOptions(1.0)), "events"),
             (HaloProfile(1.0, 0.5), "omega"),
             (classify(p), "instability_zeta0")]
 
@@ -116,6 +115,29 @@ def test_positive_value_rule(call, field, value):
     assert exc.value.message == f"must be finite and > 0, got {value!r}"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0, -2, 2.5,
+                                   True, "2", None])
+@pytest.mark.parametrize("call, field", [
+    (lambda v: make_params(v, 0.5), "n"),
+    (lambda v: IntegratorOptions(10.0, max_steps=v), "max_steps"),
+], ids=["make_params.n", "IntegratorOptions.max_steps"])
+def test_positive_integer_rule(call, field, value):
+    """Both integer fields name themselves in the same words for every
+    non-integer, nan and inf included, never with a bare ValueError,
+    OverflowError or TypeError."""
+    with pytest.raises(ValidationError) as exc:
+        call(value)
+    assert exc.value.field == field
+    assert exc.value.message == f"must be a positive integer, got {value!r}"
+
+
+def test_positive_integer_rule_keeps_an_int():
+    assert type(make_params(2.0, 0.5).n) is int
+    assert type(make_params(np.int64(4), 0.5).n) is int
+    opts = IntegratorOptions(10.0, max_steps=5.0)
+    assert type(opts.max_steps) is int and opts.max_steps == 5
+
+
 def test_omega_zero_is_a_valid_parameter():
     """omega = 0 is the temperature-dominated limit; the params accept it
     even though no equilibrium exists there."""
@@ -125,7 +147,7 @@ def test_omega_zero_is_a_valid_parameter():
 
 def test_immutability():
     records = _records()
-    assert len({type(rec) for rec, _ in records}) == 7
+    assert len({type(rec) for rec, _ in records}) == 6
     for rec, field in records:
         before = getattr(rec, field)
         with pytest.raises(AttributeError):
@@ -143,7 +165,6 @@ def test_records_compare_hash_and_print_by_value():
                        "zeta_start=0.001)")
     assert repr(equilibria(p)[1]) == ("Equilibrium(z_eq=1.4142135623730951, "
                                       "kind='unstable_right')")
-    assert repr(Event(2.5, "zero")) == "Event(zeta=2.5, kind='zero')"
     assert repr(HaloProfile(1.0, 0.5)) == "HaloProfile(theta0=1.0, omega=0.5)"
     assert repr(classify(p)).startswith(
         "StabilityReport(params=ModelParams(n=2, omega=0.5, theta0=1.0, "
@@ -155,8 +176,9 @@ def test_records_compare_hash_and_print_by_value():
     assert p != make_params(2, 0.25) and p != make_params(4, 0.5)
     assert p != (2, 0.5, 1.0, 1e-3)
     # equal field values in another record type are not equal
-    assert Event(1.0, "zero") != Equilibrium(1.0, "zero")
-    assert len({Event(1.0, "zero"), Event(1.0, "zero"), Event(1.0, "x")}) == 2
+    assert Equilibrium(1.0, 0.5) != HaloProfile(1.0, 0.5)
+    assert len({Equilibrium(1.0, "zero"), Equilibrium(1.0, "zero"),
+                Equilibrium(1.0, "x")}) == 2
     assert classify(p) == classify(same) != classify(make_params(4, 0.5))
     for rec, _ in _records():
         assert copy.copy(rec) == rec == pickle.loads(pickle.dumps(rec))
@@ -202,7 +224,7 @@ def test_rhs_values():
 
 def test_rhs_rejects_nonpositive_zeta():
     p = make_params(2, 0.5)
-    for zeta in (0.0, -1.0):
+    for zeta in (0.0, -1.0, math.nan):
         with pytest.raises(ValidationError) as exc:
             rhs(zeta, 1.0, 0.0, p)
         assert exc.value.field == "zeta"

@@ -211,6 +211,21 @@ def test_lyapunov_vdot_values():
         lyapunov_Vdot(1.0, 0.0)
 
 
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda t: lyapunov_Vdot(1.0, t),
+    lambda t: instability_Vdot(0.0, 1.0, t, make_params(1, 0.5)),
+    lambda t: jacobian(t, 0.0, make_params(2, 0.5)),
+], ids=["lyapunov_Vdot", "instability_Vdot", "oracle.jacobian"])
+def test_zeta_rule(call, zeta):
+    """A nan zeta is refused like any other non-positive one, never
+    carried into a nan rate."""
+    with pytest.raises(ValidationError) as exc:
+        call(zeta)
+    assert exc.value.field == "zeta"
+    assert exc.value.message == f"must be finite and > 0, got {zeta!r}"
+
+
 def test_lyapunov_local_positivity_on_ball():
     rng = np.random.default_rng(47)
     for n, omega in ((2, 0.5), (4, 0.2)):
@@ -270,6 +285,7 @@ def test_basin_alpha_needs_positive_omega():
     with pytest.raises(ValidationError) as exc:
         basin_alpha(make_params(2, 0.0))
     assert exc.value.field == "omega"
+    assert exc.value.message == "no equilibrium exists for omega = 0"
 
 
 def test_instability_v_anchor_values():
