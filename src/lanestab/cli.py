@@ -6,8 +6,8 @@ solve      integrate one parameter set; emits trajectory CSV plus a JSON
            summary sidecar (<out>.summary.json)
 oracle     tabulate one of the closed-form profiles to CSV
 stability  run the certificate suite and emit the report as JSON
-sweep      run a grid of (n, omega) pairs in parameter order, one CSV per
-           run plus an index.json
+sweep      run a grid of (n, omega) pairs, one CSV per run plus an
+           index.json that lists them in parameter order
 plot       render an emitted CSV or sweep index as a standalone SVG
 
 Exit codes: 0 success (a run that hits the divergence guard is a
@@ -15,8 +15,8 @@ meaningful success, reported through diverged_at), 1 user or validation
 error (the message names the offending flag), 2 numerical failure.
 
 All emitted files are byte deterministic for identical inputs.  CSV cells
-carry 17 significant digits; sweep runs go one after another in parameter
-order, and the index is written last.
+carry 17 significant digits; a sweep splits its runs across one forked
+process per CPU in its affinity mask, and writes the index last.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -259,6 +260,25 @@ def _parse_list(text: str, field: str, convert, what: str) -> list:
     return values
 
 
+def _sweep_run(params, opts, out_dir: Path) -> dict:
+    """One sweep run: its CSV written, its index.json row returned."""
+    entry = {**_params_json(params), "zeta_end": opts.zeta_end}
+    try:
+        traj = integrate(params, opts)
+        text = _trajectory_csv(traj)
+    except Exception as exc:  # recorded per run; the sweep never aborts
+        entry.update(status="error", error=str(exc))
+    else:
+        fname = _run_name(params)
+        _write_text(out_dir / fname, text)
+        entry.update(file=fname, status=traj.status,
+                     **_outcome(traj, first_zero(traj)))
+        entry["max_abs_z"] = max_abs_z = max(map(abs, traj.zs))
+        entry["bounded"] = (traj.status != DIVERGED
+                            and max_abs_z <= BOUNDED_LIMIT)
+    return entry
+
+
 def cmd_sweep(args) -> int:
     ns = _parse_list(args.n, "n", int, "integer")
     omegas = _parse_list(args.omega, "omega", float, "number")
@@ -272,24 +292,37 @@ def cmd_sweep(args) -> int:
                                   f"name: {getattr(args, field)!r}")
     opts = _integrator_options(args)
     out_dir = Path(args.out_dir)
-
-    entries = []
-    for params in run_params:
-        entry = {**_params_json(params), "zeta_end": opts.zeta_end}
-        try:
-            traj = integrate(params, opts)
-            text = _trajectory_csv(traj)
-        except Exception as exc:  # recorded per run; the sweep never aborts
-            entry.update(status="error", error=str(exc))
-        else:
-            fname = _run_name(params)
-            _write_text(out_dir / fname, text)
-            entry.update(file=fname, status=traj.status,
-                         **_outcome(traj, first_zero(traj)))
-            entry["max_abs_z"] = max_abs_z = max(map(abs, traj.zs))
-            entry["bounded"] = (traj.status != DIVERGED
-                                and max_abs_z <= BOUNDED_LIMIT)
-        entries.append(entry)
+    # process i of k runs runs[i::k]; fork is safe, the sweep starts no thread
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    k = min(len(run_params), len(os.sched_getaffinity(0))) if can_fork else 1
+    entries = [None] * len(run_params)
+    workers = []
+    try:
+        for i in range(1, k):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # a worker leaves only through _exit
+                try:
+                    with open(w, "w") as fh:
+                        json.dump([_sweep_run(p, opts, out_dir)
+                                   for p in run_params[i::k]], fh)
+                except BaseException:
+                    os._exit(1)
+                os._exit(0)
+            os.close(w)  # before the next fork, or r never reads EOF
+            workers.append((pid, r))
+        entries[0::k] = [_sweep_run(p, opts, out_dir) for p in run_params[0::k]]
+    finally:
+        for i, (pid, r) in enumerate(workers, 1):
+            with open(r) as fh:
+                text = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            try:  # an extended slice takes exactly one row per run
+                entries[i::k] = json.loads(text) if code == 0 else []
+            except ValueError:  # the worker failed, or cut its JSON short
+                entries[i::k] = [{**_params_json(p), "zeta_end": opts.zeta_end,
+                                  "status": "error", "error": "sweep worker "
+                                  f"exited with status {code}"}
+                                 for p in run_params[i::k]]
 
     _write_text(out_dir / "index.json", _json_text({"runs": entries}))
     print(f"wrote {out_dir / 'index.json'} ({len(entries)} runs)")

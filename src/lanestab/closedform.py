@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ValidationError, _Record, _require_positive
+from .model import ValidationError, _Record, _require_float, _require_positive
 
 SHC_SERIES_CUTOFF = 1e-4
 
@@ -122,9 +122,7 @@ def halo_boundary(p: HaloProfile) -> float:
 def _powerlaw_head(gamma: float, theta0: float) -> tuple[float, float]:
     """(gamma, theta0^(gamma-1)) of a power law, both checked.  For gamma < 0
     a head of 0 leaves the centre density 0^(1/(gamma-1)) undefined."""
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValidationError("gamma", f"must be finite, got {gamma!r}")
+    gamma = _require_float("gamma", gamma, "must be finite", math.isfinite)
     if gamma == 1.0:
         raise ValidationError("gamma", "the gamma = 1 limit is gaussian_profile")
     if gamma == 0.0:
@@ -144,6 +142,8 @@ def powerlaw_boundary(gamma: float, theta0: float) -> float:
     """Radius zeta_star = sqrt(6 gamma theta0^(gamma-1) / (gamma-1)) where
     the power-law density vanishes (gamma > 1) or diverges (gamma < 0)."""
     gamma, head = _powerlaw_head(gamma, theta0)
+    if math.isinf(6.0 * gamma * head):  # where head itself is finite
+        return math.sqrt(6.0 * gamma / (gamma - 1.0)) * math.sqrt(head)
     return math.sqrt(6.0 * gamma * head / (gamma - 1.0))
 
 

@@ -24,7 +24,7 @@ import math
 from array import array
 from bisect import bisect_right
 
-from .model import (ModelParams, ValidationError, _Record,
+from .model import (ModelParams, ValidationError, _Record, _require_float,
                     _require_positive, _require_positive_int, rhs)
 
 OFFSET = "offset"
@@ -78,12 +78,10 @@ class IntegratorOptions(_Record):
                  abs_tol: float = 1e-12, max_steps: int = 1_000_000,
                  start_mode: str = OFFSET):
         zeta_end = _require_positive("zeta_end", zeta_end)
-        if not (0.0 < rel_tol <= 1e-3):
-            raise ValidationError("rel_tol",
-                                  f"must lie in (0, 1e-3], got {rel_tol!r}")
-        if not (0.0 < abs_tol <= rel_tol):
-            raise ValidationError("abs_tol",
-                                  f"must lie in (0, rel_tol], got {abs_tol!r}")
+        rel_tol = _require_float("rel_tol", rel_tol, "must lie in (0, 1e-3]",
+                                 lambda v: 0.0 < v <= 1e-3)
+        abs_tol = _require_float("abs_tol", abs_tol, "must lie in (0, rel_tol]",
+                                 lambda v: 0.0 < v <= rel_tol)
         max_steps = _require_positive_int("max_steps", max_steps)
         if start_mode not in (OFFSET, SERIES):
             raise ValidationError("start_mode",

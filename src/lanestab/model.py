@@ -106,13 +106,20 @@ class Equilibrium(_Record):
     __slots__ = ("z_eq", "kind")
 
 
+def _require_float(field: str, value, rule: str, ok) -> float:
+    """float(value) where ok holds of it; else a ValidationError naming
+    field with its rule, also where value is not a number."""
+    try:
+        if ok(value := float(value)):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(field, f"{rule}, got {value!r}")
+
+
 def _require_positive(field: str, value) -> float:
-    """float(value); a ValidationError naming field where that is not a
-    positive finite number."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(field, f"must be finite and > 0, got {value!r}")
-    return value
+    return _require_float(field, value, "must be finite and > 0",
+                          lambda v: 0.0 < v < math.inf)
 
 
 def _require_positive_int(field: str, value) -> int:
@@ -140,9 +147,8 @@ def make_params(n: int, omega: float, theta0: float = 1.0,
     Raises ValidationError naming the offending field.
     """
     n = _require_positive_int("n", n)
-    omega = float(omega)
-    if not math.isfinite(omega) or omega < 0.0:
-        raise ValidationError("omega", f"must be finite and >= 0, got {omega!r}")
+    omega = _require_float("omega", omega, "must be finite and >= 0",
+                           lambda v: 0.0 <= v < math.inf)
     return ModelParams(n=n, omega=omega,
                        theta0=_require_positive("theta0", theta0),
                        zeta_start=_require_positive("zeta_start", zeta_start))

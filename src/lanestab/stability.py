@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .model import (ModelParams, ValidationError, _Record, _params_json,
-                    _radius, _require_positive, equilibria)
+                    _radius, _require_float, _require_positive, equilibria)
 from .integrate import IntegratorOptions, _crossing, integrate
 
 
@@ -109,10 +109,8 @@ def basin_contains(x1: float, x2: float, delta: float,
     (0, alpha_max).
     """
     alpha = basin_alpha(params)
-    delta = float(delta)
-    if not (0.0 < delta < alpha):
-        raise ValidationError("delta",
-                              f"must lie in (0, alpha_max = {alpha!r}), got {delta!r}")
+    delta = _require_float("delta", delta, f"must lie in (0, alpha_max = "
+                           f"{alpha!r})", lambda v: 0.0 < v < alpha)
     u = _radius(params)
     if math.hypot(x1, x2) > 2.0 * u:
         return False

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -591,6 +592,114 @@ def test_sweep_records_tiny_omega_runs_as_errors(tmp_path, capsys):
     assert all(r["error"].startswith("omega: ") and "float range" in r["error"]
                for r in runs)
     assert sorted(f.name for f in out_dir.iterdir()) == ["index.json"]
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="sweep workers are forked processes")
+
+
+@pytest.fixture
+def deadline():
+    """Fails the test, rather than hanging the suite, if it runs past 60 s:
+    a sweep that waits on a worker that never ends."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _cpus(monkeypatch, count: int) -> list:
+    """Give the sweep `count` CPUs in its affinity mask, and return the
+    list that records each fork this process makes."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@needs_fork
+def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys,
+                                                       monkeypatch, deadline):
+    """A 2 x 2 grid with a completed, an error and a diverged run: one
+    worker, two (runs 0 and 2 in the sweep process, 1 and 3 in a forked
+    worker) and three (0 and 3; 1; 2) give the same exit code, streams and
+    files."""
+    outputs = []
+    for cpus in (1, 2, 3):
+        forks = _cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus{cpus}"
+        code, out, err = _run(["sweep", "--n", "2,3", "--omega",
+                               "0.45,1e-250", "--zeta-end", "40",
+                               "--out-dir", str(out_dir)], capsys)
+        assert len(forks) == cpus - 1
+        outputs.append((code, out.replace(str(out_dir), "DIR"), err,
+                        {f.name: f.read_bytes() for f in out_dir.iterdir()}))
+    assert outputs[0] == outputs[1] == outputs[2]
+    code, _, _, files = outputs[0]
+    assert code == 2
+    runs = json.loads(files["index.json"])["runs"]
+    assert [r["status"] for r in runs] == ["completed", "error", "diverged",
+                                           "completed"]
+
+
+def test_sweep_of_one_run_forks_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+
+    def refuse():
+        raise AssertionError("a one-run sweep forked a worker")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    code, _, _ = _run(["sweep", "--n", "2", "--omega", "0.5", "--zeta-end",
+                       "10", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "index.json", "run_n2_omega0.5.csv"]
+
+
+@needs_fork
+@pytest.mark.parametrize("failure, status", [("exit-7", 7), ("cut-json", 0)])
+def test_sweep_worker_failure_leaves_error_rows(failure, status, tmp_path,
+                                                capsys, monkeypatch, deadline):
+    """The worker (runs 1 and 3) dies in integrate, or sends its rows cut
+    short: its runs become error rows naming its exit status, the sweep
+    process's runs keep theirs, and index.json is complete."""
+    _cpus(monkeypatch, 2)
+    sweep_pid, real_integrate = os.getpid(), integrate
+
+    def integrate_or_exit(params, opts):
+        if os.getpid() != sweep_pid:
+            os._exit(7)
+        return real_integrate(params, opts)
+
+    if failure == "exit-7":
+        monkeypatch.setattr("lanestab.cli.integrate", integrate_or_exit)
+    else:  # only a worker writes JSON to a file object
+        monkeypatch.setattr(json, "dump", lambda rows, fh: fh.write('[{"n"'))
+    out_dir = tmp_path / "s"
+    code, out, err = _run(["sweep", "--n", "2,4", "--omega", "0.5,0.6",
+                           "--zeta-end", "10", "--out-dir", str(out_dir)],
+                          capsys)
+    assert (code, err) == (2, "")
+    assert out == f"wrote {out_dir / 'index.json'} (4 runs)\n"
+    runs = json.loads((out_dir / "index.json").read_text())["runs"]
+    assert [(r["n"], r["omega"], r["status"]) for r in runs] == [
+        (2, 0.5, "completed"), (2, 0.6, "error"),
+        (4, 0.5, "completed"), (4, 0.6, "error")]
+    for row in runs[1::2]:
+        assert row == {"n": row["n"], "omega": 0.6, "theta0": 1.0,
+                       "zeta0": 1e-3, "zeta_end": 10.0, "status": "error",
+                       "error": f"sweep worker exited with status {status}"}
+    if failure == "cut-json":  # the worker wrote its CSVs before it failed
+        assert len(list(out_dir.glob("*.csv"))) == 4
+    else:
+        assert sorted(f.name for f in out_dir.iterdir()) == [
+            "index.json", "run_n2_omega0.5.csv", "run_n4_omega0.5.csv"]
 
 
 def test_plot_profile_svg(tmp_path, capsys):

@@ -24,7 +24,7 @@ from lanestab import (
     shc,
     waterbag_profile,
 )
-from lanestab.closedform import SHC_SERIES_CUTOFF
+from lanestab.closedform import SHC_SERIES_CUTOFF, powerlaw_boundary
 
 # root of sinh(x)/x = 2, frozen from mpmath.findroot
 SINHC_EQUALS_TWO = 2.1773189849653068
@@ -204,6 +204,17 @@ def test_powerlaw_domain_boundary():
     assert "zeta_star" in exc.value.message
     with pytest.raises(ValidationError):
         powerlaw_profile(4.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("gamma, theta0", [(31.0, 1.6e10), (-5.0, 5e-52)])
+def test_powerlaw_boundary_where_six_gamma_head_overflows(gamma, theta0):
+    """theta0**(gamma - 1) is finite but 6*gamma times it is not, while
+    zeta_star is about 3e153 and 2e154; it read inf."""
+    with mp.workdps(40):
+        g, t = mp.mpf(gamma), mp.mpf(theta0)
+        reference = float(mp.sqrt(6 * g * t ** (g - 1) / (g - 1)))
+    assert math.isclose(powerlaw_boundary(gamma, theta0), reference,
+                        rel_tol=1e-15)
 
 
 def test_powerlaw_rejects_reserved_gammas():

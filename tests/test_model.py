@@ -15,6 +15,7 @@ from lanestab import (
     IntegratorOptions,
     ModelParams,
     ValidationError,
+    basin_contains,
     classify,
     integrate,
     equilibria,
@@ -129,6 +130,29 @@ def test_positive_integer_rule(call, field, value):
         call(value)
     assert exc.value.field == field
     assert exc.value.message == f"must be a positive integer, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["x", None, 10 ** 400],
+                         ids=["str", "None", "int-past-float"])
+@pytest.mark.parametrize("call, field", [
+    (lambda v: make_params(2, v), "omega"),
+    (lambda v: make_params(2, 0.5, theta0=v), "theta0"),
+    (lambda v: make_params(2, 0.5, zeta_start=v), "zeta_start"),
+    (lambda v: IntegratorOptions(v), "zeta_end"),
+    (lambda v: IntegratorOptions(10.0, rel_tol=v), "rel_tol"),
+    (lambda v: IntegratorOptions(10.0, abs_tol=v), "abs_tol"),
+    (lambda v: powerlaw_boundary(v, 1.0), "gamma"),
+    (lambda v: basin_contains(0.0, 0.0, v, make_params(2, 0.5)), "delta"),
+], ids=["make_params.omega", "make_params.theta0", "make_params.zeta_start",
+        "IntegratorOptions.zeta_end", "IntegratorOptions.rel_tol",
+        "IntegratorOptions.abs_tol", "powerlaw.gamma", "basin_contains.delta"])
+def test_non_numeric_value_names_its_field(call, field, value):
+    """A value float() refuses is a ValidationError naming its field, with
+    the field's rule, never a bare ValueError, TypeError or OverflowError."""
+    with pytest.raises(ValidationError) as exc:
+        call(value)
+    assert exc.value.field == field
+    assert exc.value.message.endswith(f", got {value!r}")
 
 
 def test_positive_integer_rule_keeps_an_int():
