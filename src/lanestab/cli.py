@@ -32,8 +32,9 @@ from pathlib import Path
 from . import closedform
 from .integrate import (DIVERGED, IntegrationError, IntegratorOptions,
                         OFFSET, SERIES, Trajectory, first_zero, integrate)
-from .model import (STABLE_LEFT, ModelParams, ValidationError, _params_json,
-                    _require_positive, equilibria, make_params, theta_from_z)
+from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
+                    _params_json, _require_positive, equilibria, make_params,
+                    theta_from_z)
 from .stability import classify, lyapunov_V, lyapunov_Vdot
 
 CSV_HEADER_FULL = "zeta,z,dz,theta,V,Vdot"
@@ -109,12 +110,7 @@ def _last_finite(fn, hi: float) -> float:
         except (OverflowError, ValidationError):
             return False
 
-    if math.isinf(hi) or finite(hi):
-        return hi
-    lo = 0.0  # bisect to adjacent floats, fn finite at lo
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
-    return lo
+    return hi if math.isinf(hi) or finite(hi) else _bisect(finite, 0.0, hi)
 
 
 def _closed_form(kind: str, theta0: float, omega: float | None,
@@ -260,23 +256,25 @@ def _parse_list(text: str, field: str, convert, what: str) -> list:
     return values
 
 
+def _error_row(params, opts, error: str) -> dict:
+    """The index.json row of a sweep run that failed."""
+    return {**_params_json(params), "zeta_end": opts.zeta_end,
+            "status": "error", "error": error}
+
+
 def _sweep_run(params, opts, out_dir: Path) -> dict:
     """One sweep run: its CSV written, its index.json row returned."""
-    entry = {**_params_json(params), "zeta_end": opts.zeta_end}
     try:
         traj = integrate(params, opts)
-        text = _trajectory_csv(traj)
-    except Exception as exc:  # recorded per run; the sweep never aborts
-        entry.update(status="error", error=str(exc))
-    else:
         fname = _run_name(params)
-        _write_text(out_dir / fname, text)
-        entry.update(file=fname, status=traj.status,
-                     **_outcome(traj, first_zero(traj)))
-        entry["max_abs_z"] = max_abs_z = max(map(abs, traj.zs))
-        entry["bounded"] = (traj.status != DIVERGED
-                            and max_abs_z <= BOUNDED_LIMIT)
-    return entry
+        _write_text(out_dir / fname, _trajectory_csv(traj))
+    except Exception as exc:  # recorded per run; the sweep never aborts
+        return _error_row(params, opts, str(exc))
+    max_abs_z = max(map(abs, traj.zs))
+    return {**_params_json(params), "zeta_end": opts.zeta_end, "file": fname,
+            "status": traj.status, **_outcome(traj, first_zero(traj)),
+            "max_abs_z": max_abs_z,
+            "bounded": traj.status != DIVERGED and max_abs_z <= BOUNDED_LIMIT}
 
 
 def cmd_sweep(args) -> int:
@@ -292,6 +290,7 @@ def cmd_sweep(args) -> int:
                                   f"name: {getattr(args, field)!r}")
     opts = _integrator_options(args)
     out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # unusable: exit 1, no run yet
     # process i of k runs runs[i::k]; fork is safe, the sweep starts no thread
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     k = min(len(run_params), len(os.sched_getaffinity(0))) if can_fork else 1
@@ -319,9 +318,8 @@ def cmd_sweep(args) -> int:
             try:  # an extended slice takes exactly one row per run
                 entries[i::k] = json.loads(text) if code == 0 else []
             except ValueError:  # the worker failed, or cut its JSON short
-                entries[i::k] = [{**_params_json(p), "zeta_end": opts.zeta_end,
-                                  "status": "error", "error": "sweep worker "
-                                  f"exited with status {code}"}
+                entries[i::k] = [_error_row(p, opts, "sweep worker exited "
+                                            f"with status {code}")
                                  for p in run_params[i::k]]
 
     _write_text(out_dir / "index.json", _json_text({"runs": entries}))

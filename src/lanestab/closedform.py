@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 
-from .model import ValidationError, _Record, _require_float, _require_positive
+from .model import (ValidationError, _bisect, _Record, _require_float,
+                    _require_positive)
 
 SHC_SERIES_CUTOFF = 1e-4
 
@@ -84,39 +85,19 @@ def gamma2_profile(zeta: float, p: HaloProfile) -> float:
 def halo_boundary(p: HaloProfile) -> float:
     """Radius zeta_M > 0 where the gamma = 2 profile reaches zero.
 
-    shc(x) - 1 = theta0*omega/(1 - theta0*omega) at x = c*zeta_M,
-    c = sqrt(omega/2), divided by c^2: F(zeta) = _shc_excess(c*zeta)*zeta^2
-    = 2*theta0/(1 - theta0*omega).  That form keeps full relative accuracy
-    as omega -> 0, where zeta_M -> sqrt(12 theta0)(1 + 0.35 theta0 omega).
-    F increases and F >= zeta^2/6, so halving down from sqrt(6*target)
-    brackets the root; bisection to 1e-15 relative and a Newton step pin it.
+    shc(x) - 1 = a/(1 - a) at x = sqrt(omega/2)*zeta_M, a = theta0*omega.
+    With zeta = sqrt(theta0)*y and x = sqrt(a/2)*y, divided by a/2:
+    F(y) = _shc_excess(x)*y^2 = 2/(1 - a), finite for every 0 < a < 1, and
+    accurate as omega -> 0, where zeta_M -> sqrt(12 theta0)(1 + 0.35 a).
+    F(0) = 0 and F >= y^2/6, so the root is the last float of
+    [0, sqrt(6*target)] with F < target.  As a <= 1 - 2**-53, y < 60, so
+    zeta_M < 1e156 stays in the float range.
     """
-    c = math.sqrt(0.5 * p.omega)
-    target = 2.0 * p.theta0 / (1.0 - p.theta0 * p.omega)
-
-    def excess(zeta):
-        return _shc_excess(c * zeta) * zeta * zeta
-
-    hi = math.sqrt(6.0 * target)
-    lo = 0.5 * hi
-    while excess(lo) > target:
-        hi, lo = lo, 0.5 * lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    zeta = 0.5 * (lo + hi)
-    # F' = shc'(x)/c with shc'(x) = (cosh(x) - shc(x))/x, where
-    # cosh(x) - 1 = x^2 shc(x/2)^2/2 avoids the cancellation near 0
-    x = c * zeta
-    slope = zeta * (0.5 * shc(0.5 * x) ** 2 - _shc_excess(x))
-    if slope > 0.0:
-        zeta -= (excess(zeta) - target) / slope
-    return zeta
+    a = p.theta0 * p.omega
+    c, target = math.sqrt(0.5 * a), 2.0 / (1.0 - a)
+    y = _bisect(lambda y: _shc_excess(c * y) * y * y < target, 0.0,
+                math.sqrt(6.0 * target))
+    return y * math.sqrt(p.theta0)
 
 
 def _powerlaw_head(gamma: float, theta0: float) -> tuple[float, float]:
@@ -155,7 +136,10 @@ def powerlaw_profile(zeta: float, gamma: float, theta0: float) -> float:
     gaussian_profile and gamma = 0 to waterbag_profile.
     """
     gamma, head = _powerlaw_head(gamma, theta0)
-    bracket = head - (gamma - 1.0) * zeta * zeta / (6.0 * gamma)
+    spread = (gamma - 1.0) * zeta * zeta
+    # that product, and zeta * zeta, can overflow where the bracket is finite
+    bracket = head - (spread / (6.0 * gamma) if math.isfinite(spread) else
+                      zeta * ((gamma - 1.0) / (6.0 * gamma)) * zeta)
     exponent = 1.0 / (gamma - 1.0)
     if bracket < 0.0 or (bracket == 0.0 and exponent < 0.0):
         raise ValidationError(

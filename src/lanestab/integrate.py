@@ -9,7 +9,7 @@ once h < 10 ulp(zeta).  An overflowing trial stage is a rejected step.
 Each accepted step keeps its seven stage slopes; their product with P,
 the step's quartic interpolant, is built when the step is evaluated.  Zero
 crossings of z and the divergence guard are found on the nodes and located
-by bisection on the quartic, so a runaway solution (expected for odd n,
+to one float on the quartic, so a runaway solution (expected for odd n,
 whose sole equilibrium repels) ends as a "diverged" outcome, not failure.
 
 Two start modes exist.  Offset starts exactly at (z, dz) =
@@ -24,8 +24,9 @@ import math
 from array import array
 from bisect import bisect_right
 
-from .model import (ModelParams, ValidationError, _Record, _require_float,
-                    _require_positive, _require_positive_int, rhs)
+from .model import (ModelParams, ValidationError, _bisect, _Record,
+                    _require_float, _require_positive, _require_positive_int,
+                    rhs)
 
 OFFSET = "offset"
 SERIES = "series"
@@ -33,7 +34,6 @@ COMPLETED = "completed"
 DIVERGED = "diverged"
 
 DIVERGENCE_GUARD = 1e12
-BISECT_MAX_ITER = 40
 
 # Dormand-Prince 5(4): nodes C, lower rows of A, fifth-order weights B,
 # error weights E (fifth minus fourth order, over the 7 stages with the
@@ -178,30 +178,14 @@ def series_start(params: ModelParams) -> tuple[float, float]:
     return (z0 + c * zeta * zeta, 2.0 * c * zeta)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] given f(lo) and f(hi) differ in sign."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    lo_positive = flo > 0.0
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def _crossing(zetas, zs, slopes, k, g) -> float:
-    """Root of g(z) on step k's quartic, given g changes sign over the step."""
+    """The last float of step k where g(z) on its quartic keeps the side
+    of zero it has at the step start, given g changes side over the step."""
     t0, t1, qz = zetas[k], zetas[k + 1], _quartic(slopes, k)[0]
-    return _bisect(lambda t: g(_dense(t, t0, t1 - t0, zs[k], qz)), t0, t1)
+    start = g(zs[k]) > 0.0
+    return _bisect(
+        lambda t: (g(_dense(t, t0, t1 - t0, zs[k], qz)) > 0.0) == start,
+        t0, t1)
 
 
 def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
@@ -210,7 +194,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     Raises IntegrationError on step-size underflow, on an overflowing
     right-hand side at the start, or when max_steps runs out.  A guard
     crossing |z| > 1e12 is not an error: the trajectory is returned with
-    diverged_at set to the crossing zeta found by bisection, so its status
+    diverged_at set to the last float before the crossing, so its status
     is "diverged".
     """
     if not opts.zeta_end > params.zeta_start:

@@ -133,6 +133,14 @@ def _require_positive_int(field: str, value) -> int:
     raise ValidationError(field, f"must be a positive integer, got {value!r}")
 
 
+def _bisect(inside, lo: float, hi: float) -> float:
+    """The last float of [lo, hi] where inside holds, given that it holds
+    at lo and not at hi: halves down to adjacent floats."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo
+
+
 def _params_json(params: ModelParams) -> dict:
     """The params block of the solve sidecar, a sweep row and the
     stability report."""

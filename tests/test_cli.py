@@ -410,12 +410,17 @@ def test_oracle_powerlaw_caps_grid_at_boundary(tmp_path, capsys):
     # or an underflow to 0 that left no finite density at all
     ("-1", "1e-300", "--theta0"), ("5", "1e100", "--theta0"),
     ("-1", "1e300", "--theta0"),
+    # (gamma - 1)*zeta**2 overflowed past zeta = 2.448e153 and 5.474e153,
+    # and the table ended there, short of zeta_star = 2.871e153 and 1.789e154
+    ("31", "1.6e10", None), ("-5", "5e-52", None),
 ])
 def test_oracle_powerlaw_table_ends_at_the_last_finite_value(
         gamma, theta0, error, tmp_path, capsys):
+    """--zeta-end lies past every case's zeta_star, so the table runs to
+    its end."""
     out = tmp_path / "p.csv"
     code, _, err = _run(["oracle", "--kind", "powerlaw", f"--gamma={gamma}",
-                         f"--theta0={theta0}", "--zeta-end", "100",
+                         f"--theta0={theta0}", "--zeta-end", "1e200",
                          "--points", "50", "--out", str(out)], capsys)
     if error is not None:
         assert code == 1 and err.startswith(f"error: {error}: ")
@@ -427,7 +432,7 @@ def test_oracle_powerlaw_table_ends_at_the_last_finite_value(
              for ln in out.read_text().splitlines()[1:]]
     assert all(math.isfinite(theta) for _, theta in table)
     last, zeta_star = table[-1][0], powerlaw_boundary(g, t0)
-    assert last <= zeta_star
+    assert zeta_star * (1.0 - 1e-15) <= last <= zeta_star
     if last < zeta_star:  # the next float up has no finite value
         try:
             beyond = powerlaw_profile(math.nextafter(last, math.inf), g, t0)
@@ -700,6 +705,52 @@ def test_sweep_worker_failure_leaves_error_rows(failure, status, tmp_path,
     else:
         assert sorted(f.name for f in out_dir.iterdir()) == [
             "index.json", "run_n2_omega0.5.csv", "run_n4_omega0.5.csv"]
+
+
+@needs_fork
+def test_sweep_csv_write_failure_is_that_runs_error_row(tmp_path, capsys,
+                                                        monkeypatch, deadline):
+    """A directory where run 1's CSV goes: that run becomes an error row
+    naming the path, and run 0 completes, on one CPU and on two (run 1 in
+    a forked worker).  One CPU exited 1 with no index.json; two turned the
+    worker's whole slice into 'sweep worker exited' rows."""
+    outputs = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus{cpus}"
+        (out_dir / "run_n2_omega0.6.csv").mkdir(parents=True)
+        code, out, err = _run(["sweep", "--n", "2", "--omega", "0.5,0.6",
+                               "--zeta-end", "10", "--out-dir", str(out_dir)],
+                              capsys)
+        runs = json.loads((out_dir / "index.json").read_text())["runs"]
+        assert runs[1]["error"].endswith(f"'{out_dir / 'run_n2_omega0.6.csv'}'")
+        runs[1]["error"] = runs[1]["error"].replace(str(out_dir), "DIR")
+        outputs.append((code, out.replace(str(out_dir), "DIR"), err, runs,
+                        {f.name: f.is_dir() or f.read_bytes()
+                         for f in out_dir.iterdir() if f.name != "index.json"}))
+    assert outputs[0] == outputs[1]
+    code, _, err, runs, files = outputs[0]
+    assert (code, err) == (2, "")
+    assert [r["status"] for r in runs] == ["completed", "error"]
+    assert runs[1] == {"n": 2, "omega": 0.6, "theta0": 1.0, "zeta0": 1e-3,
+                       "zeta_end": 10.0, "status": "error",
+                       "error": "[Errno 21] Is a directory: "
+                                "'DIR/run_n2_omega0.6.csv'"}
+    assert sorted(files) == ["run_n2_omega0.5.csv", "run_n2_omega0.6.csv"]
+
+
+def test_sweep_into_an_unusable_out_dir_exits_1(tmp_path, capsys,
+                                                monkeypatch):
+    """A file where --out-dir goes: exit 1 before any run starts."""
+    blocker, runs = tmp_path / "file", []
+    blocker.write_text("")
+    monkeypatch.setattr("lanestab.cli.integrate", lambda *a: runs.append(a))
+    code, out, err = _run(["sweep", "--n", "2", "--omega", "0.5,0.6",
+                           "--zeta-end", "10", "--out-dir", str(blocker)],
+                          capsys)
+    assert (code, out, runs) == (1, "", [])
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == ""
 
 
 def test_plot_profile_svg(tmp_path, capsys):

@@ -153,20 +153,34 @@ def test_halo_boundary_zero_consistency():
         assert abs(gamma2_profile(zeta_m, p)) <= 1e-8
 
 
-def _halo_boundary_oracle(omega: float) -> float:
-    """zeta_M for theta0 = 1 from a 60-digit root of shc(x) = 1/(1 - omega)."""
+def _halo_boundary_oracle(theta0: float, omega: float) -> float:
+    """zeta_M from a 60-digit root of shc(x) = 1/(1 - theta0*omega)."""
     with mp.workdps(60):
-        om = mp.mpf(omega)
-        target = 1 / (1 - om)
-        x0 = mp.sqrt(6 * om / (1 - om))  # the small-x root of x**2/6 = target - 1
-        x = mp.findroot(lambda x: mp.sinh(x) / x - target, x0)
+        om, a = mp.mpf(omega), mp.mpf(theta0) * mp.mpf(omega)
+        target = 1 / (1 - a)
+        # shc(x) - 1 >= x**2/6, so the root x0 of x**2/6 = target - 1 lies
+        # above the root; (x0/(1 + x0), x0) brackets it in every case here
+        x0 = mp.sqrt(6 * a / (1 - a))
+        x = mp.findroot(lambda x: mp.log(mp.sinh(x) / x / target),
+                        (x0 / (1 + x0), x0), solver="anderson")
         return float(x * mp.sqrt(2 / om))
 
 
-@pytest.mark.parametrize("omega", [1e-8, 1e-6, 1e-4, 0.5, 0.9])
-def test_halo_boundary_against_highprec_root(omega):
-    p = HaloProfile(theta0=1.0, omega=omega)
-    assert math.isclose(halo_boundary(p), _halo_boundary_oracle(omega),
+# theta0 = 1e308 with omega = 1e-309 made 2*theta0/(1 - theta0*omega)
+# overflow, and zeta_M read inf.  theta0*omega = 1 - 2**-40, exact in
+# floats, puts zeta_M far out; a rounded product that near 1 would change
+# 1 - theta0*omega itself.
+HALO_CASES = [(1.0, 1e-8), (1.0, 1e-6), (1.0, 1e-4), (1.0, 0.5), (1.0, 0.9),
+              (1e308, 1e-309), (1e308, 9e-309), (3.0, 0.3), (0.2, 4.0),
+              (1e-300, 5e299), (1e200, 1e-210), (8.0, (1 - 2 ** -40) / 8)]
+
+
+@pytest.mark.parametrize("theta0, omega", HALO_CASES, ids=[
+    f"{om}" if t0 == 1.0 else f"theta0={t0}-omega={om}"
+    for t0, om in HALO_CASES])
+def test_halo_boundary_against_highprec_root(theta0, omega):
+    p = HaloProfile(theta0=theta0, omega=omega)
+    assert math.isclose(halo_boundary(p), _halo_boundary_oracle(theta0, omega),
                         rel_tol=1e-12)
 
 
@@ -215,6 +229,22 @@ def test_powerlaw_boundary_where_six_gamma_head_overflows(gamma, theta0):
         reference = float(mp.sqrt(6 * g * t ** (g - 1) / (g - 1)))
     assert math.isclose(powerlaw_boundary(gamma, theta0), reference,
                         rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("gamma, theta0", [(31.0, 1.6e10), (-5.0, 5e-52)])
+def test_powerlaw_profile_where_its_zeta_squared_term_overflows(gamma, theta0):
+    """(gamma - 1)*zeta**2 passes the float range past zeta = 2.45e153 and
+    5.5e153, short of zeta_star = 2.87e153 and 1.79e154; beyond that the
+    profile raised a domain error."""
+    zeta_star = powerlaw_boundary(gamma, theta0)
+    for frac in (0.5, 0.9, 0.99):
+        zeta = frac * zeta_star
+        with mp.workdps(40):
+            g, t, x = mp.mpf(gamma), mp.mpf(theta0), mp.mpf(zeta)
+            reference = float((t ** (g - 1) - (g - 1) * x ** 2 / (6 * g))
+                              ** (1 / (g - 1)))
+        assert math.isclose(powerlaw_profile(zeta, gamma, theta0), reference,
+                            rel_tol=1e-13), frac
 
 
 def test_powerlaw_rejects_reserved_gammas():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from lanestab import (
     series_start,
     theta_from_z,
 )
-from lanestab.integrate import COMPLETED, DIVERGED, Trajectory
+from lanestab.integrate import COMPLETED, DIVERGED, Trajectory, _dense
+from lanestab.stability import escape_zeta
 
 
 @pytest.fixture(scope="module")
@@ -310,10 +312,49 @@ def test_diverged_run_keeps_its_zero_crossings():
     assert len(traj.events) == 1 and type(traj.events[0]) is float
     assert first_zero(traj) == traj.events[0] < traj.diverged_at
     assert abs(traj.evaluate(traj.events[0])[0]) <= 1e-9
-    # the guard step is far steeper here than in the n = 2 runaway, so the
-    # 1e-13 relative bisection width in zeta leaves about 0.2% in z
+    # the guard step is far steeper here than in the n = 2 runaway: one
+    # float of zeta moves z by 4.4e-4 of the guard, and diverged_at, the
+    # last float before the crossing, leaves 1.0e-4 in z
     z_at, _ = traj.evaluate(traj.diverged_at)
-    assert abs(z_at + 1e12) <= 1e-2 * 1e12
+    assert abs(z_at + 1e12) <= 5e-4 * 1e12
+
+
+def _changes_side_after(traj, zeta, g) -> bool:
+    """Whether g(z), z on the quartic of the step holding zeta, lies on
+    opposite sides of zero at zeta and at the next float, or is zero."""
+    k = min(bisect_right(traj.zetas, zeta), len(traj.zetas) - 1) - 1
+    t0, t1 = traj.zetas[k], traj.zetas[k + 1]
+    a, b = (g(_dense(t, t0, t1 - t0, traj.zs[k], traj.quartic(k)[0]))
+            for t in (zeta, math.nextafter(zeta, math.inf)))
+    return a == 0.0 or b == 0.0 or (a > 0.0) != (b > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_every_crossing_is_located_to_one_float(n):
+    """Each zero of z, over omega in {0, 0.1, 0.5, 0.9} and both start
+    modes (40 events), and each n = 3 guard crossing, is the last float
+    of its step's quartic before the crossing; a fixed bisection width
+    left them short by up to 8.2e-13 relative."""
+    for omega in (0.0, 0.1, 0.5, 0.9):
+        for mode in ("offset", "series"):
+            traj = integrate(make_params(n, omega),
+                             IntegratorOptions(60.0, start_mode=mode))
+            assert len(traj.events) == 1
+            assert _changes_side_after(traj, traj.events[0], lambda z: z)
+            if n == 3 and omega > 0.0:
+                assert _changes_side_after(traj, traj.diverged_at,
+                                           lambda z: abs(z) - 1e12)
+
+
+@pytest.mark.parametrize("n, omega", [(1, 0.5), (1, 0.9), (2, 0.1), (2, 0.5),
+                                      (2, 0.9), (3, 0.1), (3, 0.5), (3, 0.9)])
+def test_escape_zeta_is_located_to_one_float(n, omega, monkeypatch):
+    runs = []
+    monkeypatch.setattr("lanestab.stability.integrate",
+                        lambda *a: runs.append(integrate(*a)) or runs[-1])
+    zeta, u = escape_zeta(make_params(n, omega)), omega ** (-1.0 / n)
+    assert zeta is not None
+    assert _changes_side_after(runs[0], zeta, lambda z: abs(z - u) - 10.0)
 
 
 @pytest.mark.parametrize("n, status", [(2, COMPLETED), (3, DIVERGED)])
