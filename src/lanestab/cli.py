@@ -33,8 +33,7 @@ from . import closedform
 from .integrate import (DIVERGED, IntegrationError, IntegratorOptions,
                         OFFSET, SERIES, Trajectory, first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
-                    _params_json, _require_positive, equilibria, make_params,
-                    theta_from_z)
+                    _require_positive, equilibria, make_params, theta_from_z)
 from .stability import classify, lyapunov_V, lyapunov_Vdot
 
 CSV_HEADER_FULL = "zeta,z,dz,theta,V,Vdot"
@@ -97,6 +96,11 @@ def _outcome(traj: Trajectory, zeta_star: float | None) -> dict:
     return {key: value for key, value in d.items() if value is not None}
 
 
+def _run_json(params: ModelParams, opts: IntegratorOptions) -> dict:
+    """The params block of the solve sidecar, which opens each sweep row."""
+    return {**params._asdict(), "zeta0": opts.zeta_start}
+
+
 def _run_name(params: ModelParams) -> str:
     return f"run_n{params.n}_omega{params.omega:g}.csv"
 
@@ -152,11 +156,12 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 def _integrator_options(args) -> IntegratorOptions:
     return IntegratorOptions(zeta_end=args.zeta_end, rel_tol=args.rtol,
                              abs_tol=args.atol, max_steps=args.max_steps,
-                             start_mode=args.start_mode)
+                             start_mode=args.start_mode, zeta_start=args.zeta0)
 
 
 def cmd_solve(args) -> int:
-    params = make_params(args.n, args.omega, args.theta0, args.zeta0)
+    params = make_params(args.n, args.omega, args.theta0)
+    opts = _integrator_options(args)
     if args.check_oracle == "gamma2" and params.n != 1:
         raise ValidationError("check_oracle",
                               "the gamma2 oracle needs --n 1 (gamma = 2)")
@@ -166,13 +171,13 @@ def cmd_solve(args) -> int:
     if args.check_oracle is not None:
         fn, end, _ = _closed_form(args.check_oracle, params.theta0,
                                   params.omega, params.gamma)
-        if end <= params.zeta_start:
+        if end <= opts.zeta_start:
             raise ValidationError("check_oracle", f"the {args.check_oracle} "
                                   f"profile ends at zeta = {end!r}, not past "
-                                  f"--zeta0 = {params.zeta_start!r}")
-    traj = integrate(params, _integrator_options(args))
+                                  f"--zeta0 = {opts.zeta_start!r}")
+    traj = integrate(params, opts)
     zeta_star = first_zero(traj)
-    summary = {"params": _params_json(params),
+    summary = {"params": _run_json(params, opts),
                "stable_regime": params.stable_regime,
                **_outcome(traj, zeta_star)}
     if args.check_oracle is not None:
@@ -230,8 +235,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    params = make_params(args.n, args.omega, args.theta0, args.zeta0)
-    report = classify(params)
+    report = classify(make_params(args.n, args.omega, args.theta0))
     text = _json_text(report.to_json_dict())
     if args.out:
         _write_text(Path(args.out), text)
@@ -258,7 +262,7 @@ def _parse_list(text: str, field: str, convert, what: str) -> list:
 
 def _error_row(params, opts, error: str) -> dict:
     """The index.json row of a sweep run that failed."""
-    return {**_params_json(params), "zeta_end": opts.zeta_end,
+    return {**_run_json(params, opts), "zeta_end": opts.zeta_end,
             "status": "error", "error": error}
 
 
@@ -271,7 +275,7 @@ def _sweep_run(params, opts, out_dir: Path) -> dict:
     except Exception as exc:  # recorded per run; the sweep never aborts
         return _error_row(params, opts, str(exc))
     max_abs_z = max(map(abs, traj.zs))
-    return {**_params_json(params), "zeta_end": opts.zeta_end, "file": fname,
+    return {**_run_json(params, opts), "zeta_end": opts.zeta_end, "file": fname,
             "status": traj.status, **_outcome(traj, first_zero(traj)),
             "max_abs_z": max_abs_z,
             "bounded": traj.status != DIVERGED and max_abs_z <= BOUNDED_LIMIT}
@@ -281,8 +285,7 @@ def cmd_sweep(args) -> int:
     ns = _parse_list(args.n, "n", int, "integer")
     omegas = _parse_list(args.omega, "omega", float, "number")
     # validate the whole grid before the first run starts
-    run_params = [make_params(n, om, args.theta0, args.zeta0)
-                  for n in ns for om in omegas]
+    run_params = [make_params(n, om, args.theta0) for n in ns for om in omegas]
     # no two runs may share a _run_name
     for field, tags in (("n", ns), ("omega", [f"{om:g}" for om in omegas])):
         if len(set(tags)) < len(tags):
@@ -362,8 +365,7 @@ def _equilibrium_markers(summary_path: Path) -> list[tuple[float, float, str]]:
         p = json.loads(summary_path.read_text())["params"]
         # a ValidationError where no equilibrium exists (omega = 0) or it
         # is past the float range: the plot has no markers
-        eqs = equilibria(make_params(p["n"], p["omega"], p["theta0"],
-                                     p["zeta0"]))
+        eqs = equilibria(make_params(p["n"], p["omega"], p["theta0"]))
     except (OSError, KeyError, TypeError, ValueError):
         return []
     return [(eq.z_eq, 0.0, STABLE_COLOR if eq.kind == STABLE_LEFT
@@ -419,11 +421,11 @@ def _add_model_flags(sp) -> None:
                     help="multiple-scattering to trapping ratio")
     sp.add_argument("--theta0", type=float, default=1.0,
                     help="central density theta(zeta0) (default 1.0)")
-    sp.add_argument("--zeta0", type=float, default=1e-3,
-                    help="start radius (default 1e-3)")
 
 
 def _add_integrator_flags(sp) -> None:
+    sp.add_argument("--zeta0", type=float, default=1e-3,
+                    help="start radius (default 1e-3)")
     sp.add_argument("--zeta-end", type=float, default=60.0,
                     help="integration end radius (default 60)")
     sp.add_argument("--rtol", type=float, default=1e-9,
@@ -476,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega", required=True,
                     help="comma-separated omega values, e.g. 0.1,0.5,0.9")
     sp.add_argument("--theta0", type=float, default=1.0)
-    sp.add_argument("--zeta0", type=float, default=1e-3)
     _add_integrator_flags(sp)
     sp.add_argument("--out-dir", default=".",
                     help="directory for per-run CSVs and index.json")

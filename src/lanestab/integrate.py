@@ -69,15 +69,19 @@ class IntegrationError(RuntimeError):
 
 
 class IntegratorOptions(_Record):
-    """Run controls.  zeta_end must exceed the params' zeta_start, which is
-    only checkable inside integrate()."""
+    """Run controls, with where the run starts and ends."""
 
-    __slots__ = ("zeta_end", "rel_tol", "abs_tol", "max_steps", "start_mode")
+    __slots__ = ("zeta_end", "rel_tol", "abs_tol", "max_steps", "start_mode",
+                 "zeta_start")
 
     def __init__(self, zeta_end: float, rel_tol: float = 1e-9,
                  abs_tol: float = 1e-12, max_steps: int = 1_000_000,
-                 start_mode: str = OFFSET):
+                 start_mode: str = OFFSET, zeta_start: float = 1e-3):
+        zeta_start = _require_positive("zeta_start", zeta_start)
         zeta_end = _require_positive("zeta_end", zeta_end)
+        if not zeta_end > zeta_start:
+            raise ValidationError("zeta_end", f"must exceed zeta_start = "
+                                  f"{zeta_start!r}, got {zeta_end!r}")
         rel_tol = _require_float("rel_tol", rel_tol, "must lie in (0, 1e-3]",
                                  lambda v: 0.0 < v <= 1e-3)
         abs_tol = _require_float("abs_tol", abs_tol, "must lie in (0, rel_tol]",
@@ -86,7 +90,11 @@ class IntegratorOptions(_Record):
         if start_mode not in (OFFSET, SERIES):
             raise ValidationError("start_mode",
                                   f"must be '{OFFSET}' or '{SERIES}', got {start_mode!r}")
-        super().__init__(zeta_end, rel_tol, abs_tol, max_steps, start_mode)
+        if start_mode == SERIES and zeta_start > 0.01:
+            raise ValidationError("zeta_start", f"series start needs "
+                                  f"zeta_start <= 0.01, got {zeta_start!r}")
+        super().__init__(zeta_end, rel_tol, abs_tol, max_steps, start_mode,
+                         zeta_start)
 
 
 def _quartic(slopes, k) -> tuple[tuple[float, ...], ...]:
@@ -159,19 +167,15 @@ class Trajectory(_Record):
         return out
 
 
-def series_start(params: ModelParams) -> tuple[float, float]:
-    """Start state (z, dz) at zeta_start from the expansion z = z0 + c*zeta^2.
+def series_start(params: ModelParams, zeta: float) -> tuple[float, float]:
+    """Start state (z, dz) at zeta from the expansion z = z0 + c*zeta^2.
 
     Substituting the ansatz into (zeta^2 z')' = zeta^2 (omega z^n - 1)/(n+1)
     and matching leading terms gives 6c = (omega z0^n - 1)/(n+1), hence
     c = (omega z0^n - 1)/(6(n+1)) with z0 = theta0^(1/n); dz = 2c*zeta and
     the truncation error is O(zeta^4).  Valid only very close to the
-    singular point, so zeta_start is capped at 0.01.
+    singular point, so IntegratorOptions caps a series zeta_start at 0.01.
     """
-    zeta = params.zeta_start
-    if zeta > 0.01:
-        raise ValidationError("zeta_start", f"series start needs "
-                              f"zeta_start <= 0.01, got {zeta!r}")
     z0 = params.theta0 ** (1.0 / params.n)
     # omega*z0**n equals omega*theta0 exactly; using theta0 skips a pow round trip
     c = (params.omega * params.theta0 - 1.0) / (6.0 * (params.n + 1.0))
@@ -197,11 +201,9 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     diverged_at set to the last float before the crossing, so its status
     is "diverged".
     """
-    if not opts.zeta_end > params.zeta_start:
-        raise ValidationError("zeta_end", f"must exceed zeta_start = "
-                              f"{params.zeta_start!r}, got {opts.zeta_end!r}")
+    t = opts.zeta_start
     if opts.start_mode == SERIES:
-        z, dz = series_start(params)
+        z, dz = series_start(params, t)
     else:
         z, dz = params.theta0 ** (1.0 / params.n), 0.0
 
@@ -210,7 +212,6 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
         (a61, a62, a63, a64, a65) = A
     (b1, _, b3, b4, b5, b6), (e1, _, e3, e4, e5, e6, e7) = B, E
     rtol, atol, t_end = opts.rel_tol, opts.abs_tol, opts.zeta_end
-    t = params.zeta_start
     try:
         k1z, k1d = rhs(t, z, dz, params)
     except OverflowError:

@@ -64,6 +64,9 @@ class _Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
     def __eq__(self, other):
         return self._values() == other._values() \
             if other.__class__ is self.__class__ else NotImplemented
@@ -83,12 +86,11 @@ class ModelParams(_Record):
     """Immutable problem parameters.
 
     n is the polytropic index in gamma = 1 + 1/n, omega the scattering to
-    trapping ratio, theta0 the central density theta(zeta_start), and
-    zeta_start the small radius where integration begins (the equation is
-    singular at zeta = 0).
+    trapping ratio and theta0 the central density.  Where a run starts
+    is an IntegratorOptions field.
     """
 
-    __slots__ = ("n", "omega", "theta0", "zeta_start")
+    __slots__ = ("n", "omega", "theta0")
 
     @property
     def gamma(self) -> float:
@@ -141,15 +143,7 @@ def _bisect(inside, lo: float, hi: float) -> float:
     return lo
 
 
-def _params_json(params: ModelParams) -> dict:
-    """The params block of the solve sidecar, a sweep row and the
-    stability report."""
-    return {"n": params.n, "omega": params.omega, "theta0": params.theta0,
-            "zeta0": params.zeta_start}
-
-
-def make_params(n: int, omega: float, theta0: float = 1.0,
-                zeta_start: float = 1e-3) -> ModelParams:
+def make_params(n: int, omega: float, theta0: float = 1.0) -> ModelParams:
     """Validate and build a ModelParams.
 
     Raises ValidationError naming the offending field.
@@ -158,8 +152,7 @@ def make_params(n: int, omega: float, theta0: float = 1.0,
     omega = _require_float("omega", omega, "must be finite and >= 0",
                            lambda v: 0.0 <= v < math.inf)
     return ModelParams(n=n, omega=omega,
-                       theta0=_require_positive("theta0", theta0),
-                       zeta_start=_require_positive("zeta_start", zeta_start))
+                       theta0=_require_positive("theta0", theta0))
 
 
 def theta_from_z(z: float, n: int) -> float:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 
-from .model import (ModelParams, ValidationError, _Record, _params_json,
-                    _radius, _require_float, _require_positive, equilibria)
+from .model import (ModelParams, ValidationError, _Record, _radius,
+                    _require_float, _require_positive, equilibria)
 from .integrate import IntegratorOptions, _crossing, integrate
 
 
@@ -43,7 +43,7 @@ class StabilityReport(_Record):
 
     def to_json_dict(self) -> dict:
         d: dict = {
-            "params": _params_json(self.params),
+            "params": self.params._asdict(),
             "equilibria": [{"z": e.z_eq, "kind": e.kind}
                            for e in self.equilibria],
         }
@@ -174,9 +174,8 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
         raise ValidationError("omega", f"the displaced start (omega**(-1/n) + "
                               f"perturbation)**n passes the float range at "
                               f"n = {params.n}, got {params.omega!r}") from None
-    start = ModelParams(n=params.n, omega=params.omega, theta0=theta0,
-                        zeta_start=params.zeta_start)
-    traj = integrate(start, IntegratorOptions(zeta_end=zeta_end))
+    traj = integrate(ModelParams(params.n, params.omega, theta0),
+                     IntegratorOptions(zeta_end=zeta_end))
     k = next((k for k, z in enumerate(traj.zs) if abs(z - u) > threshold),
              None)
     if k is None:

@@ -112,12 +112,13 @@ def _mp_zeros_and_certificate(params):
         u = om ** (-mp.mpf(1) / n)
         level = 2 * u * n / (n + 1) ** 2
         z0 = mp.mpf(params.theta0) ** (mp.mpf(1) / n)
+        start = mp.mpf(1e-3)  # integrate()'s default zeta_start
         sol = mp.odefun(
             lambda t, y: [y[1], (om * y[0] ** n - 1) / (n + 1) - 2 * y[1] / t],
-            mp.mpf(params.zeta_start), [z0, mp.mpf(0)])
+            start, [z0, mp.mpf(0)])
         step = mp.mpf("0.05")
         zeros = []
-        lo, z_lo = mp.mpf(params.zeta_start), z0
+        lo, z_lo = start, z0
         for k in range(1, 201):  # grid points 0.05, 0.10, ..., 10
             hi = k * step
             z_hi, dz_hi = sol(hi)

@@ -573,6 +573,32 @@ def test_sweep_rejects_colliding_run_files(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--zeta0", ["--start-mode", "series", "--zeta0", "0.02"]),
+    ("--zeta-end", ["--zeta0", "10", "--zeta-end", "5"]),
+])
+def test_sweep_refuses_a_bad_start_before_any_run(flag, argv, tmp_path,
+                                                  capsys):
+    """A start no run can take exits 1 on its flag, as on solve; it used to
+    exit 2 with one error row per run."""
+    out_dir = tmp_path / "s"
+    code, stdout, err = _run(["sweep", "--n", "2,3", "--omega", "0.5", *argv,
+                              "--out-dir", str(out_dir)], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: {flag}: ")
+    assert not out_dir.exists()
+    assert _run(["solve", *MODEL, *argv, "--out", str(tmp_path / "r.csv")],
+                capsys)[2] == err
+
+
+def test_stability_takes_no_start_flag(capsys):
+    """The report is about n, omega and theta0 alone; --zeta0, which it
+    only echoed, no longer parses."""
+    code, stdout, err = _run(["stability", *MODEL, "--zeta0", "0.5"], capsys)
+    assert code == 1 and stdout == ""
+    assert "unrecognized arguments: --zeta0 0.5" in err
+
+
 def test_sweep_records_per_run_errors(tmp_path, capsys):
     out_dir = tmp_path / "s"
     code, _, _ = _run(["sweep", "--n", "2", "--omega", "0.5",

@@ -52,8 +52,7 @@ def test_series_coefficient_rederived_symbolically():
 
 
 def test_series_start_state():
-    p = make_params(2, 0.5, zeta_start=1e-3)
-    z, dz = series_start(p)
+    z, dz = series_start(make_params(2, 0.5), 1e-3)
     c = (0.5 * 1.0 - 1.0) / (6.0 * 3.0)
     assert c == -1.0 / 36.0
     # same float operations as the implementation, so equality is exact
@@ -62,12 +61,17 @@ def test_series_start_state():
 
 
 def test_series_start_domain():
-    """series_start owns the 0.01 cap; make_params owns zeta_start > 0."""
-    series_start(make_params(2, 0.5, zeta_start=0.01))
+    """IntegratorOptions owns the series start's 0.01 cap and
+    zeta_start > 0; series_start checks neither."""
+    IntegratorOptions(10.0, start_mode="series", zeta_start=0.01)
+    IntegratorOptions(10.0, zeta_start=0.02)  # the cap is the series start's
     for bad in (0.0, -1e-3, 0.02):
         with pytest.raises(ValidationError) as exc:
-            series_start(make_params(2, 0.5, zeta_start=bad))
+            IntegratorOptions(10.0, start_mode="series", zeta_start=bad)
         assert exc.value.field == "zeta_start"
+    c = -1.0 / 36.0
+    assert series_start(make_params(2, 0.5), 0.02) == (1.0 + c * 0.02 * 0.02,
+                                                       2.0 * c * 0.02)
 
 
 @pytest.mark.parametrize(
@@ -91,34 +95,42 @@ def test_options_validation(kwargs, field):
 
 
 def test_options_by_position_keyword_and_default():
-    full = IntegratorOptions(5.0, 1e-8, 1e-10, 100, "series")
+    full = IntegratorOptions(5.0, 1e-8, 1e-10, 100, "series", 2e-3)
     assert full == IntegratorOptions(zeta_end=5.0, rel_tol=1e-8, abs_tol=1e-10,
-                                     max_steps=100, start_mode="series")
+                                     max_steps=100, start_mode="series",
+                                     zeta_start=2e-3)
     assert full == IntegratorOptions(5.0, 1e-8, start_mode="series",
-                                     max_steps=100, abs_tol=1e-10)
+                                     zeta_start=2e-3, max_steps=100,
+                                     abs_tol=1e-10)
     opts = IntegratorOptions(5.0)
     assert (opts.zeta_end, opts.rel_tol, opts.abs_tol, opts.max_steps,
-            opts.start_mode) == (5.0, 1e-9, 1e-12, 1_000_000, "offset")
+            opts.start_mode, opts.zeta_start) == (5.0, 1e-9, 1e-12, 1_000_000,
+                                                  "offset", 1e-3)
     assert opts == IntegratorOptions(zeta_end=5.0) != full
+    # the start is the last field, so a call without it keeps its meaning
+    assert IntegratorOptions(5.0, 1e-8, 1e-10, 100, "series") \
+        == IntegratorOptions(5.0, 1e-8, 1e-10, 100, "series", 1e-3)
     for args, kwargs in [((), {}), ((), {"rel_tol": 1e-8}),  # missing
                          ((5.0,), {"tol": 1e-8}),  # unknown
                          ((5.0,), {"zeta_end": 6.0}),  # duplicated
-                         ((5.0, 1e-8, 1e-10, 100, "series", 1), {})]:
+                         ((5.0, 1e-8, 1e-10, 100, "series", 1e-3, 1), {})]:
         with pytest.raises(TypeError):
             IntegratorOptions(*args, **kwargs)
 
 
 def test_zeta_end_must_exceed_zeta_start():
-    p = make_params(2, 0.5, zeta_start=1e-3)
     with pytest.raises(ValidationError) as exc:
-        integrate(p, IntegratorOptions(zeta_end=1e-3))
+        IntegratorOptions(zeta_end=1e-3)
+    assert exc.value.field == "zeta_end"
+    assert exc.value.message == "must exceed zeta_start = 0.001, got 0.001"
+    with pytest.raises(ValidationError) as exc:
+        IntegratorOptions(zeta_end=5.0, zeta_start=10.0)
     assert exc.value.field == "zeta_end"
 
 
 def test_series_mode_needs_small_zeta_start():
-    p = make_params(2, 0.5, zeta_start=0.05)
     with pytest.raises(ValidationError) as exc:
-        integrate(p, IntegratorOptions(zeta_end=10.0, start_mode="series"))
+        IntegratorOptions(zeta_end=10.0, start_mode="series", zeta_start=0.05)
     assert exc.value.field == "zeta_start"
 
 
@@ -407,9 +419,9 @@ def test_matches_scipy_rk45_step_for_step(zeta_end, steps):
 
     p = make_params(2, 0.5)
     traj = integrate(p, IntegratorOptions(zeta_end=zeta_end))
-    ref = RK45(lambda t, y: np.array(rhs(t, y[0], y[1], p)), p.zeta_start,
+    ref = RK45(lambda t, y: np.array(rhs(t, y[0], y[1], p)), 1e-3,
                np.array([1.0, 0.0]), t_bound=zeta_end, rtol=1e-9, atol=1e-12,
-               first_step=min(1e-4, (zeta_end - p.zeta_start) / 100.0))
+               first_step=min(1e-4, (zeta_end - 1e-3) / 100.0))
     nodes = [ref.t]
     while ref.status == "running":
         ref.step()
@@ -444,4 +456,4 @@ def test_overflow_is_an_integration_error(n, omega, theta0, message):
     p = make_params(n, omega, theta0=theta0)
     with pytest.raises(IntegrationError, match=message) as exc:
         integrate(p, IntegratorOptions(zeta_end=60.0))
-    assert exc.value.last_zeta == p.zeta_start
+    assert exc.value.last_zeta == 1e-3

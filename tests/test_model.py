@@ -51,7 +51,9 @@ def test_make_params_basic():
     assert p.n == 2
     assert p.omega == 0.5
     assert p.theta0 == 1.0
-    assert p.zeta_start == 1e-3
+    assert ModelParams.__slots__ == ("n", "omega", "theta0")
+    with pytest.raises(TypeError):  # the start is an IntegratorOptions field
+        make_params(2, 0.5, zeta_start=1e-3)
     assert p.gamma == 1.5
     assert p.stable_regime
 
@@ -82,8 +84,6 @@ def test_stable_regime_window():
         (dict(n=2, omega=float("inf")), "omega"),
         (dict(n=2, omega=0.5, theta0=0.0), "theta0"),
         (dict(n=2, omega=0.5, theta0=-1.0), "theta0"),
-        (dict(n=2, omega=0.5, zeta_start=0.0), "zeta_start"),
-        (dict(n=2, omega=0.5, zeta_start=-1e-3), "zeta_start"),
     ],
 )
 def test_make_params_rejections(kwargs, field):
@@ -96,14 +96,14 @@ def test_make_params_rejections(kwargs, field):
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("call, field", [
     (lambda v: make_params(2, 0.5, theta0=v), "theta0"),
-    (lambda v: make_params(2, 0.5, zeta_start=v), "zeta_start"),
+    (lambda v: IntegratorOptions(10.0, zeta_start=v), "zeta_start"),
     (lambda v: IntegratorOptions(zeta_end=v), "zeta_end"),
     (lambda v: HaloProfile(theta0=v, omega=0.5), "theta0"),
     (lambda v: powerlaw_boundary(2.0, v), "theta0"),
     (lambda v: gaussian_profile(1.0, v), "theta0"),
     (lambda v: lane_emden_radius(v), "omega"),
     (_oracle_zeta_end, "zeta_end"),
-], ids=["make_params.theta0", "make_params.zeta_start",
+], ids=["make_params.theta0", "IntegratorOptions.zeta_start",
         "IntegratorOptions.zeta_end", "HaloProfile.theta0",
         "powerlaw.theta0", "gaussian_profile.theta0",
         "lane_emden_radius.omega", "oracle.zeta_end"])
@@ -137,13 +137,14 @@ def test_positive_integer_rule(call, field, value):
 @pytest.mark.parametrize("call, field", [
     (lambda v: make_params(2, v), "omega"),
     (lambda v: make_params(2, 0.5, theta0=v), "theta0"),
-    (lambda v: make_params(2, 0.5, zeta_start=v), "zeta_start"),
+    (lambda v: IntegratorOptions(10.0, zeta_start=v), "zeta_start"),
     (lambda v: IntegratorOptions(v), "zeta_end"),
     (lambda v: IntegratorOptions(10.0, rel_tol=v), "rel_tol"),
     (lambda v: IntegratorOptions(10.0, abs_tol=v), "abs_tol"),
     (lambda v: powerlaw_boundary(v, 1.0), "gamma"),
     (lambda v: basin_contains(0.0, 0.0, v, make_params(2, 0.5)), "delta"),
-], ids=["make_params.omega", "make_params.theta0", "make_params.zeta_start",
+], ids=["make_params.omega", "make_params.theta0",
+        "IntegratorOptions.zeta_start",
         "IntegratorOptions.zeta_end", "IntegratorOptions.rel_tol",
         "IntegratorOptions.abs_tol", "powerlaw.gamma", "basin_contains.delta"])
 def test_non_numeric_value_names_its_field(call, field, value):
@@ -185,20 +186,19 @@ def test_immutability():
 
 def test_records_compare_hash_and_print_by_value():
     p = make_params(2, 0.5)
-    assert repr(p) == ("ModelParams(n=2, omega=0.5, theta0=1.0, "
-                       "zeta_start=0.001)")
+    assert repr(p) == "ModelParams(n=2, omega=0.5, theta0=1.0)"
     assert repr(equilibria(p)[1]) == ("Equilibrium(z_eq=1.4142135623730951, "
                                       "kind='unstable_right')")
     assert repr(HaloProfile(1.0, 0.5)) == "HaloProfile(theta0=1.0, omega=0.5)"
     assert repr(classify(p)).startswith(
-        "StabilityReport(params=ModelParams(n=2, omega=0.5, theta0=1.0, "
-        "zeta_start=0.001), equilibria=(Equilibrium(z_eq=-1.4142135623730951, "
+        "StabilityReport(params=ModelParams(n=2, omega=0.5, theta0=1.0), "
+        "equilibria=(Equilibrium(z_eq=-1.4142135623730951, "
         "kind='stable_left'), Equilibrium(")
-    same = ModelParams(n=2, omega=0.5, theta0=1.0, zeta_start=1e-3)
+    same = ModelParams(n=2, omega=0.5, theta0=1.0)
     assert p == same and not p != same and hash(p) == hash(same)
-    assert hash(p) == hash((2, 0.5, 1.0, 1e-3))  # a frozen dataclass's hash
+    assert hash(p) == hash((2, 0.5, 1.0))  # a frozen dataclass's hash
     assert p != make_params(2, 0.25) and p != make_params(4, 0.5)
-    assert p != (2, 0.5, 1.0, 1e-3)
+    assert p != (2, 0.5, 1.0)
     # equal field values in another record type are not equal
     assert Equilibrium(1.0, 0.5) != HaloProfile(1.0, 0.5)
     assert len({Equilibrium(1.0, "zero"), Equilibrium(1.0, "zero"),
@@ -209,14 +209,13 @@ def test_records_compare_hash_and_print_by_value():
 
 
 def test_records_take_fields_by_position_or_keyword():
-    assert ModelParams(2, 0.5, theta0=1.0, zeta_start=1e-3) \
-        == make_params(2, 0.5)
+    assert ModelParams(2, 0.5, theta0=1.0) == make_params(2, 0.5)
     assert Equilibrium(kind="stable_left", z_eq=-1.0) \
         == Equilibrium(-1.0, "stable_left")
-    for args, kwargs in [((2, 0.5, 1.0), {}),  # missing
-                         ((2, 0.5, 1.0, 1e-3), {"gamma": 1.5}),  # unknown
-                         ((2, 0.5, 1.0, 1e-3), {"n": 2}),  # duplicated
-                         ((2, 0.5, 1.0, 1e-3, 0.0), {})]:  # too many
+    for args, kwargs in [((2, 0.5), {}),  # missing
+                         ((2, 0.5, 1.0), {"gamma": 1.5}),  # unknown
+                         ((2, 0.5, 1.0), {"n": 2}),  # duplicated
+                         ((2, 0.5, 1.0, 1e-3), {})]:  # too many
         with pytest.raises(TypeError):
             ModelParams(*args, **kwargs)
 

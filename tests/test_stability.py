@@ -408,9 +408,9 @@ def test_escape_none_when_window_too_short():
 
 
 def test_escape_at_the_start_outside_the_tube():
-    """A perturbation past the threshold has left the tube at zeta_start."""
+    """A perturbation past the threshold has left the tube at the start."""
     p = make_params(1, 0.5)
-    assert escape_zeta(p, perturbation=20.0) == p.zeta_start
+    assert escape_zeta(p, perturbation=20.0) == IntegratorOptions(1.0).zeta_start
 
 
 def test_convergence_toward_left_equilibrium():
@@ -433,7 +433,7 @@ def test_classify_even_report():
                               "instability_zeta0", "stable_regime"]
     assert list(d["lmi"].keys()) == ["verified", "worst_eig"]
     assert d["equilibria"][0]["kind"] == "stable_left"
-    assert d["params"] == {"n": 2, "omega": 0.5, "theta0": 1.0, "zeta0": 1e-3}
+    assert d["params"] == {"n": 2, "omega": 0.5, "theta0": 1.0}
 
 
 def test_classify_odd_report():
