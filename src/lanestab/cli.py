@@ -10,8 +10,8 @@ sweep      run a grid of (n, omega) pairs, one CSV per run plus an
            index.json that lists them in parameter order
 plot       render an emitted CSV or sweep index as a standalone SVG
 
-Exit codes: 0 success (a run that hits the divergence guard is a
-meaningful success, reported through diverged_at), 1 user or validation
+Exit codes: 0 success (a run that diverges is a meaningful success,
+reported through diverged_at), 1 user or validation
 error (the message names the offending flag), 2 numerical failure.
 
 All emitted files are byte deterministic for identical inputs.  CSV cells
@@ -30,8 +30,9 @@ import sys
 from pathlib import Path
 
 from . import closedform
-from .integrate import (DIVERGED, IntegrationError, IntegratorOptions,
-                        OFFSET, SERIES, Trajectory, first_zero, integrate)
+from .integrate import (DIVERGED, DIVERGENCE_GUARD, IntegrationError,
+                        IntegratorOptions, OFFSET, SERIES, Trajectory,
+                        first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
                     _require_positive, equilibria, make_params, theta_from_z)
 from .stability import classify, lyapunov_V, lyapunov_Vdot
@@ -196,8 +197,11 @@ def cmd_solve(args) -> int:
     else:
         print(f"wrote {out} and {sidecar}")
         if traj.status == DIVERGED:
+            how = "|z| crossed the guard" \
+                if abs(traj.zs[-1]) > DIVERGENCE_GUARD else \
+                "z runs away within float resolution in zeta"
             print(f"diverged_at = {traj.diverged_at:.12g} "
-                  f"(|z| crossed the guard; expected for repelling starts)")
+                  f"({how}; expected for repelling starts)")
         else:
             print(f"completed to zeta = {traj.zetas[-1]:g} "
                   f"in {len(traj.zetas) - 1} steps")
@@ -275,9 +279,9 @@ def _sweep_run(params, opts, out_dir: Path) -> dict:
     except Exception as exc:  # recorded per run; the sweep never aborts
         return _error_row(params, opts, str(exc))
     max_abs_z = max(map(abs, traj.zs))
-    return {**_run_json(params, opts), "zeta_end": opts.zeta_end, "file": fname,
-            "status": traj.status, **_outcome(traj, first_zero(traj)),
-            "max_abs_z": max_abs_z,
+    return {**_run_json(params, opts), "zeta_end": opts.zeta_end,
+            "file": fname, "status": traj.status,
+            **_outcome(traj, first_zero(traj)), "max_abs_z": max_abs_z,
             "bounded": traj.status != DIVERGED and max_abs_z <= BOUNDED_LIMIT}
 
 

@@ -82,6 +82,24 @@ def gamma2_profile(zeta: float, p: HaloProfile) -> float:
     return p.theta0 * shc(x) - zeta * zeta * _shc_excess(abs(x)) / 2.0
 
 
+def _split(m: float) -> tuple[float, float]:
+    """Veltkamp's split m = hi + lo into two halves of 26 bits or fewer."""
+    c = 134217729.0 * m  # 2**27 + 1
+    hi = c - (c - m)
+    return hi, m - hi
+
+
+def _one_minus_product(x: float, y: float) -> float:
+    """1 - x*y, where x*y = p + err exactly by Dekker's two-product, so a
+    product near 1 loses nothing before the subtraction.  The product is
+    taken on the frexp mantissas, where the split cannot overflow, and
+    scaled back by ldexp; math.fma would need Python 3.13."""
+    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+    (xh, xl), (yh, yl), p = _split(mx), _split(my), mx * my
+    err = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    return (1.0 - math.ldexp(p, ex + ey)) - math.ldexp(err, ex + ey)
+
+
 def halo_boundary(p: HaloProfile) -> float:
     """Radius zeta_M > 0 where the gamma = 2 profile reaches zero.
 
@@ -89,12 +107,14 @@ def halo_boundary(p: HaloProfile) -> float:
     With zeta = sqrt(theta0)*y and x = sqrt(a/2)*y, divided by a/2:
     F(y) = _shc_excess(x)*y^2 = 2/(1 - a), finite for every 0 < a < 1, and
     accurate as omega -> 0, where zeta_M -> sqrt(12 theta0)(1 + 0.35 a).
-    F(0) = 0 and F >= y^2/6, so the root is the last float of
-    [0, sqrt(6*target)] with F < target.  As a <= 1 - 2**-53, y < 60, so
-    zeta_M < 1e156 stays in the float range.
+    1 - a is taken without rounding a first, so it stays accurate where
+    the product rounds near 1.  F(0) = 0 and F >= y^2/6, so the root is the
+    last float of [0, sqrt(6*target)] with F < target.  Every HaloProfile
+    has 1 - a > 2**-54, so y < 60 and zeta_M < 1e156 stays in the float
+    range.
     """
     a = p.theta0 * p.omega
-    c, target = math.sqrt(0.5 * a), 2.0 / (1.0 - a)
+    c, target = math.sqrt(0.5 * a), 2.0 / _one_minus_product(p.theta0, p.omega)
     y = _bisect(lambda y: _shc_excess(c * y) * y * y < target, 0.0,
                 math.sqrt(6.0 * target))
     return y * math.sqrt(p.theta0)

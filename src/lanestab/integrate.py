@@ -9,8 +9,13 @@ once h < 10 ulp(zeta).  An overflowing trial stage is a rejected step.
 Each accepted step keeps its seven stage slopes; their product with P,
 the step's quartic interpolant, is built when the step is evaluated.  Zero
 crossings of z and the divergence guard are found on the nodes and located
-to one float on the quartic, so a runaway solution (expected for odd n,
-whose sole equilibrium repels) ends as a "diverged" outcome, not failure.
+to one float on the quartic.  A runaway solution (odd n, or even n started
+above the repelling equilibrium) ends as a "diverged" outcome, not a
+failure: where |z| crosses the guard, or, for n > 1, at the first node past
+|z| = u = omega**(-1/n) that moves outward (z*dz > 0) with
+tau = 2|z|/((n-1)|dz|), the time left to blow-up, below RUNAWAY_ULPS
+ulp(zeta).  For n >= 4 the guard lies below float resolution in zeta, so
+only the second rule can end such a run.
 
 Two start modes exist.  Offset starts exactly at (z, dz) =
 (theta0**(1/n), 0) at zeta_start.  Series replaces that with a quadratic
@@ -34,6 +39,7 @@ COMPLETED = "completed"
 DIVERGED = "diverged"
 
 DIVERGENCE_GUARD = 1e12
+RUNAWAY_ULPS = 1e3
 
 # Dormand-Prince 5(4): nodes C, lower rows of A, fifth-order weights B,
 # error weights E (fifth minus fourth order, over the 7 stages with the
@@ -130,8 +136,8 @@ class Trajectory(_Record):
     slopes[14*k:14*k+14] holds its seven stage slopes (z', dz').  Its
     interpolant (zs[k], dzs[k]) + h * quartic(k) . (s, s^2, s^3, s^4),
     s = (zeta - zetas[k])/h, has slope rhs at zetas[k], so the curve is C1.
-    diverged_at is the zeta where |z| crossed the divergence guard, else
-    None.
+    diverged_at is the zeta where |z| crossed the divergence guard, or the
+    node where the runaway rule ended the run, else None.
     """
 
     __slots__ = ("params", "zetas", "zs", "dzs", "slopes", "events",
@@ -193,13 +199,13 @@ def _crossing(zetas, zs, slopes, k, g) -> float:
 
 
 def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
-    """Integrate from zeta_start to zeta_end, or to the divergence guard.
+    """Integrate from zeta_start to zeta_end, or until the run diverges.
 
     Raises IntegrationError on step-size underflow, on an overflowing
-    right-hand side at the start, or when max_steps runs out.  A guard
-    crossing |z| > 1e12 is not an error: the trajectory is returned with
-    diverged_at set to the last float before the crossing, so its status
-    is "diverged".
+    right-hand side at the start, or when max_steps runs out.  A runaway
+    is not an error: the trajectory is returned with diverged_at set to
+    the last float before the guard crossing |z| > 1e12, or to the node
+    where the runaway rule fired, so its status is "diverged".
     """
     t = opts.zeta_start
     if opts.start_mode == SERIES:
@@ -212,6 +218,12 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
         (a61, a62, a63, a64, a65) = A
     (b1, _, b3, b4, b5, b6), (e1, _, e3, e4, e5, e6, e7) = B, E
     rtol, atol, t_end = opts.rel_tol, opts.abs_tol, opts.zeta_end
+    # the runaway rule: |z| > u, which never holds for n = 1 or omega = 0,
+    # z*dz > 0, and tau < RUNAWAY_ULPS ulp(zeta) as 2|z| < scale*|dz|*ulp(zeta)
+    n1, ulp, guard = params.n - 1, math.ulp, DIVERGENCE_GUARD
+    u = params.omega ** (-1.0 / params.n) if n1 and params.omega else math.inf
+    scale = RUNAWAY_ULPS * n1
+    diverged_at = None
     try:
         k1z, k1d = rhs(t, z, dz, params)
     except OverflowError:
@@ -279,7 +291,11 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
                        k6z, k6d, k7z, k7d))
         nodes.extend((t_new, z_new, dz_new))
         t, z, dz, k1z, k1d = t_new, z_new, dz_new, k7z, k7d
-        if abs(z) > DIVERGENCE_GUARD:
+        if abs(z) > guard:
+            break
+        if abs(z) > u and z * dz > 0.0 and \
+                2.0 * abs(z) < scale * abs(dz) * ulp(t):
+            diverged_at = t
             break
 
     zetas, zs = nodes[0::3], nodes[1::3]
@@ -287,9 +303,9 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     events = tuple(_crossing(zetas, zs, slopes, k, lambda z: z)
                    for k, (za, zb) in enumerate(zip(zs, zs[1:]))
                    if za != 0.0 and (zb == 0.0 or (za > 0.0) != (zb > 0.0)))
-    diverged_at = _crossing(zetas, zs, slopes, steps - 1,
-                            lambda z: abs(z) - DIVERGENCE_GUARD) \
-        if abs(z) > DIVERGENCE_GUARD else None
+    if abs(z) > guard:
+        diverged_at = _crossing(zetas, zs, slopes, steps - 1,
+                                lambda z: abs(z) - guard)
     return Trajectory(params=params, zetas=zetas, zs=zs, dzs=nodes[2::3],
                       slopes=slopes, events=events, diverged_at=diverged_at)
 

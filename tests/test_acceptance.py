@@ -307,13 +307,22 @@ def test_criterion_08_odd_n_escape(record_criterion):
     # start z(zeta0) = 2 + 1e-3, a 1e-3 displacement off the repelling point
     esc = escape_zeta(make_params(1, 0.5), perturbation=1e-3,
                       threshold=10.0, zeta_end=50.0)
-    ok = esc is not None and esc < 50.0
+    # the same start displaced off u = 0.5**(-1/n) for n = 3, 5 and 7, which
+    # blow up in finite zeta; n >= 5 used to end in step-size underflow
+    higher = {n: escape_zeta(make_params(n, 0.5), perturbation=1e-3,
+                             threshold=10.0, zeta_end=50.0) for n in (3, 5, 7)}
+    ok = esc is not None and esc < 50.0 and all(
+        e is not None and e < 50.0 for e in higher.values())
     record_criterion(8, ok,
                      f"odd-n instability: |z - 2| > 10 reached at zeta = "
                      f"{esc if esc is None else round(esc, 3)} (gate: before 50; "
-                     f"growth-rate estimate predicts about 25)")
+                     f"growth-rate estimate predicts about 25); |z - u| > 10 "
+                     f"at n = 3, 5, 7: " + ", ".join(
+                         f"{e if e is None else round(e, 3)}"
+                         for e in higher.values()) + " (gate: before 50)")
     assert esc is not None
     assert esc < 50.0
+    assert all(e is not None and e < 50.0 for e in higher.values())
 
 
 def test_criterion_09_basin_invariance(convergence_run, record_criterion):

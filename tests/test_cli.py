@@ -280,6 +280,24 @@ def test_solve_divergence_is_reported_success(tmp_path, capsys):
     assert f"diverged_at = {summary['diverged_at']:.12g} (|z| crossed" in text
 
 
+def test_solve_runaway_past_float_resolution_is_reported_success(tmp_path,
+                                                                 capsys):
+    """n = 5 blows up below float resolution in zeta before |z| reaches the
+    guard; it used to exit 2 with a step-size underflow."""
+    out = tmp_path / "div.csv"
+    code, stdout, _ = _run(["solve", "--n", "5", "--omega", "0.5",
+                            "--out", str(out), "--json"], capsys)
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["diverged_at"] == float(
+        out.read_text().splitlines()[-1].split(",")[0])
+    code, text, _ = _run(["solve", "--n", "5", "--omega", "0.5",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    assert (f"diverged_at = {summary['diverged_at']:.12g} (z runs away "
+            "within float resolution in zeta;") in text
+
+
 def test_solve_deterministic_bytes(tmp_path, capsys):
     blobs = []
     for sub in ("a", "b"):

@@ -168,11 +168,13 @@ def _halo_boundary_oracle(theta0: float, omega: float) -> float:
 
 # theta0 = 1e308 with omega = 1e-309 made 2*theta0/(1 - theta0*omega)
 # overflow, and zeta_M read inf.  theta0*omega = 1 - 2**-40, exact in
-# floats, puts zeta_M far out; a rounded product that near 1 would change
-# 1 - theta0*omega itself.
+# floats, puts zeta_M far out.  At theta0 = 7 the product rounds near 1,
+# and 1 - theta0*omega taken from the rounded product left zeta_M 7.2e-4
+# off.
 HALO_CASES = [(1.0, 1e-8), (1.0, 1e-6), (1.0, 1e-4), (1.0, 0.5), (1.0, 0.9),
               (1e308, 1e-309), (1e308, 9e-309), (3.0, 0.3), (0.2, 4.0),
-              (1e-300, 5e299), (1e200, 1e-210), (8.0, (1 - 2 ** -40) / 8)]
+              (1e-300, 5e299), (1e200, 1e-210), (8.0, (1 - 2 ** -40) / 8),
+              (7.0, (1 - 1e-15) / 7.0)]
 
 
 @pytest.mark.parametrize("theta0, omega", HALO_CASES, ids=[

@@ -26,6 +26,7 @@ from lanestab import (
     theta_from_z,
 )
 from lanestab.integrate import COMPLETED, DIVERGED, Trajectory, _dense
+from lanestab.model import _bisect
 from lanestab.stability import escape_zeta
 
 
@@ -331,6 +332,64 @@ def test_diverged_run_keeps_its_zero_crossings():
     assert abs(z_at + 1e12) <= 5e-4 * 1e12
 
 
+def _time_left(traj) -> float:
+    """tau = 2|z|/((n-1)|dz|) at the last node, the time left to blow-up."""
+    return 2.0 * abs(traj.zs[-1]) / ((traj.params.n - 1) * abs(traj.dzs[-1]))
+
+
+# odd n from theta0 = 1 runs down through z = 0 first; theta0 = 1.1/omega
+# starts above the repelling equilibrium for every n
+RUNAWAYS = [(n, omega, 1.0) for n in (5, 7) for omega in (0.5, 0.9)] + [
+    (n, omega, 1.1 / omega) for n in (4, 5, 6, 7) for omega in (0.5, 0.9)] \
+    + [(51, 2.0, 1.0)]
+
+
+@pytest.mark.parametrize("n, omega, theta0", RUNAWAYS)
+def test_runaway_past_float_resolution_ends_as_diverged(n, omega, theta0):
+    """For n >= 4 the |z| = 1e12 guard lies below float resolution in
+    zeta, and these runs ended in step-size underflow.  The runaway rule
+    ends each at the first node past |z| = u moving outward with tau below
+    1e3 ulp(zeta); diverged_at is that node."""
+    traj = integrate(make_params(n, omega, theta0),
+                     IntegratorOptions(zeta_end=60.0))
+    assert traj.status == DIVERGED
+    assert traj.diverged_at == traj.zetas[-1] < 60.0
+    z, dz = traj.zs[-1], traj.dzs[-1]
+    assert omega ** (-1.0 / n) < abs(z) < 1e12 and z * dz > 0.0
+    assert _time_left(traj) < 1e3 * math.ulp(traj.diverged_at)
+    assert (z > 0.0) == (theta0 * omega > 1.0)
+    assert len(traj.events) == (z < 0.0)
+
+
+@pytest.mark.parametrize("omega, diverged_at", [(0.5, 10.707737149727633),
+                                                (0.9, 11.775872914372105),
+                                                (1.5, 5.274162382931308)])
+def test_n3_runaway_still_ends_at_the_guard(omega, diverged_at):
+    """At n = 3 the guard fires first, so diverged_at keeps its value bit
+    for bit: the last float before |z| crosses 1e12."""
+    traj = integrate(make_params(3, omega), IntegratorOptions(zeta_end=60.0))
+    assert traj.diverged_at == diverged_at < traj.zetas[-1]
+    assert abs(traj.zs[-1]) > 1e12
+
+
+def test_a_node_just_past_a_zero_does_not_end_the_run():
+    """zeta_end is put one float past the first zero of z, so the last
+    node moves outward (z*dz > 0) with tau far below 1e3 ulp(zeta): only
+    the |z| > u test keeps the runaway rule from firing there."""
+    p = make_params(2, 0.5)
+    full = integrate(p, IntegratorOptions(zeta_end=10.0))
+    k = next(k for k, (a, b) in enumerate(zip(full.zs, full.zs[1:]))
+             if (a > 0.0) != (b > 0.0))
+    # the steps before zeta_end do not depend on it, so the last node's z
+    # changes sign inside step k as zeta_end moves across it
+    last = _bisect(lambda t: integrate(p, IntegratorOptions(t)).zs[-1] > 0.0,
+                   full.zetas[k], full.zetas[k + 1])
+    traj = integrate(p, IntegratorOptions(math.nextafter(last, math.inf)))
+    assert traj.zs[-1] * traj.dzs[-1] > 0.0
+    assert _time_left(traj) < 1e3 * math.ulp(traj.zetas[-1])
+    assert traj.status == COMPLETED and len(traj.events) == 1
+
+
 def _changes_side_after(traj, zeta, g) -> bool:
     """Whether g(z), z on the quartic of the step holding zeta, lies on
     opposite sides of zero at zeta and at the next float, or is zero."""
@@ -359,14 +418,20 @@ def test_every_crossing_is_located_to_one_float(n):
 
 
 @pytest.mark.parametrize("n, omega", [(1, 0.5), (1, 0.9), (2, 0.1), (2, 0.5),
-                                      (2, 0.9), (3, 0.1), (3, 0.5), (3, 0.9)])
+                                      (2, 0.9), (3, 0.1), (3, 0.5), (3, 0.9),
+                                      (4, 0.5), (5, 0.5), (6, 0.5), (7, 0.5),
+                                      (4, 0.9), (5, 0.9), (6, 0.9), (7, 0.9)])
 def test_escape_zeta_is_located_to_one_float(n, omega, monkeypatch):
+    """For n >= 4 the escape run ended in step-size underflow before the
+    runaway rule."""
     runs = []
     monkeypatch.setattr("lanestab.stability.integrate",
                         lambda *a: runs.append(integrate(*a)) or runs[-1])
     zeta, u = escape_zeta(make_params(n, omega)), omega ** (-1.0 / n)
     assert zeta is not None
     assert _changes_side_after(runs[0], zeta, lambda z: abs(z - u) - 10.0)
+    if (n, omega) == (4, 0.5):
+        assert math.isclose(zeta, 12.494030108633428, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("n, status", [(2, COMPLETED), (3, DIVERGED)])

@@ -410,7 +410,8 @@ def test_escape_none_when_window_too_short():
 def test_escape_at_the_start_outside_the_tube():
     """A perturbation past the threshold has left the tube at the start."""
     p = make_params(1, 0.5)
-    assert escape_zeta(p, perturbation=20.0) == IntegratorOptions(1.0).zeta_start
+    start = IntegratorOptions(zeta_end=1.0).zeta_start
+    assert escape_zeta(p, perturbation=20.0) == start
 
 
 def test_convergence_toward_left_equilibrium():
