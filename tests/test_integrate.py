@@ -422,8 +422,8 @@ def test_every_crossing_is_located_to_one_float(n):
                                       (4, 0.5), (5, 0.5), (6, 0.5), (7, 0.5),
                                       (4, 0.9), (5, 0.9), (6, 0.9), (7, 0.9)])
 def test_escape_zeta_is_located_to_one_float(n, omega, monkeypatch):
-    """For n >= 4 the escape run ended in step-size underflow before the
-    runaway rule."""
+    """n >= 4 needs the runaway rule: the displaced start blows up below
+    float resolution in zeta before |z| reaches the guard."""
     runs = []
     monkeypatch.setattr("lanestab.stability.integrate",
                         lambda *a: runs.append(integrate(*a)) or runs[-1])
