@@ -35,7 +35,7 @@ from .integrate import (DIVERGED, DIVERGENCE_GUARD, IntegrationError,
                         first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
                     _require_positive, equilibria, make_params, theta_from_z)
-from .stability import classify, lyapunov_V, lyapunov_Vdot
+from .stability import classify, lyapunov_V
 
 CSV_HEADER_FULL = "zeta,z,dz,theta,V,Vdot"
 CSV_HEADER_BARE = "zeta,z,dz,theta"
@@ -74,21 +74,27 @@ def _json_text(payload: dict) -> str:
 
 
 def _trajectory_csv(traj: Trajectory) -> str:
+    """The CSV text; theta, V and Vdot repeat theta_from_z, lyapunov_V and
+    lyapunov_Vdot's arithmetic inline, so each cell equals theirs."""
     params = traj.params
     n = params.n
     rows = zip(traj.zetas, traj.zs, traj.dzs)
     if n % 2 == 0 and params.omega > 0.0:
         z_eq = equilibria(params)[0].z_eq
-        lines = [CSV_HEADER_FULL] + [
-            "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-                t, z, dz, theta_from_z(z, n),
-                lyapunov_V(z - z_eq, dz, params), lyapunov_Vdot(dz, t))
+        lyapunov_V(traj.zs[0] - z_eq, traj.dzs[0], params)  # its checks, once
+        u, m = -z_eq, n + 1
+        tail, c = u ** m, -2.0 * params.omega / m ** 2
+        lines = [CSV_HEADER_FULL + "\n"] + [
+            "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+                t, z, dz, z ** n,
+                c * (((x1 := z - z_eq) - u) ** m + tail) + 2.0 * x1 / m
+                + dz * dz, -4.0 * dz * dz / t)
             for t, z, dz in rows]
     else:
-        lines = [CSV_HEADER_BARE] + [
-            "%.17g,%.17g,%.17g,%.17g" % (t, z, dz, theta_from_z(z, n))
+        lines = [CSV_HEADER_BARE + "\n"] + [
+            "%.17g,%.17g,%.17g,%.17g\n" % (t, z, dz, z ** n)
             for t, z, dz in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(lines)
 
 
 def _outcome(traj: Trajectory, zeta_star: float | None) -> dict:

@@ -1,8 +1,9 @@
 """Adaptive integration of the cloud profile from near the singular point.
 
 model.rhs is smooth and nonstiff for zeta >= zeta_start > 0.  An in-house
-Dormand-Prince 5(4) pair steps it on plain floats (Hairer, Norsett &
-Wanner, Solving ODEs I, II.4-II.6) with the controller of scipy's RK45:
+Dormand-Prince 5(4) pair steps it on plain floats, each stage evaluating
+rhs's expression inline (Hairer, Norsett & Wanner, Solving ODEs I,
+II.4-II.6), with the controller of scipy's RK45:
 RMS error norm over (z, dz) scaled by atol + max(|y|, |y_new|)*rtol, no
 growth right after a rejection, first step min(1e-4, span/100), underflow
 once h < 10 ulp(zeta).  An overflowing trial stage is a rejected step.
@@ -218,10 +219,12 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
         (a61, a62, a63, a64, a65) = A
     (b1, _, b3, b4, b5, b6), (e1, _, e3, e4, e5, e6, e7) = B, E
     rtol, atol, t_end = opts.rel_tol, opts.abs_tol, opts.zeta_end
+    omega, n = params.omega, params.n
+    inv = 1.0 / (n + 1.0)  # model.rhs's factor, so each stage matches it
     # the runaway rule: |z| > u, which never holds for n = 1 or omega = 0,
     # z*dz > 0, and tau < RUNAWAY_ULPS ulp(zeta) as 2|z| < scale*|dz|*ulp(zeta)
-    n1, ulp, guard = params.n - 1, math.ulp, DIVERGENCE_GUARD
-    u = params.omega ** (-1.0 / params.n) if n1 and params.omega else math.inf
+    n1, ulp, guard = n - 1, math.ulp, DIVERGENCE_GUARD
+    u = omega ** (-1.0 / n) if n1 and omega else math.inf
     scale = RUNAWAY_ULPS * n1
     diverged_at = None
     try:
@@ -230,6 +233,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
         raise IntegrationError(f"right-hand side overflows at the start "
                                f"zeta = {t!r}", t) from None
     h_abs = min(1e-4, (t_end - t) / 100.0)
+    az, adz = abs(z), abs(dz)
     nodes = array("d", (t, z, dz))  # (zeta, z, dz) per node
     slopes = array("d")  # the 7 stage slopes (z', dz') per accepted step
     steps = 0
@@ -239,43 +243,52 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
             raise IntegrationError(
                 f"max_steps = {opts.max_steps} exhausted at zeta = {t!r}", t)
         steps += 1
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        min_step = 10.0 * ulp(t)  # ten float spacings above t
+        # plain comparisons clamp the step and take the error scale: each
+        # picks the operand max() or min() would, without the call's cost
+        if h_abs < min_step:
+            h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
                 raise IntegrationError(
                     f"step size underflow; last good zeta = {t!r}", t)
-            t_new = min(t + h_abs, t_end)
+            t_new = t + h_abs
+            if t_new > t_end:
+                t_new = t_end
             h = h_abs = t_new - t
-            try:
-                k2z, k2d = rhs(t + c2 * h, z + a21 * k1z * h,
-                               dz + a21 * k1d * h, params)
-                k3z, k3d = rhs(t + c3 * h, z + (a31 * k1z + a32 * k2z) * h,
-                               dz + (a31 * k1d + a32 * k2d) * h, params)
-                k4z, k4d = rhs(t + c4 * h,
-                               z + (a41 * k1z + a42 * k2z + a43 * k3z) * h,
-                               dz + (a41 * k1d + a42 * k2d + a43 * k3d) * h,
-                               params)
-                k5z, k5d = rhs(t + c5 * h, z + (a51 * k1z + a52 * k2z
-                                                + a53 * k3z + a54 * k4z) * h,
-                               dz + (a51 * k1d + a52 * k2d + a53 * k3d
-                                     + a54 * k4d) * h, params)
-                k6z, k6d = rhs(t_new, z + (a61 * k1z + a62 * k2z + a63 * k3z
-                                           + a64 * k4z + a65 * k5z) * h,
-                               dz + (a61 * k1d + a62 * k2d + a63 * k3d
-                                     + a64 * k4d + a65 * k5d) * h, params)
+            try:  # each stage inlines model.rhs's expression exactly
+                k2z = dz + a21 * k1d * h
+                k2d = (omega * (z + a21 * k1z * h) ** n - 1.0) * inv \
+                    - 2.0 * k2z / (t + c2 * h)
+                k3z = dz + (a31 * k1d + a32 * k2d) * h
+                k3d = (omega * (z + (a31 * k1z + a32 * k2z) * h) ** n - 1.0) \
+                    * inv - 2.0 * k3z / (t + c3 * h)
+                k4z = dz + (a41 * k1d + a42 * k2d + a43 * k3d) * h
+                k4d = (omega * (z + (a41 * k1z + a42 * k2z + a43 * k3z) * h)
+                       ** n - 1.0) * inv - 2.0 * k4z / (t + c4 * h)
+                k5z = dz + (a51 * k1d + a52 * k2d + a53 * k3d + a54 * k4d) * h
+                k5d = (omega * (z + (a51 * k1z + a52 * k2z + a53 * k3z
+                                     + a54 * k4z) * h) ** n - 1.0) * inv \
+                    - 2.0 * k5z / (t + c5 * h)
+                k6z = dz + (a61 * k1d + a62 * k2d + a63 * k3d + a64 * k4d
+                            + a65 * k5d) * h
+                k6d = (omega * (z + (a61 * k1z + a62 * k2z + a63 * k3z
+                                     + a64 * k4z + a65 * k5z) * h) ** n
+                       - 1.0) * inv - 2.0 * k6z / t_new
                 z_new = z + h * (b1 * k1z + b3 * k3z + b4 * k4z + b5 * k5z
                                  + b6 * k6z)
                 dz_new = dz + h * (b1 * k1d + b3 * k3d + b4 * k4d + b5 * k5d
                                    + b6 * k6d)
-                k7z, k7d = rhs(t_new, z_new, dz_new, params)
+                k7z = dz_new
+                k7d = (omega * z_new ** n - 1.0) * inv - 2.0 * k7z / t_new
+                az_new, adz_new = abs(z_new), abs(dz_new)
                 ez = (e1 * k1z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z
-                      + e7 * k7z) * h / (atol + max(abs(z), abs(z_new))
-                                         * rtol)
+                      + e7 * k7z) * h / (atol + (
+                          az_new if az_new > az else az) * rtol)
                 ed = (e1 * k1d + e3 * k3d + e4 * k4d + e5 * k5d + e6 * k6d
-                      + e7 * k7d) * h / (atol + max(abs(dz), abs(dz_new))
-                                         * rtol)
+                      + e7 * k7d) * h / (atol + (
+                          adz_new if adz_new > adz else adz) * rtol)
                 err = math.sqrt(ez * ez + ed * ed) / 2 ** 0.5
             except OverflowError:
                 err = math.inf
@@ -291,10 +304,10 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
                        k6z, k6d, k7z, k7d))
         nodes.extend((t_new, z_new, dz_new))
         t, z, dz, k1z, k1d = t_new, z_new, dz_new, k7z, k7d
-        if abs(z) > guard:
+        az, adz = az_new, adz_new
+        if az > guard:
             break
-        if abs(z) > u and z * dz > 0.0 and \
-                2.0 * abs(z) < scale * abs(dz) * ulp(t):
+        if az > u and z * dz > 0.0 and 2.0 * az < scale * adz * ulp(t):
             diverged_at = t
             break
 

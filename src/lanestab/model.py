@@ -163,9 +163,9 @@ def theta_from_z(z: float, n: int) -> float:
 def rhs(zeta: float, z: float, dz: float, params: ModelParams) -> tuple[float, float]:
     """Right-hand side of the first-order system at radius zeta > 0.
 
-    Returns (dz, (omega*z**n - 1)/(n+1) - 2*dz/zeta).  The integrator
-    steps this function; it multiplies by 1/(n+1) rather than dividing,
-    and emitted trajectories depend on that rounding.
+    Returns (dz, (omega*z**n - 1)/(n+1) - 2*dz/zeta).  The integrator's
+    stages use this exact expression; it multiplies by 1/(n+1) rather than
+    dividing, and emitted trajectories depend on that rounding.
     """
     if not zeta > 0.0:
         raise ValidationError("zeta", f"must be > 0, got {zeta!r}")

@@ -165,9 +165,13 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
 
     This operationalizes "unstable": the certificate forbids decay, and
     this run exhibits the escape concretely.  The start replaces theta0
-    with (z_eq + perturbation)**n; all other params fields are kept.
+    with (z_eq + perturbation)**n, for a finite perturbation > -z_eq that
+    keeps the start on z_eq's side of 0; all other params fields are kept.
     """
     u = _radius(params)
+    perturbation = _require_float("perturbation", perturbation, "must be "
+                                  f"finite and > -omega**(-1/n) = {-u!r}",
+                                  lambda v: -u < v < math.inf)
     try:
         theta0 = (u + perturbation) ** params.n
     except OverflowError:

@@ -30,6 +30,7 @@ from lanestab import (
     theta_from_z,
     ValidationError,
 )
+from lanestab import cli
 from lanestab.cli import CSV_HEADER_BARE, CSV_HEADER_FULL, build_parser, main
 from lanestab.closedform import powerlaw_boundary
 
@@ -85,6 +86,47 @@ def test_solve_csv_drops_v_columns_when_undefined(tmp_path, capsys):
                        "--zeta-end", "4", "--out", str(free)], capsys)
     assert code == 0
     assert free.read_text().splitlines()[0] == CSV_HEADER_BARE
+
+
+def _csv_cells(params, zeta_end=60.0):
+    traj = integrate(params, IntegratorOptions(zeta_end=zeta_end))
+    lines = cli._trajectory_csv(traj).split("\n")
+    assert lines[-1] == "" and len(lines) == len(traj.zetas) + 2
+    return traj, lines[0], [row.split(",") for row in lines[1:-1]]
+
+
+@pytest.mark.parametrize("theta0", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("omega", [1e-3, 0.1, 0.65, 2.0])
+@pytest.mark.parametrize("n", [2, 4, 6, 50])
+def test_csv_v_columns_equal_the_stability_functions(n, omega, theta0):
+    """The rows compute theta, V and Vdot inline; every cell must equal
+    the %.17g of theta_from_z, lyapunov_V and lyapunov_Vdot, diverged
+    runs (theta0 > 1/omega) included."""
+    p = make_params(n, omega, theta0)
+    traj, header, rows = _csv_cells(p)
+    assert header == CSV_HEADER_FULL
+    z_eq = equilibria(p)[0].z_eq
+    for cells, t, z, dz in zip(rows, traj.zetas, traj.zs, traj.dzs):
+        assert cells == ["%.17g" % v for v in (
+            t, z, dz, theta_from_z(z, n), lyapunov_V(z - z_eq, dz, p),
+            lyapunov_Vdot(dz, t))]
+
+
+@pytest.mark.parametrize("n, omega", [(1, 0.5), (3, 0.125), (5, 2.0),
+                                      (2, 0.0), (3, 0.0)])
+def test_bare_csv_theta_equals_theta_from_z(n, omega):
+    traj, header, rows = _csv_cells(make_params(n, omega))
+    assert header == CSV_HEADER_BARE
+    for cells, t, z, dz in zip(rows, traj.zetas, traj.zs, traj.dzs):
+        assert cells == ["%.17g" % v for v in (t, z, dz, theta_from_z(z, n))]
+
+
+def test_cli_keeps_the_names_the_tracer_patches():
+    """The benchmark's traced mode replaces these cli globals by name."""
+    for name in ("integrate", "first_zero", "classify", "make_params",
+                 "lyapunov_V", "theta_from_z", "_trajectory_csv",
+                 "_write_text", "_read_csv_columns"):
+        assert callable(getattr(cli, name, None)), name
 
 
 def test_solve_json_summary_to_stdout(tmp_path, capsys):

@@ -25,7 +25,7 @@ from lanestab import (
     series_start,
     theta_from_z,
 )
-from lanestab.integrate import COMPLETED, DIVERGED, Trajectory, _dense
+from lanestab.integrate import A, C, COMPLETED, DIVERGED, Trajectory, _dense
 from lanestab.model import _bisect
 from lanestab.stability import escape_zeta
 
@@ -189,17 +189,53 @@ def test_evaluate_many_and_range_checks(run_n2_omega_half):
     assert traj.evaluate_many([]) == []
 
 
-@pytest.mark.parametrize("n, status", [(2, COMPLETED), (3, DIVERGED)])
+def _assert_stage_slopes_are_rhs(traj):
+    """Each stored stage slope equals model.rhs, bit for bit, at the stage
+    state rebuilt from the step's earlier slopes with A and C: the
+    integrator's inline vector field is rhs's exact expression.  Stages 6
+    and 7 sit at the right node itself, and stage 7 at its stored state."""
+    p = traj.params
+    for k in range(len(traj.zetas) - 1):
+        t, t_new, z, dz = traj.zetas[k], traj.zetas[k + 1], traj.zs[k], \
+            traj.dzs[k]
+        h = t_new - t
+        ks = [tuple(traj.slopes[14 * k + 2 * i:14 * k + 2 * i + 2])
+              for i in range(7)]
+        assert ks[0] == rhs(t, z, dz, p)
+        for i, row in enumerate(A, start=1):
+            sz, sd = row[0] * ks[0][0], row[0] * ks[0][1]
+            for a, (kz, kd) in zip(row[1:], ks[1:]):
+                sz, sd = sz + a * kz, sd + a * kd
+            zeta = t_new if i == 5 else t + C[i] * h
+            assert ks[i] == rhs(zeta, z + sz * h, dz + sd * h, p)
+        assert ks[6] == rhs(t_new, traj.zs[k + 1], traj.dzs[k + 1], p)
+
+
+# at omega = 0.5, n = 3 ends at the |z| guard and n = 5 by the runaway rule
+@pytest.mark.parametrize("n, status", [(2, COMPLETED), (3, DIVERGED),
+                                       (5, DIVERGED)])
 def test_interpolant_starts_on_the_vector_field(n, status):
-    """The integrator steps model.rhs itself: every step's first dense
-    coefficient column is rhs at the left node, bit for bit, which is what
-    makes the piecewise curve C1."""
+    """The integrator's stages evaluate model.rhs's expression: every step's
+    first dense coefficient column is rhs at the left node, bit for bit,
+    which is what makes the piecewise curve C1, and so is every other
+    stage slope at its own stage state."""
     p = make_params(n, 0.5)
     traj = integrate(p, IntegratorOptions(zeta_end=60.0))
     assert traj.status == status
     for k in range(len(traj.zetas) - 1):
         want = rhs(float(traj.zetas[k]), traj.zs[k], traj.dzs[k], p)
         assert tuple(q[0] for q in traj.quartic(k)) == want
+    _assert_stage_slopes_are_rhs(traj)
+
+
+@pytest.mark.parametrize("mode", ["offset", "series"])
+@pytest.mark.parametrize("omega", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 51])
+def test_every_stage_slope_is_rhs_bit_for_bit(n, omega, mode):
+    traj = integrate(make_params(n, omega),
+                     IntegratorOptions(zeta_end=60.0, start_mode=mode))
+    assert len(traj.zetas) > 2
+    _assert_stage_slopes_are_rhs(traj)
 
 
 def test_ode_residual_on_dense_output():

@@ -414,6 +414,19 @@ def test_escape_at_the_start_outside_the_tube():
     assert escape_zeta(p, perturbation=20.0) == start
 
 
+@pytest.mark.parametrize("n, perturbation", [
+    (2, -5.0),  # ran from +3.59, the mirror of the start, and returned 3.324
+    (3, -5.0),  # a negative base to the power 1/n: a TypeError on complex
+    (2, -(0.5 ** -0.5)),  # ran from z = 0 and returned None
+    (2, math.nan), (1, math.inf)])
+def test_escape_zeta_refuses_a_start_off_the_equilibrium_side(n,
+                                                              perturbation):
+    with pytest.raises(ValidationError) as exc:
+        escape_zeta(make_params(n, 0.5), perturbation=perturbation)
+    assert exc.value.field == "perturbation"
+    assert f"> -omega**(-1/n) = {-(0.5 ** (-1.0 / n))!r}" in exc.value.message
+
+
 def test_convergence_toward_left_equilibrium():
     p = make_params(2, 0.5)
     traj = integrate(p, IntegratorOptions(zeta_end=200.0))
