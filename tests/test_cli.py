@@ -88,8 +88,8 @@ def test_solve_csv_drops_v_columns_when_undefined(tmp_path, capsys):
     assert free.read_text().splitlines()[0] == CSV_HEADER_BARE
 
 
-def _csv_cells(params, zeta_end=60.0):
-    traj = integrate(params, IntegratorOptions(zeta_end=zeta_end))
+def _csv_cells(params):
+    traj = integrate(params, IntegratorOptions(zeta_end=60.0))
     lines = cli._trajectory_csv(traj).split("\n")
     assert lines[-1] == "" and len(lines) == len(traj.zetas) + 2
     return traj, lines[0], [row.split(",") for row in lines[1:-1]]
