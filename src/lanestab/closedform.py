@@ -143,6 +143,8 @@ def powerlaw_boundary(gamma: float, theta0: float) -> float:
     """Radius zeta_star = sqrt(6 gamma theta0^(gamma-1) / (gamma-1)) where
     the power-law density vanishes (gamma > 1) or diverges (gamma < 0)."""
     gamma, head = _powerlaw_head(gamma, theta0)
+    if math.isinf(6.0 * gamma):  # |gamma| above about 3e307
+        return math.sqrt(6.0 * (gamma / (gamma - 1.0))) * math.sqrt(head)
     if math.isinf(6.0 * gamma * head):  # where head itself is finite
         return math.sqrt(6.0 * gamma / (gamma - 1.0)) * math.sqrt(head)
     return math.sqrt(6.0 * gamma * head / (gamma - 1.0))
@@ -156,10 +158,13 @@ def powerlaw_profile(zeta: float, gamma: float, theta0: float) -> float:
     gaussian_profile and gamma = 0 to waterbag_profile.
     """
     gamma, head = _powerlaw_head(gamma, theta0)
-    spread = (gamma - 1.0) * zeta * zeta
-    # that product, and zeta * zeta, can overflow where the bracket is finite
-    bracket = head - (spread / (6.0 * gamma) if math.isfinite(spread) else
-                      zeta * ((gamma - 1.0) / (6.0 * gamma)) * zeta)
+    if math.isinf(6.0 * gamma):  # |gamma| above about 3e307
+        bracket = head - zeta * ((gamma - 1.0) / gamma / 6.0) * zeta
+    else:
+        spread = (gamma - 1.0) * zeta * zeta
+        # spread, and zeta * zeta, can overflow where the bracket is finite
+        bracket = head - (spread / (6.0 * gamma) if math.isfinite(spread)
+                          else zeta * ((gamma - 1.0) / (6.0 * gamma)) * zeta)
     exponent = 1.0 / (gamma - 1.0)
     if bracket < 0.0 or (bracket == 0.0 and exponent < 0.0):
         raise ValidationError(

@@ -154,10 +154,6 @@ class Trajectory(_Record):
         """Step k's interpolant coefficients, for z and for dz."""
         return _quartic(self.slopes, k)
 
-    def evaluate(self, zeta: float) -> tuple[float, float]:
-        """Dense-output (z, dz) anywhere inside the integrated range."""
-        return self.evaluate_many([zeta])[0]
-
     def evaluate_many(self, zetas) -> list[tuple[float, float]]:
         """Dense-output (z, dz) at each point of an iterable."""
         nodes, out, t0, t1 = self.zetas, [], math.nan, math.nan

@@ -17,8 +17,9 @@ For the repelling equilibrium z = +omega**(-1/n) (the only one when n is
 odd) there is an instability certificate: a function whose rate of change
 along solutions is nonnegative once zeta exceeds a computable onset
 radius, so perturbations cannot decay.  The certificate's positivity
-argument needs x1 >= -omega**(-1/n)/2 in addition to the ball bound; see
-instability_Vdot.
+argument needs x1 >= -omega**(-1/n)/2 in addition to the ball bound; the
+tests evaluate that rate, and the basin membership, pointwise in
+tests/certificate_oracle.py.
 
 All functions are pure; classify() assembles them into a report.
 Functions that take params raise ValidationError naming omega for omega = 0
@@ -30,7 +31,8 @@ from __future__ import annotations
 import math
 
 from .model import (ModelParams, ValidationError, _Record, _radius,
-                    _require_float, _require_positive, equilibria)
+                    _require_float, _require_positive, equilibria,
+                    make_params)
 from .integrate import IntegratorOptions, _crossing, integrate
 
 
@@ -99,48 +101,6 @@ def basin_alpha(params: ModelParams) -> float:
     return 4.0 * n / (params.omega ** (1.0 / n) * (n + 1) ** 2)
 
 
-def basin_contains(x1: float, x2: float, delta: float,
-                   params: ModelParams) -> bool:
-    """Whether x lies in the invariant basin estimate B_delta.
-
-    B_delta is the intersection of the closed ball ||x|| <= 2u with the
-    sublevel set V <= alpha_max - delta; the ball intersection picks the
-    bounded component of the sublevel set.  delta must lie in
-    (0, alpha_max).
-    """
-    alpha = basin_alpha(params)
-    delta = _require_float("delta", delta, f"must lie in (0, alpha_max = "
-                           f"{alpha!r})", lambda v: 0.0 < v < alpha)
-    u = _radius(params)
-    if math.hypot(x1, x2) > 2.0 * u:
-        return False
-    return lyapunov_V(x1, x2, params) <= alpha - delta
-
-
-def instability_Vdot(x1: float, x2: float, zeta: float,
-                     params: ModelParams) -> float:
-    """Rate along solutions of the instability certificate about the
-    repelling equilibrium +u, V = (omega*(x1 + u)**n - 1)*x2 + (n+1)*x2**2/zeta
-    (V(0, zeta) = 0 and V > 0 for x1 = 0, x2 != 0):
-
-    (omega*(x1+u)**n - 1)**2/(n+1) + x2**2*(n*omega*(x1+u)**(n-1) - 5(n+1)/zeta**2).
-
-    Nonnegative whenever zeta >= instability_zeta0(params) AND
-    x1 >= -u/2: the onset radius is calibrated so that
-    n*omega*(x1+u)**(n-1) >= n*omega**(1/n)/2**(n-1) >= 5(n+1)/zeta**2 holds
-    on exactly that half of the ball ||x|| < 2u.  For odd n >= 3 the rate
-    does go negative at large |x2| when x1 < -u/2, so callers must not
-    assume positivity on the full ball.
-    """
-    zeta = _require_positive("zeta", zeta)
-    u = _radius(params)
-    n = params.n
-    drive = params.omega * (x1 + u) ** n - 1.0
-    return drive * drive / (n + 1) \
-        + x2 * x2 * (n * params.omega * (x1 + u) ** (n - 1)
-                     - 5.0 * (n + 1) / (zeta * zeta))
-
-
 def instability_zeta0(params: ModelParams) -> float | None:
     """Onset radius zeta0 = sqrt(1 + 5*(1+1/n)*2**(n-1)*omega**(-1/n)), or
     None past the float range (n above about 2046, or n = 1 with omega
@@ -166,19 +126,25 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
     This operationalizes "unstable": the certificate forbids decay, and
     this run exhibits the escape concretely.  The start replaces theta0
     with (z_eq + perturbation)**n, for a finite perturbation > -z_eq that
-    keeps the start on z_eq's side of 0; all other params fields are kept.
+    keeps the start on z_eq's side of 0 and that power above 0; all other
+    params fields are kept.  threshold must be finite and > 0.
     """
     u = _radius(params)
     perturbation = _require_float("perturbation", perturbation, "must be "
                                   f"finite and > -omega**(-1/n) = {-u!r}",
                                   lambda v: -u < v < math.inf)
+    threshold = _require_positive("threshold", threshold)
     try:
         theta0 = (u + perturbation) ** params.n
     except OverflowError:
         raise ValidationError("omega", f"the displaced start (omega**(-1/n) + "
                               f"perturbation)**n passes the float range at "
                               f"n = {params.n}, got {params.omega!r}") from None
-    traj = integrate(ModelParams(params.n, params.omega, theta0),
+    if theta0 == 0.0:
+        raise ValidationError("perturbation", f"the displaced start "
+                              f"(omega**(-1/n) + perturbation)**n underflows "
+                              f"to 0 at n = {params.n}, got {perturbation!r}")
+    traj = integrate(make_params(params.n, params.omega, theta0),
                      IntegratorOptions(zeta_end=zeta_end))
     k = next((k for k, z in enumerate(traj.zs) if abs(z - u) > threshold),
              None)

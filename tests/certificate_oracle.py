@@ -5,7 +5,9 @@ M = A'P + PA + P' - g(zeta) P is exactly diag(0, -4(1+1/n)/(omega**(1/n)
 zeta^2)).  This module evaluates that residual entry by entry, with the
 Jacobian, the certificate matrix P and the odd-n instability function, so
 the tests check the identity and the certificates numerically instead of
-trusting it.
+trusting it.  It also holds the pointwise certificates that no command
+calls: basin membership and the instability function's rate along
+solutions.  Each raises the package's ValidationError, naming its field.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from lanestab import ValidationError
-from lanestab.model import _require_positive
+from lanestab import ModelParams, ValidationError, basin_alpha, lyapunov_V
+from lanestab.model import _radius, _require_float, _require_positive
 from lanestab.stability import _require_even_n
 
 # 50 log-spaced points on [0.1, 100]: 10**y on numpy.linspace(-1, 2, 50)
@@ -84,10 +86,52 @@ def lmi_residual(zeta, params) -> SymMat2:
 def instability_V(x1, x2, zeta, params) -> float:
     """Instability function about the repelling equilibrium +u:
     V = (omega*(x1 + u)**n - 1)*x2 + (n+1)*x2**2/zeta, whose rate along
-    solutions is lanestab.instability_Vdot."""
+    solutions is instability_Vdot."""
     zeta = _require_positive("zeta", zeta)
     _require_positive_omega(params)
     n = params.n
     u = params.omega ** (-1.0 / n)
     return (params.omega * (x1 + u) ** n - 1.0) * x2 \
         + (n + 1) * x2 * x2 / zeta
+
+
+def basin_contains(x1: float, x2: float, delta: float,
+                   params: ModelParams) -> bool:
+    """Whether x lies in the invariant basin estimate B_delta.
+
+    B_delta is the intersection of the closed ball ||x|| <= 2u with the
+    sublevel set V <= alpha_max - delta; the ball intersection picks the
+    bounded component of the sublevel set.  delta must lie in
+    (0, alpha_max).
+    """
+    alpha = basin_alpha(params)
+    delta = _require_float("delta", delta, f"must lie in (0, alpha_max = "
+                           f"{alpha!r})", lambda v: 0.0 < v < alpha)
+    u = _radius(params)
+    if math.hypot(x1, x2) > 2.0 * u:
+        return False
+    return lyapunov_V(x1, x2, params) <= alpha - delta
+
+
+def instability_Vdot(x1: float, x2: float, zeta: float,
+                     params: ModelParams) -> float:
+    """Rate along solutions of the instability certificate about the
+    repelling equilibrium +u, V = (omega*(x1 + u)**n - 1)*x2 + (n+1)*x2**2/zeta
+    (V(0, zeta) = 0 and V > 0 for x1 = 0, x2 != 0):
+
+    (omega*(x1+u)**n - 1)**2/(n+1) + x2**2*(n*omega*(x1+u)**(n-1) - 5(n+1)/zeta**2).
+
+    Nonnegative whenever zeta >= instability_zeta0(params) AND
+    x1 >= -u/2: the onset radius is calibrated so that
+    n*omega*(x1+u)**(n-1) >= n*omega**(1/n)/2**(n-1) >= 5(n+1)/zeta**2 holds
+    on exactly that half of the ball ||x|| < 2u.  For odd n >= 3 the rate
+    does go negative at large |x2| when x1 < -u/2, so callers must not
+    assume positivity on the full ball.
+    """
+    zeta = _require_positive("zeta", zeta)
+    u = _radius(params)
+    n = params.n
+    drive = params.omega * (x1 + u) ** n - 1.0
+    return drive * drive / (n + 1) \
+        + x2 * x2 * (n * params.omega * (x1 + u) ** (n - 1)
+                     - 5.0 * (n + 1) / (zeta * zeta))

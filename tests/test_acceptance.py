@@ -274,7 +274,7 @@ def test_criterion_06_lyapunov_descent(family_runs, record_criterion):
 def test_criterion_07_even_n_convergence(convergence_run, record_criterion):
     traj, runtime = convergence_run
     z_eq = -(0.5 ** -0.5)
-    tail = abs(traj.evaluate(500.0)[0] - z_eq)
+    tail = abs(traj.evaluate_many([500.0])[0][0] - z_eq)
 
     # oscillation peaks: dz sign changes refined on the dense interpolant
     amps = []
@@ -284,11 +284,12 @@ def test_criterion_07_even_n_convergence(convergence_run, record_criterion):
             lo, hi = float(traj.zetas[k]), float(traj.zetas[k + 1])
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if (traj.evaluate(mid)[1] > 0.0) == (a > 0.0):
+                if (traj.evaluate_many([mid])[0][1] > 0.0) == (a > 0.0):
                     lo = mid
                 else:
                     hi = mid
-            amps.append(abs(traj.evaluate(0.5 * (lo + hi))[0] - z_eq))
+            (z_peak, _), = traj.evaluate_many([0.5 * (lo + hi)])
+            amps.append(abs(z_peak - z_eq))
     diffs = np.diff(amps)
     strictly_decreasing = bool(np.all(diffs < 0.0))
     ok = tail <= 0.05 and strictly_decreasing and runtime < 5.0

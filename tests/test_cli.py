@@ -473,6 +473,8 @@ def test_oracle_powerlaw_caps_grid_at_boundary(tmp_path, capsys):
     # (gamma - 1)*zeta**2 overflowed past zeta = 2.448e153 and 5.474e153,
     # and the table ended there, short of zeta_star = 2.871e153 and 1.789e154
     ("31", "1.6e10", None), ("-5", "5e-52", None),
+    # 6*gamma passed the float range: zeta_star read inf, the table ran on
+    ("3e307", "1", None), ("1e308", "1", None), ("-1e308", "1", None),
 ])
 def test_oracle_powerlaw_table_ends_at_the_last_finite_value(
         gamma, theta0, error, tmp_path, capsys):
@@ -499,6 +501,20 @@ def test_oracle_powerlaw_table_ends_at_the_last_finite_value(
         except (ValidationError, OverflowError):
             beyond = math.inf
         assert not math.isfinite(beyond)
+
+
+def test_oracle_powerlaw_prints_zeta_star_where_six_gamma_overflows(
+        tmp_path, capsys):
+    """At gamma = 1e308 the note printed zeta_star = inf, and the table
+    held theta = 1 out to zeta = 10."""
+    out = tmp_path / "p.csv"
+    code, stdout, _ = _run(["oracle", "--kind", "powerlaw", "--gamma",
+                            "1e308", "--out", str(out)], capsys)
+    assert code == 0
+    assert stdout.splitlines()[-1] == \
+        "profile boundary zeta_star = 2.44948974278"
+    last = float(out.read_text().splitlines()[-1].split(",")[0])
+    assert last <= powerlaw_boundary(1e308, 1.0) < 2.4494897427832
 
 
 def test_oracle_rejects_unknown_kind(tmp_path, capsys):

@@ -249,6 +249,22 @@ def test_powerlaw_profile_where_its_zeta_squared_term_overflows(gamma, theta0):
                             rel_tol=1e-13), frac
 
 
+@pytest.mark.parametrize("gamma", [3e307, 1e308, -1e308])
+def test_powerlaw_where_six_gamma_overflows(gamma):
+    """6*gamma passes the float range above |gamma| of about 3e307, where
+    zeta_star read inf and the profile read 1 at every zeta."""
+    with mp.workdps(40):
+        g = mp.mpf(gamma)
+        reference = float(mp.sqrt(6 * g / (g - 1)))
+    zeta_star = powerlaw_boundary(gamma, 1.0)
+    assert math.isclose(zeta_star, reference, rel_tol=1e-15)
+    for zeta in (zeta_star * (1.0 + 1e-15), 3.0, 10.0, 1e200):
+        with pytest.raises(ValidationError) as exc:
+            powerlaw_profile(zeta, gamma, 1.0)
+        assert exc.value.field == "zeta"
+        assert repr(zeta_star) in exc.value.message
+
+
 def test_powerlaw_rejects_reserved_gammas():
     with pytest.raises(ValidationError) as exc:
         powerlaw_profile(1.0, 1.0, 1.0)

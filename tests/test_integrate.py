@@ -35,6 +35,11 @@ def run_n2_omega_half():
     return integrate(make_params(2, 0.5), IntegratorOptions(zeta_end=30.0))
 
 
+def _point(traj, zeta):
+    """Dense-output (z, dz) at one zeta."""
+    return traj.evaluate_many([zeta])[0]
+
+
 def test_series_coefficient_rederived_symbolically():
     """The quadratic-start coefficient must follow from the equation itself,
     not from trusting the implementation: substitute z = z0 + c*zeta**2 into
@@ -151,7 +156,7 @@ def test_trajectory_shape(run_n2_omega_half):
 def test_dense_output_reproduces_nodes(run_n2_omega_half):
     traj = run_n2_omega_half
     for k in range(0, len(traj.zetas), 37):
-        z, dz = traj.evaluate(float(traj.zetas[k]))
+        z, dz = _point(traj, float(traj.zetas[k]))
         assert abs(z - traj.zs[k]) <= 1e-12
         assert abs(dz - traj.dzs[k]) <= 1e-12
     # each interpolant must hand over to the next node it was fitted against
@@ -170,17 +175,17 @@ def test_evaluate_many_and_range_checks(run_n2_omega_half):
     assert np.asarray(out).shape == (57, 2)
     assert all(type(v) is float for row in out for v in row)
     for t, row in zip(grid, out):
-        z, dz = traj.evaluate(float(t))
+        z, dz = _point(traj, float(t))
         assert row[0] == z and row[1] == dz
     # points that share a step reuse its quartic, in either order, and the
     # last node belongs to the last step
     fine = [*np.linspace(traj.zetas[0], traj.zetas[3], 40), traj.zetas[-1]]
     for pts in (fine, fine[::-1]):
-        assert traj.evaluate_many(pts) == [traj.evaluate(t) for t in pts]
-    assert abs(traj.evaluate(traj.zetas[-1])[0] - traj.zs[-1]) <= 1e-10
+        assert traj.evaluate_many(pts) == [_point(traj, t) for t in pts]
+    assert abs(_point(traj, traj.zetas[-1])[0] - traj.zs[-1]) <= 1e-10
     for bad in (5e-4, 30.5):
         with pytest.raises(ValidationError) as exc:
-            traj.evaluate(bad)
+            _point(traj, bad)
         assert exc.value.field == "zeta"
     # one point out of range fails the whole array
     with pytest.raises(ValidationError) as exc:
@@ -249,9 +254,9 @@ def test_ode_residual_on_dense_output():
         for zeta in rng.uniform(lo * 1.05, hi * 0.95, size=100):
             zeta = float(zeta)
             h = 1e-6 * zeta
-            zp = traj.evaluate(zeta + h)
-            zm = traj.evaluate(zeta - h)
-            zc = traj.evaluate(zeta)
+            zp = _point(traj, zeta + h)
+            zm = _point(traj, zeta - h)
+            zc = _point(traj, zeta)
             want = rhs(zeta, zc[0], zc[1], p)
             fd_z = (zp[0] - zm[0]) / (2.0 * h)
             fd_dz = (zp[1] - zm[1]) / (2.0 * h)
@@ -263,7 +268,7 @@ def test_start_mode_agreement_downstream():
     p = make_params(2, 0.5)
     t_off = integrate(p, IntegratorOptions(zeta_end=2.0))
     t_ser = integrate(p, IntegratorOptions(zeta_end=2.0, start_mode="series"))
-    assert abs(t_off.evaluate(1.0)[0] - t_ser.evaluate(1.0)[0]) <= 1e-7
+    assert abs(_point(t_off, 1.0)[0] - _point(t_ser, 1.0)[0]) <= 1e-7
 
 
 def test_tolerance_self_consistency():
@@ -271,7 +276,7 @@ def test_tolerance_self_consistency():
 
     def z_end(rtol: float) -> float:
         opts = IntegratorOptions(zeta_end=30.0, rel_tol=rtol, abs_tol=1e-13)
-        return integrate(p, opts).evaluate(30.0)[0]
+        return _point(integrate(p, opts), 30.0)[0]
 
     for rtol in (1e-6, 1e-8):
         assert abs(z_end(rtol) - z_end(rtol / 2.0)) < rtol
@@ -279,12 +284,12 @@ def test_tolerance_self_consistency():
 
 def test_tolerance_ladder_converges():
     p = make_params(2, 0.5)
-    ref = integrate(p, IntegratorOptions(zeta_end=30.0, rel_tol=1e-12,
-                                         abs_tol=1e-14)).evaluate(30.0)[0]
+    ref = _point(integrate(p, IntegratorOptions(zeta_end=30.0, rel_tol=1e-12,
+                                                abs_tol=1e-14)), 30.0)[0]
     errs = []
     for rtol, atol in ((1e-5, 1e-8), (1e-7, 1e-10), (1e-9, 1e-12)):
         opts = IntegratorOptions(zeta_end=30.0, rel_tol=rtol, abs_tol=atol)
-        errs.append(abs(integrate(p, opts).evaluate(30.0)[0] - ref))
+        errs.append(abs(_point(integrate(p, opts), 30.0)[0] - ref))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-8
 
@@ -317,7 +322,7 @@ def test_first_zero_matches_halo_boundary():
     zc = first_zero(traj)
     assert zc is not None
     assert abs(zc - halo_boundary(HaloProfile(theta0=1.0, omega=0.5))) <= 1e-6
-    z_at, _ = traj.evaluate(zc)
+    z_at, _ = _point(traj, zc)
     assert abs(z_at) <= 1e-9
     assert zc == traj.events[0]
     assert all(type(ev) is float for ev in traj.events)
@@ -331,7 +336,7 @@ def test_first_zero_none_on_constant_solution():
     assert first_zero(traj) is None
     assert traj.events == ()
     assert np.all(np.asarray(traj.zs) == 2.0)
-    assert traj.evaluate(7.3) == (2.0, 0.0)
+    assert _point(traj, 7.3) == (2.0, 0.0)
 
 
 def test_divergence_guard_structured_outcome():
@@ -343,7 +348,7 @@ def test_divergence_guard_structured_outcome():
     assert traj.diverged_at is not None
     assert 10.0 < traj.diverged_at < 20.0
     assert traj.events == ()  # z runs away upward; the guard is no event
-    z_at, _ = traj.evaluate(traj.diverged_at)
+    z_at, _ = _point(traj, traj.diverged_at)
     assert abs(abs(z_at) - 1e12) <= 1e-3 * 1e12
     assert traj.zetas[-1] >= traj.diverged_at
 
@@ -360,11 +365,11 @@ def test_diverged_run_keeps_its_zero_crossings():
     assert traj.status == DIVERGED
     assert len(traj.events) == 1 and type(traj.events[0]) is float
     assert first_zero(traj) == traj.events[0] < traj.diverged_at
-    assert abs(traj.evaluate(traj.events[0])[0]) <= 1e-9
+    assert abs(_point(traj, traj.events[0])[0]) <= 1e-9
     # the guard step is far steeper here than in the n = 2 runaway: one
     # float of zeta moves z by 4.4e-4 of the guard, and diverged_at, the
     # last float before the crossing, leaves 1.0e-4 in z
-    z_at, _ = traj.evaluate(traj.diverged_at)
+    z_at, _ = _point(traj, traj.diverged_at)
     assert abs(z_at + 1e12) <= 5e-4 * 1e12
 
 

@@ -15,10 +15,10 @@ from lanestab import (
     IntegratorOptions,
     ModelParams,
     ValidationError,
-    basin_contains,
     classify,
     integrate,
     equilibria,
+    escape_zeta,
     gaussian_profile,
     lane_emden_radius,
     make_params,
@@ -28,6 +28,8 @@ from lanestab import (
 from lanestab.cli import build_parser
 from lanestab.closedform import powerlaw_boundary
 from lanestab.model import STABLE_LEFT, UNSTABLE_ODD, UNSTABLE_RIGHT
+
+from certificate_oracle import basin_contains
 
 
 def _oracle_zeta_end(value):
@@ -143,10 +145,14 @@ def test_positive_integer_rule(call, field, value):
     (lambda v: IntegratorOptions(10.0, abs_tol=v), "abs_tol"),
     (lambda v: powerlaw_boundary(v, 1.0), "gamma"),
     (lambda v: basin_contains(0.0, 0.0, v, make_params(2, 0.5)), "delta"),
+    (lambda v: escape_zeta(make_params(1, 0.5), perturbation=v),
+     "perturbation"),
+    (lambda v: escape_zeta(make_params(1, 0.5), threshold=v), "threshold"),
 ], ids=["make_params.omega", "make_params.theta0",
         "IntegratorOptions.zeta_start",
         "IntegratorOptions.zeta_end", "IntegratorOptions.rel_tol",
-        "IntegratorOptions.abs_tol", "powerlaw.gamma", "basin_contains.delta"])
+        "IntegratorOptions.abs_tol", "powerlaw.gamma", "basin_contains.delta",
+        "escape_zeta.perturbation", "escape_zeta.threshold"])
 def test_non_numeric_value_names_its_field(call, field, value):
     """A value float() refuses is a ValidationError naming its field, with
     the field's rule, never a bare ValueError, TypeError or OverflowError."""

@@ -1,8 +1,9 @@
 """Certificates: LMI residual, descent function, basin, instability rate.
 
-The LMI residual, its matrix P, the Jacobian and the instability function
-come from the test oracle module certificate_oracle; classify() reports the
-LMI from the closed form that the oracle checks.
+The LMI residual, its matrix P, the Jacobian, basin membership and the
+instability function with its rate come from the test oracle module
+certificate_oracle; classify() reports the LMI from the closed form that
+the oracle checks.
 
 The two rate formulas are rederived symbolically in-test (chain rule along
 the system's vector field) before any numeric value is trusted.
@@ -20,11 +21,9 @@ from lanestab import (
     IntegratorOptions,
     ValidationError,
     basin_alpha,
-    basin_contains,
     classify,
     equilibria,
     escape_zeta,
-    instability_Vdot,
     instability_zeta0,
     integrate,
     lyapunov_V,
@@ -33,8 +32,9 @@ from lanestab import (
     rhs,
 )
 
-from certificate_oracle import (LMI_GRID, SymMat2, certificate_P,
-                                instability_V, jacobian, lmi_residual)
+from certificate_oracle import (LMI_GRID, SymMat2, basin_contains,
+                                certificate_P, instability_V,
+                                instability_Vdot, jacobian, lmi_residual)
 
 # frozen from 40-digit arithmetic: 4n/(omega**(1/n) (n+1)**2) at n=2, omega=0.5
 ALPHA_MAX_N2_OMEGA_HALF = 1.2570787221094178
@@ -427,10 +427,34 @@ def test_escape_zeta_refuses_a_start_off_the_equilibrium_side(n,
     assert f"> -omega**(-1/n) = {-(0.5 ** (-1.0 / n))!r}" in exc.value.message
 
 
+@pytest.mark.parametrize("n, perturbation", [
+    (30, math.nextafter(-(0.5 ** (-1.0 / 30)), 0.0)),  # u + p = 2.2e-16
+    (400, -0.9 * 0.5 ** (-1.0 / 400))])  # u + p = 0.1
+def test_escape_zeta_refuses_a_start_that_underflows(n, perturbation):
+    """(u + perturbation)**n underflowed to 0, and the run started from
+    z = 0 and returned None."""
+    with pytest.raises(ValidationError) as exc:
+        escape_zeta(make_params(n, 0.5), perturbation=perturbation)
+    assert exc.value.field == "perturbation"
+    assert exc.value.message == (
+        f"the displaced start (omega**(-1/n) + perturbation)**n underflows "
+        f"to 0 at n = {n}, got {perturbation!r}")
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0, "x"])
+def test_escape_zeta_threshold_rule(threshold):
+    """A nan threshold returned None, and "x" raised a bare TypeError."""
+    with pytest.raises(ValidationError) as exc:
+        escape_zeta(make_params(1, 0.5), threshold=threshold)
+    assert exc.value.field == "threshold"
+    assert exc.value.message == \
+        f"must be finite and > 0, got {threshold!r}"
+
+
 def test_convergence_toward_left_equilibrium():
     p = make_params(2, 0.5)
     traj = integrate(p, IntegratorOptions(zeta_end=200.0))
-    assert abs(traj.evaluate(200.0)[0] + 0.5 ** -0.5) <= 0.1
+    assert abs(traj.evaluate_many([200.0])[0][0] + 0.5 ** -0.5) <= 0.1
 
 
 def test_classify_even_report():
