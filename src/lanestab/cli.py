@@ -387,15 +387,17 @@ def cmd_plot(args) -> int:
     out = Path(args.out) if args.out else src.with_suffix(".svg")
     from . import svgplot  # only plots draw; other commands start faster
 
-    if args.kind == "profile":
-        svg = svgplot.line_chart([(src.stem, *_columns(src, "zeta", "theta"))],
-                                 xlabel="zeta", ylabel="theta",
-                                 title="density profile")
-    elif args.kind == "phase":
-        markers = _equilibrium_markers(src.with_suffix(".summary.json"))
-        svg = svgplot.line_chart([(src.stem, *_columns(src, "z", "dz"))],
-                                 xlabel="z", ylabel="dz",
-                                 title="phase portrait", markers=markers)
+    if args.kind != "profile-family":
+        x, y, title = {"profile": ("zeta", "theta", "density profile"),
+                       "phase": ("z", "dz", "phase portrait")}[args.kind]
+        xs, ys = _columns(src, x, y)
+        if not any(math.isfinite(a) and math.isfinite(b)
+                   for a, b in zip(xs, ys)):
+            raise ValidationError("input", f"{src} has no finite {x}/{y} pair")
+        markers = _equilibrium_markers(src.with_suffix(".summary.json")) \
+            if args.kind == "phase" else ()
+        svg = svgplot.line_chart([(src.stem, xs, ys)], xlabel=x, ylabel=y,
+                                 title=title, markers=markers)
     else:
         try:
             runs = json.loads(src.read_text())["runs"]

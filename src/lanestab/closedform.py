@@ -16,6 +16,7 @@ Everything here is scalar math on validated inputs; no arrays, no state.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .model import (ValidationError, _bisect, _Record, _require_float,
                     _require_positive)
@@ -23,23 +24,20 @@ from .model import (ValidationError, _bisect, _Record, _require_float,
 SHC_SERIES_CUTOFF = 1e-4
 
 
-class HaloProfile(_Record):
-    """Parameters of the gamma = 2 closed form.
+class HaloProfile(_Record, namedtuple("HaloProfile", "theta0 omega")):
+    """Parameters of the gamma = 2 closed form; the constructor enforces
+    omega * theta0 < 1, the window where the halo has a real boundary."""
 
-    The halo has a real boundary only while omega * theta0 < 1, so the
-    constructor enforces that window.
-    """
+    __slots__ = ()
 
-    __slots__ = ("theta0", "omega")
-
-    def __init__(self, theta0: float, omega: float):
+    def __new__(cls, theta0: float, omega: float):
         theta0 = _require_positive("theta0", theta0)
         if not (0.0 < omega < 1.0 / theta0):
             raise ValidationError(
                 "omega",
                 f"must satisfy 0 < omega < 1/theta0 = {1.0 / theta0!r} "
                 f"for a real halo boundary, got {omega!r}")
-        super().__init__(theta0, omega)
+        return super().__new__(cls, theta0, omega)
 
 
 def shc(x: float) -> float:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 
 from .model import (ModelParams, ValidationError, _bisect, _Record,
                     _require_float, _require_positive, _require_positive_int,
@@ -75,15 +76,15 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
 
 
-class IntegratorOptions(_Record):
+class IntegratorOptions(_Record, namedtuple("IntegratorOptions", "zeta_end "
+                        "rel_tol abs_tol max_steps start_mode zeta_start")):
     """Run controls, with where the run starts and ends."""
 
-    __slots__ = ("zeta_end", "rel_tol", "abs_tol", "max_steps", "start_mode",
-                 "zeta_start")
+    __slots__ = ()
 
-    def __init__(self, zeta_end: float, rel_tol: float = 1e-9,
-                 abs_tol: float = 1e-12, max_steps: int = 1_000_000,
-                 start_mode: str = OFFSET, zeta_start: float = 1e-3):
+    def __new__(cls, zeta_end: float, rel_tol: float = 1e-9,
+                abs_tol: float = 1e-12, max_steps: int = 1_000_000,
+                start_mode: str = OFFSET, zeta_start: float = 1e-3):
         zeta_start = _require_positive("zeta_start", zeta_start)
         zeta_end = _require_positive("zeta_end", zeta_end)
         if not zeta_end > zeta_start:
@@ -100,8 +101,8 @@ class IntegratorOptions(_Record):
         if start_mode == SERIES and zeta_start > 0.01:
             raise ValidationError("zeta_start", f"series start needs "
                                   f"zeta_start <= 0.01, got {zeta_start!r}")
-        super().__init__(zeta_end, rel_tol, abs_tol, max_steps, start_mode,
-                         zeta_start)
+        return super().__new__(cls, zeta_end, rel_tol, abs_tol, max_steps,
+                               start_mode, zeta_start)
 
 
 def _quartic(slopes, k) -> tuple[tuple[float, ...], ...]:
@@ -129,7 +130,8 @@ def _dense(zeta, zeta0, h, y0, q) -> float:
     return y0 + h * (s * (q[0] + s * (q[1] + s * (q[2] + s * q[3]))))
 
 
-class Trajectory(_Record):
+class Trajectory(_Record, namedtuple("Trajectory", "params zetas zs dzs "
+                                     "slopes events diverged_at")):
     """Completed integration: sample nodes, per-step stage slopes, and the
     ascending zetas (events) where z crosses zero.
 
@@ -141,8 +143,7 @@ class Trajectory(_Record):
     node where the runaway rule ended the run, else None.
     """
 
-    __slots__ = ("params", "zetas", "zs", "dzs", "slopes", "events",
-                 "diverged_at")
+    __slots__ = ()
 
     @property
     def status(self) -> str:
@@ -156,7 +157,8 @@ class Trajectory(_Record):
 
     def evaluate_many(self, zetas) -> list[tuple[float, float]]:
         """Dense-output (z, dz) at each point of an iterable."""
-        nodes, out, t0, t1 = self.zetas, [], math.nan, math.nan
+        nodes, zs, dzs = self.zetas, self.zs, self.dzs
+        out, t0, t1 = [], math.nan, math.nan
         for t in map(float, zetas):
             if not t0 <= t < t1:  # sorted input builds each quartic once
                 if not nodes[0] <= t <= nodes[-1]:
@@ -165,8 +167,8 @@ class Trajectory(_Record):
                                           f"{nodes[-1]!r}], got {t!r}")
                 k = min(bisect_right(nodes, t), len(nodes) - 1) - 1
                 t0, t1, (qz, qd) = nodes[k], nodes[k + 1], self.quartic(k)
-            out.append((_dense(t, t0, t1 - t0, self.zs[k], qz),
-                        _dense(t, t0, t1 - t0, self.dzs[k], qd)))
+            out.append((_dense(t, t0, t1 - t0, zs[k], qz),
+                        _dense(t, t0, t1 - t0, dzs[k], qd)))
         return out
 
 
@@ -215,7 +217,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
         (a61, a62, a63, a64, a65) = A
     (b1, _, b3, b4, b5, b6), (e1, _, e3, e4, e5, e6, e7) = B, E
     rtol, atol, t_end = opts.rel_tol, opts.abs_tol, opts.zeta_end
-    omega, n = params.omega, params.n
+    omega, n, max_steps = params.omega, params.n, opts.max_steps
     inv = 1.0 / (n + 1.0)  # model.rhs's factor, so each stage matches it
     # the runaway rule: |z| > u, which never holds for n = 1 or omega = 0,
     # z*dz > 0, and tau < RUNAWAY_ULPS ulp(zeta) as 2|z| < scale*|dz|*ulp(zeta)
@@ -235,9 +237,9 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     steps = 0
 
     while t < t_end:
-        if steps >= opts.max_steps:
+        if steps >= max_steps:
             raise IntegrationError(
-                f"max_steps = {opts.max_steps} exhausted at zeta = {t!r}", t)
+                f"max_steps = {max_steps} exhausted at zeta = {t!r}", t)
         steps += 1
         min_step = 10.0 * ulp(t)  # ten float spacings above t
         # plain comparisons clamp the step and take the error scale: each

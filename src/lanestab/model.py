@@ -22,6 +22,7 @@ by the integrator and the stability certificates.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 STABLE_LEFT = "stable_left"
 UNSTABLE_RIGHT = "unstable_right"
@@ -38,51 +39,27 @@ class ValidationError(ValueError):
 
 
 class _Record:
-    """Immutable value record over the fields a subclass names in __slots__,
-    as a frozen dataclass without that module's import cost: fields are set
-    once, by position or keyword, assigning or deleting one raises
-    AttributeError, and equality, hash and repr go by the field values."""
+    """Mixin that each value record, a namedtuple subclass, lists first: it
+    equals only a record of its own type, never a plain tuple, hashes as
+    its fields, and _make (so _replace) builds through the class's checks."""
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if len(args) > len(names) or \
-                sorted((*names[:len(args)], *kwargs)) != sorted(names):
-            raise TypeError(f"{type(self).__name__}() takes the fields "
-                            f"{', '.join(names)}; got {len(args)} by position "
-                            f"and {', '.join(kwargs) or 'none'} by keyword")
-        for name, value in (*zip(names, args), *kwargs.items()):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is immutable: "
-                             f"cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def _asdict(self) -> dict:
-        return dict(zip(self.__slots__, self._values()))
-
+    # False, not NotImplemented, which would let tuple.__eq__ compare fields
     def __eq__(self, other):
-        return self._values() == other._values() \
-            if other.__class__ is self.__class__ else NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._values())
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self):
-        return f"{type(self).__name__}(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+    __hash__ = tuple.__hash__
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._values()
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-class ModelParams(_Record):
+class ModelParams(_Record, namedtuple("ModelParams", "n omega theta0")):
     """Immutable problem parameters.
 
     n is the polytropic index in gamma = 1 + 1/n, omega the scattering to
@@ -90,7 +67,7 @@ class ModelParams(_Record):
     is an IntegratorOptions field.
     """
 
-    __slots__ = ("n", "omega", "theta0")
+    __slots__ = ()
 
     @property
     def gamma(self) -> float:
@@ -102,10 +79,10 @@ class ModelParams(_Record):
         return 0.0 < self.omega < 1.0
 
 
-class Equilibrium(_Record):
+class Equilibrium(_Record, namedtuple("Equilibrium", "z_eq kind")):
     """A constant solution z(zeta) = z_eq with its stability kind."""
 
-    __slots__ = ("z_eq", "kind")
+    __slots__ = ()
 
 
 def _require_float(field: str, value, rule: str, ok) -> float:

@@ -29,6 +29,7 @@ and where omega**(-1/n) passes the float range.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .model import (ModelParams, ValidationError, _Record, _radius,
                     _require_float, _require_positive, equilibria,
@@ -36,12 +37,12 @@ from .model import (ModelParams, ValidationError, _Record, _radius,
 from .integrate import IntegratorOptions, _crossing, integrate
 
 
-class StabilityReport(_Record):
+class StabilityReport(_Record, namedtuple("StabilityReport", "params "
+                      "equilibria alpha_max instability_zeta0 summary")):
     """classify() output; serializes to the CLI's JSON schema.  The LMI
     holds by its identity exactly when alpha_max is set (even n)."""
 
-    __slots__ = ("params", "equilibria", "alpha_max", "instability_zeta0",
-                 "summary")
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         d: dict = {

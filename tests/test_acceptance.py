@@ -18,6 +18,7 @@ import pytest
 
 from lanestab import (
     HaloProfile,
+    IntegrationError,
     IntegratorOptions,
     basin_alpha,
     equilibria,
@@ -36,6 +37,7 @@ from lanestab import (
     theta_from_z,
 )
 from lanestab.cli import main
+from lanestab.integrate import COMPLETED, DIVERGED
 
 from certificate_oracle import certificate_P, jacobian, lmi_residual
 
@@ -515,3 +517,43 @@ def test_criterion_12_orbital_mode(record_criterion):
     assert worst_period <= 5e-5
     assert worst_spread <= 0.015
     assert fewest >= 200
+
+
+LAW_NS = (*range(1, 13), 20, 21, 49, 50)
+LAW_OMEGAS = (0.1, 0.5, 0.9, 1.5)
+LAW_FACTORS = (0.3, 0.9, 0.99, 1 - 1e-6, 1 + 1e-6, 1.01, 1.1, 3.0)
+
+
+def test_criterion_13_dichotomy_law(record_criterion):
+    """The paper's dichotomy for the offset start (theta0**(1/n), 0): the
+    run stays bounded exactly when n is even and theta0 < 1/omega, where
+    the start lies in the basin estimate, and blows up otherwise.  Each
+    run to zeta 200, with theta0 = f/omega, must end "completed" or
+    "diverged" as the law says, never in an IntegrationError."""
+    t0 = time.perf_counter()
+    runs, misses = 0, []
+    for n in LAW_NS:
+        for omega in LAW_OMEGAS:
+            for f in LAW_FACTORS:
+                theta0 = f / omega
+                law = COMPLETED if n % 2 == 0 and theta0 < 1.0 / omega \
+                    else DIVERGED
+                try:
+                    outcome = integrate(make_params(n, omega, theta0),
+                                        IntegratorOptions(200.0)).status
+                except IntegrationError as exc:
+                    outcome = f"error at zeta {exc.last_zeta:.6g}"
+                runs += 1
+                if outcome != law:
+                    misses.append((n, omega, f, outcome))
+    runtime = time.perf_counter() - t0
+    record_criterion(13, not misses,
+                     f"dichotomy law: {runs - len(misses)}/{runs} offset "
+                     f"starts to zeta 200 end as the law says (completed "
+                     f"exactly when n is even and theta0 < 1/omega, else "
+                     f"diverged) over n = 1-12, 20, 21, 49, 50, omega in "
+                     f"{LAW_OMEGAS}, theta0 = f/omega with f in "
+                     f"{LAW_FACTORS}; "
+                     f"misses {misses[:5]}; runtime {runtime:.1f} s")
+    assert runs == 512
+    assert not misses, misses

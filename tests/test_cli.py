@@ -900,6 +900,44 @@ def test_plot_phase_without_markers_past_the_float_range(tmp_path, capsys):
     assert root.findall(f".//{SVG}circle") == []
 
 
+@pytest.mark.parametrize("text, kind, columns", [
+    ("zeta,theta\n0,nan\n1,inf\n", "profile", "zeta/theta"),
+    ("zeta,z,dz\n0,nan,1\n1,2,-inf\n2,inf,nan\n", "phase", "z/dz"),
+], ids=["profile", "phase"])
+def test_plot_with_nothing_to_draw_exits_1(tmp_path, capsys, text, kind,
+                                           columns):
+    """No row with both plotted cells finite: exit 1 naming --input, where
+    the plot was an empty polyline."""
+    csv = tmp_path / "run.csv"
+    csv.write_text(text)
+    code, out, err = _run(["plot", "--input", str(csv), "--kind", kind],
+                          capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: --input: {csv} has no finite {columns} pair\n"
+    assert not (tmp_path / "run.svg").exists()
+
+
+def test_plot_of_a_constant_series_pads_its_axis_by_one(tmp_path, capsys):
+    """A constant theta column spans no range, so its axis runs from one
+    below to one above the value; the nan row is skipped."""
+    csv = tmp_path / "run.csv"
+    csv.write_text("zeta,theta\n0,0.5\n1,0.5\n2,nan\n3,0.5\n")
+    renders = []
+    for name in ("a.svg", "b.svg"):
+        code, _, _ = _run(["plot", "--input", str(csv), "--out",
+                           str(tmp_path / name)], capsys)
+        assert code == 0
+        renders.append((tmp_path / name).read_bytes())
+    assert renders[0] == renders[1]
+    root = ET.fromstring(renders[0])
+    ticks = [t.text for t in root.findall(f"{SVG}text")
+             if t.get("text-anchor") == "end"]
+    assert ticks == ["-0.5", "0", "0.5", "1", "1.5"]
+    (polyline,) = root.findall(f"{SVG}polyline")
+    points = polyline.get("points").split()
+    assert len(points) == 3 and len({p.split(",")[1] for p in points}) == 1
+
+
 @pytest.mark.parametrize("text, kind, what", [
     ("", "profile", "is empty"),
     ("zeta,theta\n0.1,1.0\n0.2\n", "profile", "has a ragged row"),

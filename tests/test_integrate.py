@@ -489,7 +489,7 @@ def test_trajectory_survives_copy_and_pickle(n, status):
         assert twin.diverged_at == traj.diverged_at
     with pytest.raises(AttributeError):
         traj.status = COMPLETED if status == DIVERGED else DIVERGED
-    assert "status" not in Trajectory.__slots__
+    assert "status" not in Trajectory._fields
 
 
 def test_max_steps_exhaustion_raises():
@@ -515,8 +515,13 @@ def test_tableau_is_rk45s():
     assert np.array_equal(P, RK45.P)
 
 
-@pytest.mark.parametrize("zeta_end, steps", [(60.0, 705), (500.0, 5443)])
-def test_matches_scipy_rk45_step_for_step(zeta_end, steps):
+@pytest.mark.parametrize("zeta_start, zeta_end, steps", [
+    (1e-3, 60.0, 705), (1e-3, 500.0, 5443),
+    # at zeta 1e12 the first step min(1e-4, span/100) lies below 10 ulp(zeta)
+    # = 1.22e-3, so the step-size floor sets it, in both steppers
+    (1e12, 1e12 + 1.0, 15),
+], ids=["60.0-705", "500.0-5443", "floor-1e12-15"])
+def test_matches_scipy_rk45_step_for_step(zeta_start, zeta_end, steps):
     """The stepper is Dormand-Prince 5(4) with RK45's controller, so
     scipy's RK45 under the same tolerances and first step is an
     independent oracle: the same accepted nodes up to rounding in the
@@ -524,17 +529,20 @@ def test_matches_scipy_rk45_step_for_step(zeta_end, steps):
     from scipy.integrate import RK45
 
     p = make_params(2, 0.5)
-    traj = integrate(p, IntegratorOptions(zeta_end=zeta_end))
-    ref = RK45(lambda t, y: np.array(rhs(t, y[0], y[1], p)), 1e-3,
+    traj = integrate(p, IntegratorOptions(zeta_end=zeta_end,
+                                          zeta_start=zeta_start))
+    ref = RK45(lambda t, y: np.array(rhs(t, y[0], y[1], p)), zeta_start,
                np.array([1.0, 0.0]), t_bound=zeta_end, rtol=1e-9, atol=1e-12,
-               first_step=min(1e-4, (zeta_end - 1e-3) / 100.0))
+               first_step=min(1e-4, (zeta_end - zeta_start) / 100.0))
     nodes = [ref.t]
     while ref.status == "running":
         ref.step()
         nodes.append(ref.t)
     assert ref.status == "finished"
     assert len(traj.zetas) == len(nodes) == steps + 1
-    assert np.allclose(traj.zetas, nodes, rtol=1e-6, atol=0.0)
+    # step by step from the start, which at 1e12 is finer than rtol * zeta
+    assert np.allclose(np.subtract(traj.zetas, zeta_start),
+                       np.subtract(nodes, zeta_start), rtol=1e-6, atol=0.0)
     assert abs(traj.zs[-1] - ref.y[0]) <= 1e-7
     assert abs(traj.dzs[-1] - ref.y[1]) <= 1e-7
 

@@ -53,7 +53,7 @@ def test_make_params_basic():
     assert p.n == 2
     assert p.omega == 0.5
     assert p.theta0 == 1.0
-    assert ModelParams.__slots__ == ("n", "omega", "theta0")
+    assert ModelParams._fields == ("n", "omega", "theta0")
     with pytest.raises(TypeError):  # the start is an IntegratorOptions field
         make_params(2, 0.5, zeta_start=1e-3)
     assert p.gamma == 1.5
@@ -224,6 +224,23 @@ def test_records_take_fields_by_position_or_keyword():
                          ((2, 0.5, 1.0, 1e-3), {})]:  # too many
         with pytest.raises(TypeError):
             ModelParams(*args, **kwargs)
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (IntegratorOptions(10.0), "zeta_start", -1),
+    (HaloProfile(1.0, 0.5), "omega", 2),
+], ids=["IntegratorOptions", "HaloProfile"])
+def test_replace_and_make_go_through_the_checks(record, field, value):
+    """_replace and _make build through the checking constructor, so they
+    raise its ValidationError, naming the field, as the class call does."""
+    values = record._asdict() | {field: value}
+    for build in (lambda: record._replace(**{field: value}),
+                  lambda: type(record)._make(values.values()),
+                  lambda: type(record)(**values)):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert exc.value.field == field
+    assert record._replace() == record == type(record)._make(record)
 
 
 def test_theta_from_z_examples():
