@@ -7,10 +7,11 @@ II.4-II.6), with the controller of scipy's RK45:
 RMS error norm over (z, dz) scaled by atol + max(|y|, |y_new|)*rtol, no
 growth right after a rejection, first step min(1e-4, span/100), underflow
 once h < 10 ulp(zeta).  An overflowing trial stage is a rejected step.
-Each accepted step keeps its seven stage slopes; their product with P,
-the step's quartic interpolant, is built when the step is evaluated.  Zero
-crossings of z and the divergence guard are found on the nodes and located
-to one float on the quartic.  A runaway solution (odd n, or even n started
+Only the accepted nodes are kept: where a step is evaluated, its seven
+stage slopes are rebuilt from its start node by the same stage function,
+and their product with P is its quartic interpolant.  Zero crossings of z
+and the divergence guard are found on the nodes and located to one float
+on the quartic.  A runaway solution (odd n, or even n started
 above the repelling equilibrium) ends as a "diverged" outcome, not a
 failure: where |z| crosses the guard, or, for n > 1, at the first node past
 |z| = u = omega**(-1/n) that moves outward (z*dz > 0) with
@@ -105,22 +106,37 @@ class IntegratorOptions(_Record, namedtuple("IntegratorOptions", "zeta_end "
                                start_mode, zeta_start)
 
 
-def _quartic(slopes, k) -> tuple[tuple[float, ...], ...]:
-    """Step k's interpolant coefficients of (s, s^2, s^3, s^4), for z and
-    for dz: its seven stage slopes times P.  Row 1 of P is zero and column
-    0 is (1, 0, ..., 0), so the first coefficient is the stored slope."""
-    (_, p11, p12, p13), _, (_, p31, p32, p33), (_, p41, p42, p43), \
-        (_, p51, p52, p53), (_, p61, p62, p63), (_, p71, p72, p73) = P
-    k1, m1, _, _, k3, m3, k4, m4, k5, m5, k6, m6, k7, m7 = \
-        slopes[14 * k:14 * k + 14]
-    return ((k1,
-             k1 * p11 + k3 * p31 + k4 * p41 + k5 * p51 + k6 * p61 + k7 * p71,
-             k1 * p12 + k3 * p32 + k4 * p42 + k5 * p52 + k6 * p62 + k7 * p72,
-             k1 * p13 + k3 * p33 + k4 * p43 + k5 * p53 + k6 * p63 + k7 * p73),
-            (m1,
-             m1 * p11 + m3 * p31 + m4 * p41 + m5 * p51 + m6 * p61 + m7 * p71,
-             m1 * p12 + m3 * p32 + m4 * p42 + m5 * p52 + m6 * p62 + m7 * p72,
-             m1 * p13 + m3 * p33 + m4 * p43 + m5 * p53 + m6 * p63 + m7 * p73))
+def _step(t, z, dz, k1z, k1d, t_new, omega, n, inv) -> tuple[float, ...]:
+    """The step from (z, dz, slope k1) at t to t_new: (z_new, dz_new) and
+    stage slopes 3-7, (z', dz') each; stage 2 has zero weight in B, E and P.
+    Each stage inlines model.rhs's expression exactly, and may overflow."""
+    c2, c3, c4, c5, _ = C[1:]
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = A
+    b1, _, b3, b4, b5, b6 = B
+    h = t_new - t
+    k2z = dz + a21 * k1d * h
+    k2d = (omega * (z + a21 * k1z * h) ** n - 1.0) * inv \
+        - 2.0 * k2z / (t + c2 * h)
+    k3z = dz + (a31 * k1d + a32 * k2d) * h
+    k3d = (omega * (z + (a31 * k1z + a32 * k2z) * h) ** n - 1.0) \
+        * inv - 2.0 * k3z / (t + c3 * h)
+    k4z = dz + (a41 * k1d + a42 * k2d + a43 * k3d) * h
+    k4d = (omega * (z + (a41 * k1z + a42 * k2z + a43 * k3z) * h)
+           ** n - 1.0) * inv - 2.0 * k4z / (t + c4 * h)
+    k5z = dz + (a51 * k1d + a52 * k2d + a53 * k3d + a54 * k4d) * h
+    k5d = (omega * (z + (a51 * k1z + a52 * k2z + a53 * k3z
+                         + a54 * k4z) * h) ** n - 1.0) * inv \
+        - 2.0 * k5z / (t + c5 * h)
+    k6z = dz + (a61 * k1d + a62 * k2d + a63 * k3d + a64 * k4d
+                + a65 * k5d) * h
+    k6d = (omega * (z + (a61 * k1z + a62 * k2z + a63 * k3z
+                         + a64 * k4z + a65 * k5z) * h) ** n
+           - 1.0) * inv - 2.0 * k6z / t_new
+    z_new = z + h * (b1 * k1z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z)
+    dz_new = dz + h * (b1 * k1d + b3 * k3d + b4 * k4d + b5 * k5d + b6 * k6d)
+    k7d = (omega * z_new ** n - 1.0) * inv - 2.0 * dz_new / t_new
+    return z_new, dz_new, k3z, k3d, k4z, k4d, k5z, k5d, k6z, k6d, dz_new, k7d
 
 
 def _dense(zeta, zeta0, h, y0, q) -> float:
@@ -131,14 +147,14 @@ def _dense(zeta, zeta0, h, y0, q) -> float:
 
 
 class Trajectory(_Record, namedtuple("Trajectory", "params zetas zs dzs "
-                                     "slopes events diverged_at")):
-    """Completed integration: sample nodes, per-step stage slopes, and the
-    ascending zetas (events) where z crosses zero.
+                                     "events diverged_at")):
+    """Completed integration: sample nodes and the ascending zetas (events)
+    where z crosses zero.
 
-    Step k runs from zetas[k] to zetas[k+1], h = zetas[k+1] - zetas[k];
-    slopes[14*k:14*k+14] holds its seven stage slopes (z', dz').  Its
-    interpolant (zs[k], dzs[k]) + h * quartic(k) . (s, s^2, s^3, s^4),
-    s = (zeta - zetas[k])/h, has slope rhs at zetas[k], so the curve is C1.
+    Step k runs from zetas[k] to zetas[k+1], h = zetas[k+1] - zetas[k].
+    Its interpolant (zs[k], dzs[k]) + h * quartic(k) . (s, s^2, s^3, s^4),
+    s = (zeta - zetas[k])/h, has slope rhs at zetas[k], so the curve is C1;
+    the stage slopes behind it are rebuilt from node k when it is needed.
     diverged_at is the zeta where |z| crossed the divergence guard, or the
     node where the runaway rule ended the run, else None.
     """
@@ -152,8 +168,39 @@ class Trajectory(_Record, namedtuple("Trajectory", "params zetas zs dzs "
         return COMPLETED if self.diverged_at is None else DIVERGED
 
     def quartic(self, k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Step k's interpolant coefficients, for z and for dz."""
-        return _quartic(self.slopes, k)
+        """Step k's interpolant coefficients of (s, s^2, s^3, s^4), for z
+        and for dz: its seven stage slopes, rebuilt from node k, times P.
+        Row 1 of P is zero and column 0 is (1, 0, ..., 0), so the first
+        coefficient is rhs at node k."""
+        if isinstance(k, bool) or not isinstance(k, int) \
+                or not 0 <= k <= len(self.zetas) - 2:
+            raise ValidationError("k", f"must be an int step index in [0, "
+                                  f"{len(self.zetas) - 2}], got {k!r}")
+        p, t, z, dz = self.params, self.zetas[k], self.zs[k], self.dzs[k]
+        k1, m1 = rhs(t, z, dz, p)
+        _, _, k3, m3, k4, m4, k5, m5, k6, m6, k7, m7 = _step(
+            t, z, dz, k1, m1, self.zetas[k + 1], p.omega, p.n,
+            1.0 / (p.n + 1.0))
+        (_, p11, p12, p13), _, (_, p31, p32, p33), (_, p41, p42, p43), \
+            (_, p51, p52, p53), (_, p61, p62, p63), (_, p71, p72, p73) = P
+        return (
+            (k1,
+             k1 * p11 + k3 * p31 + k4 * p41 + k5 * p51 + k6 * p61 + k7 * p71,
+             k1 * p12 + k3 * p32 + k4 * p42 + k5 * p52 + k6 * p62 + k7 * p72,
+             k1 * p13 + k3 * p33 + k4 * p43 + k5 * p53 + k6 * p63 + k7 * p73),
+            (m1,
+             m1 * p11 + m3 * p31 + m4 * p41 + m5 * p51 + m6 * p61 + m7 * p71,
+             m1 * p12 + m3 * p32 + m4 * p42 + m5 * p52 + m6 * p62 + m7 * p72,
+             m1 * p13 + m3 * p33 + m4 * p43 + m5 * p53 + m6 * p63 + m7 * p73))
+
+    def _crossing(self, k, g) -> float:
+        """The last float of step k where g(z) on its quartic keeps its
+        starting side of zero, given g changes side over the step."""
+        t0, t1, z0 = self.zetas[k], self.zetas[k + 1], self.zs[k]
+        qz, start = self.quartic(k)[0], g(z0) > 0.0
+        return _bisect(
+            lambda t: (g(_dense(t, t0, t1 - t0, z0, qz)) > 0.0) == start,
+            t0, t1)
 
     def evaluate_many(self, zetas) -> list[tuple[float, float]]:
         """Dense-output (z, dz) at each point of an iterable."""
@@ -187,16 +234,6 @@ def series_start(params: ModelParams, zeta: float) -> tuple[float, float]:
     return (z0 + c * zeta * zeta, 2.0 * c * zeta)
 
 
-def _crossing(zetas, zs, slopes, k, g) -> float:
-    """The last float of step k where g(z) on its quartic keeps the side
-    of zero it has at the step start, given g changes side over the step."""
-    t0, t1, qz = zetas[k], zetas[k + 1], _quartic(slopes, k)[0]
-    start = g(zs[k]) > 0.0
-    return _bisect(
-        lambda t: (g(_dense(t, t0, t1 - t0, zs[k], qz)) > 0.0) == start,
-        t0, t1)
-
-
 def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     """Integrate from zeta_start to zeta_end, or until the run diverges.
 
@@ -212,10 +249,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     else:
         z, dz = params.theta0 ** (1.0 / params.n), 0.0
 
-    c2, c3, c4, c5, _ = C[1:]
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = A
-    (b1, _, b3, b4, b5, b6), (e1, _, e3, e4, e5, e6, e7) = B, E
+    e1, _, e3, e4, e5, e6, e7 = E
     rtol, atol, t_end = opts.rel_tol, opts.abs_tol, opts.zeta_end
     omega, n, max_steps = params.omega, params.n, opts.max_steps
     inv = 1.0 / (n + 1.0)  # model.rhs's factor, so each stage matches it
@@ -233,7 +267,6 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     h_abs = min(1e-4, (t_end - t) / 100.0)
     az, adz = abs(z), abs(dz)
     nodes = array("d", (t, z, dz))  # (zeta, z, dz) per node
-    slopes = array("d")  # the 7 stage slopes (z', dz') per accepted step
     steps = 0
 
     while t < t_end:
@@ -255,31 +288,9 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
             if t_new > t_end:
                 t_new = t_end
             h = h_abs = t_new - t
-            try:  # each stage inlines model.rhs's expression exactly
-                k2z = dz + a21 * k1d * h
-                k2d = (omega * (z + a21 * k1z * h) ** n - 1.0) * inv \
-                    - 2.0 * k2z / (t + c2 * h)
-                k3z = dz + (a31 * k1d + a32 * k2d) * h
-                k3d = (omega * (z + (a31 * k1z + a32 * k2z) * h) ** n - 1.0) \
-                    * inv - 2.0 * k3z / (t + c3 * h)
-                k4z = dz + (a41 * k1d + a42 * k2d + a43 * k3d) * h
-                k4d = (omega * (z + (a41 * k1z + a42 * k2z + a43 * k3z) * h)
-                       ** n - 1.0) * inv - 2.0 * k4z / (t + c4 * h)
-                k5z = dz + (a51 * k1d + a52 * k2d + a53 * k3d + a54 * k4d) * h
-                k5d = (omega * (z + (a51 * k1z + a52 * k2z + a53 * k3z
-                                     + a54 * k4z) * h) ** n - 1.0) * inv \
-                    - 2.0 * k5z / (t + c5 * h)
-                k6z = dz + (a61 * k1d + a62 * k2d + a63 * k3d + a64 * k4d
-                            + a65 * k5d) * h
-                k6d = (omega * (z + (a61 * k1z + a62 * k2z + a63 * k3z
-                                     + a64 * k4z + a65 * k5z) * h) ** n
-                       - 1.0) * inv - 2.0 * k6z / t_new
-                z_new = z + h * (b1 * k1z + b3 * k3z + b4 * k4z + b5 * k5z
-                                 + b6 * k6z)
-                dz_new = dz + h * (b1 * k1d + b3 * k3d + b4 * k4d + b5 * k5d
-                                   + b6 * k6d)
-                k7z = dz_new
-                k7d = (omega * z_new ** n - 1.0) * inv - 2.0 * k7z / t_new
+            try:
+                z_new, dz_new, k3z, k3d, k4z, k4d, k5z, k5d, k6z, k6d, k7z, \
+                    k7d = _step(t, z, dz, k1z, k1d, t_new, omega, n, inv)
                 az_new, adz_new = abs(z_new), abs(dz_new)
                 ez = (e1 * k1z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z
                       + e7 * k7z) * h / (atol + (
@@ -298,8 +309,6 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
             # an inf or nan norm gives MIN_FACTOR (max() keeps it over nan)
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
-        slopes.extend((k1z, k1d, k2z, k2d, k3z, k3d, k4z, k4d, k5z, k5d,
-                       k6z, k6d, k7z, k7d))
         nodes.extend((t_new, z_new, dz_new))
         t, z, dz, k1z, k1d = t_new, z_new, dz_new, k7z, k7d
         az, adz = az_new, adz_new
@@ -309,16 +318,15 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
             diverged_at = t
             break
 
-    zetas, zs = nodes[0::3], nodes[1::3]
+    traj = Trajectory(params, nodes[0::3], nodes[1::3], nodes[2::3], (), None)
+    zs = traj.zs
     # the zero crossings, on the steps whose end nodes bracket a zero of z
-    events = tuple(_crossing(zetas, zs, slopes, k, lambda z: z)
+    events = tuple(traj._crossing(k, lambda z: z)
                    for k, (za, zb) in enumerate(zip(zs, zs[1:]))
                    if za != 0.0 and (zb == 0.0 or (za > 0.0) != (zb > 0.0)))
     if abs(z) > guard:
-        diverged_at = _crossing(zetas, zs, slopes, steps - 1,
-                                lambda z: abs(z) - guard)
-    return Trajectory(params=params, zetas=zetas, zs=zs, dzs=nodes[2::3],
-                      slopes=slopes, events=events, diverged_at=diverged_at)
+        diverged_at = traj._crossing(steps - 1, lambda z: abs(z) - guard)
+    return traj._replace(events=events, diverged_at=diverged_at)
 
 
 def first_zero(traj: Trajectory) -> float | None:

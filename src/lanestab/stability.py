@@ -31,10 +31,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .closedform import _one_minus_product
 from .model import (ModelParams, ValidationError, _Record, _radius,
                     _require_float, _require_positive, equilibria,
                     make_params)
-from .integrate import IntegratorOptions, _crossing, integrate
+from .integrate import IntegratorOptions, integrate
 
 
 class StabilityReport(_Record, namedtuple("StabilityReport", "params "
@@ -153,8 +154,7 @@ def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
         return None
     if k == 0:
         return traj.zetas[0]
-    return _crossing(traj.zetas, traj.zs, traj.slopes, k - 1,
-                     lambda z: abs(z - u) - threshold)
+    return traj._crossing(k - 1, lambda z: abs(z - u) - threshold)
 
 
 def classify(params: ModelParams) -> StabilityReport:
@@ -179,7 +179,14 @@ def classify(params: ModelParams) -> StabilityReport:
                    f"{eqs[0].z_eq:.6g} is unstable, {onset}")
     if not params.stable_regime:
         summary += (f" omega = {params.omega:g} lies outside the trapped "
-                    f"regime 0 < omega < 1, so the unit-density start is "
-                    f"not inside the basin estimate.")
+                    f"regime 0 < omega < 1.")
+    # the start lies in the basin exactly when x1 < 2u, theta0*omega < 1; a
+    # rounded product above 2 is past 1, where the exact one could overflow
+    a = params.theta0 * params.omega
+    if even and (a > 2.0 or _one_minus_product(params.theta0,
+                                               params.omega) <= 0.0):
+        summary += (f" The start theta0 = {params.theta0:g} has "
+                    f"theta0*omega = {a:g} >= 1, so it is not inside the "
+                    f"basin estimate.")
     return StabilityReport(params=params, equilibria=eqs, alpha_max=alpha,
                            instability_zeta0=zeta0, summary=summary)

@@ -25,7 +25,8 @@ from lanestab import (
     series_start,
     theta_from_z,
 )
-from lanestab.integrate import A, C, COMPLETED, DIVERGED, Trajectory, _dense
+from lanestab.integrate import (A, B, C, COMPLETED, DIVERGED, P, Trajectory,
+                                _dense, _step)
 from lanestab.model import _bisect
 from lanestab.stability import escape_zeta
 
@@ -147,7 +148,8 @@ def test_trajectory_shape(run_n2_omega_half):
     assert traj.zetas[0] == 1e-3
     assert traj.zetas[-1] == 30.0
     assert np.all(np.diff(traj.zetas) > 0.0)
-    assert len(traj.slopes) == 14 * (len(traj.zetas) - 1)
+    assert Trajectory._fields == ("params", "zetas", "zs", "dzs", "events",
+                                  "diverged_at")
     assert len(traj.zs) == len(traj.zetas) == len(traj.dzs)
     # even n keeps theta = z**n nonnegative by construction
     assert all(theta_from_z(float(z), 2) >= 0.0 for z in traj.zs)
@@ -166,6 +168,18 @@ def test_dense_output_reproduces_nodes(run_n2_omega_half):
             + h * np.sum(traj.quartic(k), axis=-1)
         assert abs(y_right[0] - traj.zs[k + 1]) <= 1e-10
         assert abs(y_right[1] - traj.dzs[k + 1]) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [lambda n: -1, lambda n: n - 1,
+                                 lambda n: n, lambda n: 1.5, lambda n: True],
+                         ids=["-1", "N-1", "N", "1.5", "True"])
+def test_quartic_rejects_a_bad_step_index(run_n2_omega_half, bad):
+    """Steps run from 0 to N - 2 for N nodes; -1 must not wrap round to a
+    step from the last node back to the first, and a bool is no index."""
+    traj = run_n2_omega_half
+    with pytest.raises(ValidationError) as exc:
+        traj.quartic(bad(len(traj.zetas)))
+    assert exc.value.field == "k"
 
 
 def test_evaluate_many_and_range_checks(run_n2_omega_half):
@@ -194,26 +208,41 @@ def test_evaluate_many_and_range_checks(run_n2_omega_half):
     assert traj.evaluate_many([]) == []
 
 
+def _dot(weights, values):
+    """sum(w*v), added left to right as the stepper's expressions add."""
+    acc = weights[0] * values[0]
+    for w, v in zip(weights[1:], values[1:]):
+        acc = acc + w * v
+    return acc
+
+
 def _assert_stage_slopes_are_rhs(traj):
-    """Each stored stage slope equals model.rhs, bit for bit, at the stage
-    state rebuilt from the step's earlier slopes with A and C: the
-    integrator's inline vector field is rhs's exact expression.  Stages 6
-    and 7 sit at the right node itself, and stage 7 at its stored state."""
+    """Each step's seven stage slopes, rebuilt here from its start node
+    with model.rhs at the stage states that A and C give, are what _step
+    returns, bit for bit: the integrator's inline vector field is rhs's
+    exact expression.  Their B-weighted sum gives the right node back bit
+    for bit, stage 7 is rhs at that stored node, and quartic(k) is their
+    product with P."""
     p = traj.params
     for k in range(len(traj.zetas) - 1):
         t, t_new, z, dz = traj.zetas[k], traj.zetas[k + 1], traj.zs[k], \
             traj.dzs[k]
         h = t_new - t
-        ks = [tuple(traj.slopes[14 * k + 2 * i:14 * k + 2 * i + 2])
-              for i in range(7)]
-        assert ks[0] == rhs(t, z, dz, p)
+        ks = [rhs(t, z, dz, p)]
         for i, row in enumerate(A, start=1):
-            sz, sd = row[0] * ks[0][0], row[0] * ks[0][1]
-            for a, (kz, kd) in zip(row[1:], ks[1:]):
-                sz, sd = sz + a * kz, sd + a * kd
             zeta = t_new if i == 5 else t + C[i] * h
-            assert ks[i] == rhs(zeta, z + sz * h, dz + sd * h, p)
-        assert ks[6] == rhs(t_new, traj.zs[k + 1], traj.dzs[k + 1], p)
+            ks.append(rhs(zeta, z + _dot(row, [kz for kz, _ in ks]) * h,
+                          dz + _dot(row, [kd for _, kd in ks]) * h, p))
+        z_new = z + h * _dot(B, [kz for kz, _ in ks])
+        dz_new = dz + h * _dot(B, [kd for _, kd in ks])
+        assert (z_new, dz_new) == (traj.zs[k + 1], traj.dzs[k + 1])
+        ks.append(rhs(t_new, z_new, dz_new, p))
+        got = _step(t, z, dz, *ks[0], t_new, p.omega, p.n, 1.0 / (p.n + 1.0))
+        assert got == (z_new, dz_new, *(v for stage in ks[2:] for v in stage))
+        assert traj.quartic(k) == tuple(
+            tuple(_dot([row[col] for row in P], [stage[j] for stage in ks])
+                  for col in range(4))
+            for j in (0, 1))
 
 
 # at omega = 0.5, n = 3 ends at the |z| guard and n = 5 by the runaway rule

@@ -1,7 +1,8 @@
 """Property suite over the inputs make_params and IntegratorOptions accept.
 
 Every run to zeta 30 ends "completed" or "diverged" with finite stored
-nodes and slopes, or raises an IntegrationError at a finite last zeta.
+nodes and step quartics, or raises an IntegrationError at a finite last
+zeta.
 Whether it ends as the paper's dichotomy says is criterion 13's question:
 over a finite zeta_end the law does not hold everywhere (a tiny omega with
 odd n has not blown up by zeta 30).  The examples are derandomized, so
@@ -38,5 +39,7 @@ def test_every_accepted_input_ends_cleanly(n, omega, theta0, zeta_start,
         assert math.isfinite(exc.last_zeta)
         return
     assert traj.status in (COMPLETED, DIVERGED)
-    for values in (traj.zetas, traj.zs, traj.dzs, traj.slopes):
+    for values in (traj.zetas, traj.zs, traj.dzs):
         assert all(map(math.isfinite, values))
+    for k in range(len(traj.zetas) - 1):
+        assert all(math.isfinite(c) for q in traj.quartic(k) for c in q)

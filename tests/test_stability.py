@@ -489,3 +489,27 @@ def test_classify_flags_untrapped_omega():
     report = classify(make_params(2, 1.5))
     assert report.to_json_dict()["stable_regime"] is False
     assert "outside the trapped" in report.summary
+
+
+# (n, omega, theta0, whether the basin sentence appears); 3 * (1/3 rounded
+# down) rounds to 1.0 but lies below 1, and the next omega up lies above it
+@pytest.mark.parametrize("n, omega, theta0, outside", [
+    (2, 1.5, 0.5, False), (2, 0.5, 3.0, True), (2, 1.5, 1.0, True),
+    (2, 1 / 3, 3.0, False), (2, math.nextafter(1 / 3, 1.0), 3.0, True),
+    (2, 1e300, 1e300, True), (3, 1.5, 3.0, False), (3, 0.5, 3.0, False)])
+def test_summary_places_the_start_by_theta0_omega(n, omega, theta0, outside):
+    """For even n the start (theta0**(1/n), 0) leaves the basin estimate
+    exactly when theta0*omega >= 1, whatever omega alone says; odd n has
+    no basin estimate, and the trapped-regime remark follows omega."""
+    report = classify(make_params(n, omega, theta0))
+    sentence = (f" The start theta0 = {theta0:g} has theta0*omega = "
+                f"{theta0 * omega:g} >= 1, so it is not inside the basin "
+                f"estimate.")
+    assert (sentence in report.summary) == outside
+    assert ("basin" in report.summary) == outside
+    assert ("outside the trapped regime 0 < omega < 1." in report.summary) \
+        == (omega >= 1.0)
+    # the JSON report carries no summary: theta0 moves only its params
+    want = classify(make_params(n, omega)).to_json_dict()
+    want["params"] = make_params(n, omega, theta0)._asdict()
+    assert report.to_json_dict() == want
