@@ -8,9 +8,9 @@ with an explicit basin estimate for even n, and an instability certificate
 plus divergence runs for odd n.
 """
 
-from .closedform import (HaloProfile, gamma2_profile, gaussian_profile,
-                         halo_boundary, lane_emden_radius, powerlaw_profile,
-                         shc, waterbag_profile)
+from .closedform import (gamma2_profile, gaussian_profile, halo_boundary,
+                         lane_emden_radius, powerlaw_profile, shc,
+                         waterbag_profile)
 from .integrate import (IntegrationError, IntegratorOptions, Trajectory,
                         first_zero, integrate, series_start)
 from .model import (Equilibrium, ModelParams, ValidationError, equilibria,
@@ -21,7 +21,7 @@ from .stability import (StabilityReport, basin_alpha, classify, escape_zeta,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Equilibrium", "HaloProfile", "IntegrationError", "IntegratorOptions",
+    "Equilibrium", "IntegrationError", "IntegratorOptions",
     "ModelParams", "StabilityReport", "Trajectory", "ValidationError",
     "basin_alpha", "classify", "equilibria", "escape_zeta", "first_zero",
     "gamma2_profile", "gaussian_profile", "halo_boundary", "instability_zeta0",

@@ -133,11 +133,10 @@ def _closed_form(kind: str, theta0: float, omega: float | None,
     line `oracle` prints; it is lazy because `solve --check-oracle` never
     prints it.
     """
-    if kind == "gamma2":
-        profile = closedform.HaloProfile(theta0=theta0, omega=omega)
-        return (lambda t: closedform.gamma2_profile(t, profile), math.inf,
-                lambda: f"halo boundary zeta_M = "
-                        f"{closedform.halo_boundary(profile):.12g}")
+    if kind == "gamma2":  # refuses a start with no halo boundary
+        zeta_m = closedform.halo_boundary(theta0, omega)
+        return (lambda t: closedform.gamma2_profile(t, theta0, omega),
+                math.inf, lambda: f"halo boundary zeta_M = {zeta_m:.12g}")
     if kind == "powerlaw":
         fn = lambda t: closedform.powerlaw_profile(t, gamma, theta0)
         if 0.0 <= gamma <= 1.0:
@@ -189,11 +188,14 @@ def cmd_solve(args) -> int:
                **_outcome(traj, zeta_star)}
     if args.check_oracle is not None:
         # max |numeric - closed form| of theta on a 1001-point grid of the
-        # run range, capped at the profile's domain end
+        # run range, capped at the profile's domain end, and the max of
+        # that over max(1, |closed form|)
         grid = _linspace(traj.zetas[0], min(traj.zetas[-1], end), 1001)
-        summary["oracle"] = {"kind": args.check_oracle, "max_abs_err": max(
-            abs(theta_from_z(z, params.n) - fn(t))
-            for t, (z, _) in zip(grid, traj.evaluate_many(grid)))}
+        errs = [(abs(theta_from_z(z, params.n) - (exact := fn(t))), exact)
+                for t, (z, _) in zip(grid, traj.evaluate_many(grid))]
+        summary["oracle"] = {
+            "kind": args.check_oracle, "max_abs_err": max(e for e, _ in errs),
+            "max_rel_err": max(e / max(1.0, abs(x)) for e, x in errs)}
     out = Path(args.out or _run_name(params))
     _write_text(out, _trajectory_csv(traj))
     sidecar = out.with_suffix(".summary.json")
@@ -215,7 +217,9 @@ def cmd_solve(args) -> int:
             print(f"zeta_star = {zeta_star:.12g}")
         if args.check_oracle is not None:
             print(f"oracle {args.check_oracle}: max |numeric - closed form| "
-                  f"= {summary['oracle']['max_abs_err']:.3e}")
+                  f"= {summary['oracle']['max_abs_err']:.3e}, relative to "
+                  f"max(1, |closed form|) = "
+                  f"{summary['oracle']['max_rel_err']:.3e}")
     return 0
 
 

@@ -5,39 +5,24 @@ solutions, and they double as independent oracles for the numerical
 integrator:
 
 * gamma = 2 (n = 1): theta expressed through the cardinal hyperbolic sine,
-  with a finite halo boundary zeta_M when 0 < omega*theta0 < 1.
+  exact for every theta0 > 0 and omega >= 0, with a finite halo boundary
+  zeta_M when 0 < omega and theta0*omega < 1, decided on the exact product.
 * omega -> 0: a pure power-law profile for any gamma != 1.
 * gamma -> 1: the Gaussian limit of the power law.
 * gamma = 0 (isobaric): a water-bag step profile with a closed-form radius.
 
-Everything here is scalar math on validated inputs; no arrays, no state.
+Everything here is scalar math; each function checks its own inputs and
+names the offending one.  No arrays, no state.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
-from .model import (ValidationError, _bisect, _Record, _require_float,
-                    _require_positive)
+from .model import (ValidationError, _bisect, _require_float,
+                    _require_nonnegative, _require_positive)
 
 SHC_SERIES_CUTOFF = 1e-4
-
-
-class HaloProfile(_Record, namedtuple("HaloProfile", "theta0 omega")):
-    """Parameters of the gamma = 2 closed form; the constructor enforces
-    omega * theta0 < 1, the window where the halo has a real boundary."""
-
-    __slots__ = ()
-
-    def __new__(cls, theta0: float, omega: float):
-        theta0 = _require_positive("theta0", theta0)
-        if not (0.0 < omega < 1.0 / theta0):
-            raise ValidationError(
-                "omega",
-                f"must satisfy 0 < omega < 1/theta0 = {1.0 / theta0!r} "
-                f"for a real halo boundary, got {omega!r}")
-        return super().__new__(cls, theta0, omega)
 
 
 def shc(x: float) -> float:
@@ -68,16 +53,18 @@ def _shc_excess(x: float) -> float:
         return math.inf
 
 
-def gamma2_profile(zeta: float, p: HaloProfile) -> float:
+def gamma2_profile(zeta: float, theta0: float, omega: float) -> float:
     """gamma = 2 density theta(zeta) = (1/omega)[1 + (theta0*omega - 1) shc(sqrt(omega/2) zeta)].
 
-    Total in zeta; beyond the halo boundary the formula simply goes
-    negative, which is what oracle comparisons against the continued
-    z-solution need.  Written as theta0*shc(x) - zeta^2*_shc_excess(x)/2,
-    it keeps full relative accuracy as omega -> 0.
+    Exact for every theta0 > 0 and omega >= 0, and total in zeta; beyond
+    the halo boundary the formula simply goes negative, which is what
+    oracle comparisons against the continued z-solution need.  Written as
+    theta0*shc(x) - zeta^2*_shc_excess(x)/2, it keeps full relative
+    accuracy as omega -> 0 and is theta0 - zeta^2/12 at omega = 0.
     """
-    x = math.sqrt(p.omega / 2.0) * zeta
-    return p.theta0 * shc(x) - zeta * zeta * _shc_excess(abs(x)) / 2.0
+    theta0 = _require_positive("theta0", theta0)
+    x = math.sqrt(_require_nonnegative("omega", omega) / 2.0) * zeta
+    return theta0 * shc(x) - zeta * zeta * _shc_excess(abs(x)) / 2.0
 
 
 def _split(m: float) -> tuple[float, float]:
@@ -98,8 +85,16 @@ def _one_minus_product(x: float, y: float) -> float:
     return (1.0 - math.ldexp(p, ex + ey)) - math.ldexp(err, ex + ey)
 
 
-def halo_boundary(p: HaloProfile) -> float:
-    """Radius zeta_M > 0 where the gamma = 2 profile reaches zero.
+def _product_below_one(x: float, y: float) -> bool:
+    """Whether x*y < 1 exactly, for x, y >= 0.  A rounded product above 2
+    is past 1 whatever its rounding, and it skips the exact test, whose
+    ldexp could overflow there."""
+    return x * y <= 2.0 and _one_minus_product(x, y) > 0.0
+
+
+def halo_boundary(theta0: float, omega: float) -> float:
+    """Radius zeta_M > 0 where the gamma = 2 profile reaches zero, which
+    it does for 0 < omega with theta0*omega < 1, exactly.
 
     shc(x) - 1 = a/(1 - a) at x = sqrt(omega/2)*zeta_M, a = theta0*omega.
     With zeta = sqrt(theta0)*y and x = sqrt(a/2)*y, divided by a/2:
@@ -107,15 +102,19 @@ def halo_boundary(p: HaloProfile) -> float:
     accurate as omega -> 0, where zeta_M -> sqrt(12 theta0)(1 + 0.35 a).
     1 - a is taken without rounding a first, so it stays accurate where
     the product rounds near 1.  F(0) = 0 and F >= y^2/6, so the root is the
-    last float of [0, sqrt(6*target)] with F < target.  Every HaloProfile
-    has 1 - a > 2**-54, so y < 60 and zeta_M < 1e156 stays in the float
-    range.
+    last float of [0, sqrt(6*target)] with F < target.  An exact product
+    of two floats below 1 lies at least 2**-107 below it, so y < 115 and
+    zeta_M < 2e156 stays in the float range.
     """
-    a = p.theta0 * p.omega
-    c, target = math.sqrt(0.5 * a), 2.0 / _one_minus_product(p.theta0, p.omega)
+    theta0 = _require_positive("theta0", theta0)
+    omega = _require_float("omega", omega, "must satisfy 0 < omega and "
+                           "theta0*omega < 1 for a real halo boundary",
+                           lambda v: 0.0 < v and _product_below_one(theta0, v))
+    a = theta0 * omega
+    c, target = math.sqrt(0.5 * a), 2.0 / _one_minus_product(theta0, omega)
     y = _bisect(lambda y: _shc_excess(c * y) * y * y < target, 0.0,
                 math.sqrt(6.0 * target))
-    return y * math.sqrt(p.theta0)
+    return y * math.sqrt(theta0)
 
 
 def _powerlaw_head(gamma: float, theta0: float) -> tuple[float, float]:

@@ -60,7 +60,7 @@ class _Record:
 
 
 class ModelParams(_Record, namedtuple("ModelParams", "n omega theta0")):
-    """Immutable problem parameters.
+    """Immutable problem parameters, checked however the record is built.
 
     n is the polytropic index in gamma = 1 + 1/n, omega the scattering to
     trapping ratio and theta0 the central density.  Where a run starts
@@ -68,6 +68,11 @@ class ModelParams(_Record, namedtuple("ModelParams", "n omega theta0")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, n: int, omega: float, theta0: float):
+        return super().__new__(cls, _require_positive_int("n", n),
+                               _require_nonnegative("omega", omega),
+                               _require_positive("theta0", theta0))
 
     @property
     def gamma(self) -> float:
@@ -101,6 +106,11 @@ def _require_positive(field: str, value) -> float:
                           lambda v: 0.0 < v < math.inf)
 
 
+def _require_nonnegative(field: str, value) -> float:
+    return _require_float(field, value, "must be finite and >= 0",
+                          lambda v: 0.0 <= v < math.inf)
+
+
 def _require_positive_int(field: str, value) -> int:
     """int(value); a ValidationError naming field where value is a bool or
     not a positive integer (nan and inf included)."""
@@ -121,15 +131,9 @@ def _bisect(inside, lo: float, hi: float) -> float:
 
 
 def make_params(n: int, omega: float, theta0: float = 1.0) -> ModelParams:
-    """Validate and build a ModelParams.
-
-    Raises ValidationError naming the offending field.
-    """
-    n = _require_positive_int("n", n)
-    omega = _require_float("omega", omega, "must be finite and >= 0",
-                           lambda v: 0.0 <= v < math.inf)
-    return ModelParams(n=n, omega=omega,
-                       theta0=_require_positive("theta0", theta0))
+    """ModelParams(n, omega, theta0), with a unit central density by
+    default.  Raises ValidationError naming the offending field."""
+    return ModelParams(n, omega, theta0)
 
 
 def theta_from_z(z: float, n: int) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .closedform import _one_minus_product
+from .closedform import _product_below_one
 from .model import (ModelParams, ValidationError, _Record, _radius,
                     _require_float, _require_positive, equilibria,
                     make_params)
@@ -180,13 +180,10 @@ def classify(params: ModelParams) -> StabilityReport:
     if not params.stable_regime:
         summary += (f" omega = {params.omega:g} lies outside the trapped "
                     f"regime 0 < omega < 1.")
-    # the start lies in the basin exactly when x1 < 2u, theta0*omega < 1; a
-    # rounded product above 2 is past 1, where the exact one could overflow
-    a = params.theta0 * params.omega
-    if even and (a > 2.0 or _one_minus_product(params.theta0,
-                                               params.omega) <= 0.0):
+    # the start lies in the basin exactly when x1 < 2u, theta0*omega < 1
+    if even and not _product_below_one(params.theta0, params.omega):
         summary += (f" The start theta0 = {params.theta0:g} has "
-                    f"theta0*omega = {a:g} >= 1, so it is not inside the "
-                    f"basin estimate.")
+                    f"theta0*omega = {params.theta0 * params.omega:g} >= 1, "
+                    f"so it is not inside the basin estimate.")
     return StabilityReport(params=params, equilibria=eqs, alpha_max=alpha,
                            instability_zeta0=zeta0, summary=summary)

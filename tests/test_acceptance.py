@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from lanestab import (
-    HaloProfile,
     IntegrationError,
     IntegratorOptions,
     basin_alpha,
@@ -37,7 +36,7 @@ from lanestab import (
     theta_from_z,
 )
 from lanestab.cli import main
-from lanestab.integrate import COMPLETED, DIVERGED
+from lanestab.integrate import COMPLETED, DIVERGED, DIVERGENCE_GUARD
 
 from certificate_oracle import certificate_P, jacobian, lmi_residual
 
@@ -136,10 +135,9 @@ def _mp_zeros_and_certificate(params):
 
 def test_criterion_01_gamma2_oracle(gamma2_run, record_criterion):
     traj, runtime = gamma2_run
-    profile = HaloProfile(theta0=1.0, omega=0.5)
     grid = np.linspace(1e-3, 10.0, 2001)
     zs = np.asarray(traj.evaluate_many(grid))[:, 0]
-    err = max(abs(float(z) - gamma2_profile(float(t), profile))
+    err = max(abs(float(z) - gamma2_profile(float(t), 1.0, 0.5))
               for t, z in zip(grid, zs))
     ok = err <= 1e-6 and runtime < 1.0
     record_criterion(1, ok,
@@ -152,7 +150,7 @@ def test_criterion_01_gamma2_oracle(gamma2_run, record_criterion):
 def test_criterion_02_halo_boundary(gamma2_run, record_criterion):
     traj, _ = gamma2_run
     zc = first_zero(traj)
-    zm = halo_boundary(HaloProfile(theta0=1.0, omega=0.5))
+    zm = halo_boundary(1.0, 0.5)
     assert zc is not None
     diff = abs(zc - zm)
 
@@ -557,3 +555,70 @@ def test_criterion_13_dichotomy_law(record_criterion):
                      f"misses {misses[:5]}; runtime {runtime:.1f} s")
     assert runs == 512
     assert not misses, misses
+
+
+SCALE_NS = (1, 2, 3, 4, 6, 7)
+SCALE_OMEGAS = (1e-8, 1e-5, 1e-3, 0.05, 0.3, 0.9, 1.5, 4.0, 10.0)
+SCALE_PRODUCTS = (0.3, 0.9, 1.1, 3.0)
+SCALE_RTOL = 1e-10
+SCALE_S_END = 30.0
+# |zeta_star/sqrt(u) - s_star| <= SCALE_BOUND * rtol * s_star
+SCALE_BOUND = 1.0
+
+
+def test_criterion_14_omega_scales_out(record_criterion):
+    """With u = omega**(-1/n), z(zeta) = u*w(zeta/sqrt(u)) where w solves
+    the same equation at omega = 1 from w0**n = theta0*omega, and the
+    series start maps onto the twin's exactly.  Each series start, run to
+    zeta = sqrt(u)*30 at rtol 1e-10, is compared with its omega = 1 twin
+    started at zeta0/sqrt(u) and run to s = 30: zeta_star/sqrt(u) must
+    match the twin's within SCALE_BOUND * rtol relative, and the statuses
+    must match.  The one part of a run that does not scale is the
+    absolute guard |z| > 1e12: a run whose twin completes diverges
+    exactly where u times the twin's largest |w| passes the guard (n = 1,
+    whose solutions grow exponentially but never blow up, at omega below
+    about 1e-4)."""
+    t0 = time.perf_counter()
+    pairs, worst, misses, by_guard = 0, 0.0, [], 0
+    for n in SCALE_NS:
+        for omega in SCALE_OMEGAS:
+            for product in SCALE_PRODUCTS:
+                theta0 = product / omega
+                u = omega ** (-1.0 / n)
+                root = math.sqrt(u)
+                zeta0 = 1e-3 * min(1.0, root)
+                assert zeta0 <= 0.01 and zeta0 / root <= 0.01
+                run = integrate(make_params(n, omega, theta0),
+                                IntegratorOptions(
+                                    root * SCALE_S_END, rel_tol=SCALE_RTOL,
+                                    start_mode="series", zeta_start=zeta0))
+                twin = integrate(make_params(n, 1.0, theta0 * omega),
+                                 IntegratorOptions(
+                                     SCALE_S_END, rel_tol=SCALE_RTOL,
+                                     start_mode="series",
+                                     zeta_start=zeta0 / root))
+                pairs += 1
+                law = twin.status
+                if law == COMPLETED and \
+                        u * max(map(abs, twin.zs)) > DIVERGENCE_GUARD:
+                    law, by_guard = DIVERGED, by_guard + 1
+                star, twin_star = first_zero(run), first_zero(twin)
+                if run.status != law or (star is None) != (twin_star is None):
+                    misses.append((n, omega, product, run.status, law))
+                elif star is not None:
+                    dev = abs(star / root - twin_star) / twin_star
+                    worst = max(worst, dev / SCALE_RTOL)
+    runtime = time.perf_counter() - t0
+    ok = not misses and worst <= SCALE_BOUND
+    record_criterion(14, ok,
+                     f"omega scales out: {pairs} series starts over n = "
+                     f"{SCALE_NS}, omega = {SCALE_OMEGAS}, theta0*omega = "
+                     f"{SCALE_PRODUCTS}, to s = 30 at rtol 1e-10, against "
+                     f"their omega = 1 twins: worst |zeta_star/sqrt(u) - "
+                     f"s_star|/s_star = {worst * SCALE_RTOL:.2e} (gate "
+                     f"{SCALE_BOUND:g} * rtol), status misses {misses[:5]} "
+                     f"({by_guard} runs past the absolute guard only); "
+                     f"runtime {runtime:.1f} s")
+    assert pairs == 216
+    assert not misses, misses
+    assert worst <= SCALE_BOUND

@@ -21,7 +21,6 @@ from lanestab import (
     classify,
     equilibria,
     gamma2_profile,
-    HaloProfile,
     integrate,
     lyapunov_V,
     lyapunov_Vdot,
@@ -214,6 +213,10 @@ MODEL = ["--n", "2", "--omega", "0.5"]
     ("input", ["plot", "--input", "absent.csv"]),
     ("zeta-end", ["oracle", "--kind", "gaussian", "--zeta-end", "nan"]),
     ("zeta-end", ["oracle", "--kind", "gaussian", "--zeta-end", "-1"]),
+    ("omega", ["solve", "--n", "1", "--omega", "0.5", "--theta0", "2",
+               "--check-oracle", "gamma2"]),
+    ("omega", ["oracle", "--kind", "gamma2", "--omega", "0.5", "--theta0",
+               "2"]),
 ])
 def test_rejected_field_names_its_flag(field, argv, tmp_path, capsys,
                                        monkeypatch):
@@ -251,13 +254,60 @@ def test_solve_check_oracle(tmp_path, capsys):
     summary = json.loads(stdout)
     assert summary["oracle"]["kind"] == "gamma2"
     assert summary["oracle"]["max_abs_err"] <= 1e-6
+    # theta stays below 1 on [0, 1], so the relative error is the absolute
+    assert summary["oracle"]["max_rel_err"] \
+        == summary["oracle"]["max_abs_err"]
     code, stdout, _ = _run(["solve", "--n", "1", "--omega", "0.5",
                             "--zeta-end", "1", "--out", str(out),
                             "--check-oracle", "gamma2"], capsys)
     assert code == 0
-    assert stdout.splitlines()[-1] == ("oracle gamma2: max |numeric - closed "
-                                       "form| = %.3e"
-                                       % summary["oracle"]["max_abs_err"])
+    assert stdout.splitlines()[-1] == (
+        "oracle gamma2: max |numeric - closed form| = %.3e, relative to "
+        "max(1, |closed form|) = %.3e" % (summary["oracle"]["max_abs_err"],
+                                          summary["oracle"]["max_rel_err"]))
+
+
+@pytest.mark.parametrize("start_mode", ["offset", "series"])
+def test_solve_check_oracle_states_a_relative_error(start_mode, tmp_path,
+                                                    capsys):
+    """To zeta 60 the gamma2 profile grows like shc(zeta/2) to about
+    1.8e11, so the absolute error (2.1e4 from the offset start) cannot tell
+    a right run from a wrong one; the error over max(1, |closed form|), on
+    the same 1001 points, can.  Both match a recomputation."""
+    out = tmp_path / "g2.csv"
+    code, stdout, _ = _run(["solve", "--n", "1", "--omega", "0.5", "--json",
+                            "--start-mode", start_mode, "--out", str(out),
+                            "--check-oracle", "gamma2"], capsys)
+    assert code == 0
+    oracle = json.loads(stdout)["oracle"]
+    assert list(oracle) == ["kind", "max_abs_err", "max_rel_err"]
+    traj = integrate(make_params(1, 0.5), IntegratorOptions(
+        60.0, start_mode=start_mode))
+    grid = cli._linspace(traj.zetas[0], traj.zetas[-1], 1001)
+    errs = [(abs(z - gamma2_profile(t, 1.0, 0.5)),
+             max(1.0, abs(gamma2_profile(t, 1.0, 0.5))))
+            for t, (z, _) in zip(grid, traj.evaluate_many(grid))]
+    assert oracle["max_abs_err"] == max(e for e, _ in errs) > 1.0
+    assert oracle["max_rel_err"] == max(e / s for e, s in errs) <= 1e-6
+
+
+def test_oracle_gamma2_window_is_the_exact_product(tmp_path, capsys):
+    """3 times 1/3 rounded down lies 5.55e-17 below 1, so the halo has a
+    boundary there (the rounded window omega < 1/theta0 refused it); one
+    float up, theta0*omega passes 1 and the table is refused before any
+    file is written."""
+    out = tmp_path / "g.csv"
+    argv = ["oracle", "--kind", "gamma2", "--theta0", "3", "--out", str(out)]
+    code, stdout, _ = _run(argv + ["--omega", repr(1 / 3)], capsys)
+    assert code == 0
+    assert stdout.splitlines()[-1] == "halo boundary zeta_M = 102.52918045"
+    out.unlink()
+    code, stdout, err = _run(argv + ["--omega", repr(math.nextafter(
+        1 / 3, 1.0))], capsys)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: --omega: must satisfy 0 < omega and "
+                          "theta0*omega < 1")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_check_oracle_refuses_a_profile_ending_before_zeta0(tmp_path,
@@ -366,12 +416,11 @@ def test_oracle_gamma2_table(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "zeta,theta"
     assert len(lines) == 101
-    profile = HaloProfile(theta0=1.0, omega=0.5)
     first = [float(c) for c in lines[1].split(",")]
     last = [float(c) for c in lines[-1].split(",")]
     assert first == [0.0, 1.0]
     assert last[0] == 6.0
-    assert last[1] == gamma2_profile(6.0, profile)
+    assert last[1] == gamma2_profile(6.0, 1.0, 0.5)
 
 
 def test_oracle_gamma2_tiny_omega_boundary(tmp_path, capsys):

@@ -13,13 +13,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
 from lanestab import (
-    HaloProfile,
     ValidationError,
+    classify,
     gamma2_profile,
     gaussian_profile,
     halo_boundary,
     lane_emden_radius,
+    make_params,
     powerlaw_profile,
     shc,
     waterbag_profile,
@@ -87,15 +90,50 @@ def test_shc_series_seam():
     ],
 )
 def test_halo_profile_window(theta0, omega, field):
+    """The halo has a boundary only for theta0 > 0, omega > 0 and
+    theta0*omega < 1, and halo_boundary refuses the rest naming the field.
+    The profile itself is exact for every theta0 > 0 and omega >= 0."""
     with pytest.raises(ValidationError) as exc:
-        HaloProfile(theta0=theta0, omega=omega)
+        halo_boundary(theta0, omega)
+    assert exc.value.field == field
+    if theta0 > 0.0 and omega >= 0.0:
+        assert math.isfinite(gamma2_profile(1.0, theta0, omega))
+        return
+    with pytest.raises(ValidationError) as exc:
+        gamma2_profile(1.0, theta0, omega)
     assert exc.value.field == field
 
 
+# theta0*omega one float either side of 1: at theta0 = 3 the omega that
+# rounds 1/3 down has an exact product 5.55e-17 below 1, which the
+# rounded test omega < 1/theta0 refused
+@pytest.mark.parametrize("theta0", [3.0, 7.0, 10.0, 0.3, 1e-300, 1e300])
+def test_classify_and_halo_boundary_agree_on_the_window(theta0):
+    """Both decide theta0*omega < 1 on the exact product, checked here
+    with fractions: for even n the stability summary places the start
+    outside the basin estimate exactly where halo_boundary refuses it."""
+    centre = 1.0 / theta0
+    sides = set()
+    for omega in (math.nextafter(centre, 0.0), centre,
+                  math.nextafter(centre, math.inf)):
+        inside = Fraction(theta0) * Fraction(omega) < 1
+        sides.add(inside)
+        summary = classify(make_params(2, omega, theta0)).summary
+        assert ("not inside the basin estimate" not in summary) == inside
+        try:
+            halo_boundary(theta0, omega)
+        except ValidationError as exc:
+            assert exc.field == "omega" and not inside
+        else:
+            assert inside
+    assert sides == {True, False}
+
+
+
 def test_gamma2_profile_values():
-    p = HaloProfile(theta0=1.0, omega=0.5)
-    assert gamma2_profile(0.0, p) == 1.0
-    assert math.isclose(gamma2_profile(1.0, p), 0.9578093890125053, rel_tol=1e-14)
+    assert gamma2_profile(0.0, 1.0, 0.5) == 1.0
+    assert math.isclose(gamma2_profile(1.0, 1.0, 0.5), 0.9578093890125053,
+                        rel_tol=1e-14)
 
     def oracle(zeta: float) -> float:
         with mp.workdps(40):
@@ -104,8 +142,8 @@ def test_gamma2_profile_values():
                          / mp.mpf("0.5"))
 
     for zeta in np.linspace(0.05, 12.0, 120):
-        assert math.isclose(gamma2_profile(float(zeta), p), oracle(float(zeta)),
-                            rel_tol=1e-13, abs_tol=1e-13)
+        assert math.isclose(gamma2_profile(float(zeta), 1.0, 0.5),
+                            oracle(float(zeta)), rel_tol=1e-13, abs_tol=1e-13)
 
 
 @pytest.mark.parametrize("omega", [1e-12, 1e-8, 1e-4, 0.1, 0.5, 0.9])
@@ -113,20 +151,46 @@ def test_gamma2_profile_small_omega_relative_accuracy(omega):
     """(1/omega)[1 + (theta0*omega - 1) shc(x)] cancels to O(1) from terms
     of size 1/omega; the profile must keep full relative accuracy anyway,
     checked against the same formula at 50 digits."""
-    p = HaloProfile(theta0=1.0, omega=omega)
     for zeta in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0):
         with mp.workdps(50):
             om = mp.mpf(omega)
             x = mp.sqrt(om / 2) * zeta
             exact = (1 + (om - 1) * mp.sinh(x) / x) / om
-            rel = abs((mp.mpf(gamma2_profile(zeta, p)) - exact) / exact)
+            rel = abs((mp.mpf(gamma2_profile(zeta, 1.0, omega)) - exact)
+                      / exact)
+        assert rel <= 1e-13, (zeta, float(rel))
+
+
+def test_gamma2_profile_at_omega_zero_is_the_parabola():
+    """At omega = 0 the gamma = 2 profile is the n = 1 Lane-Emden
+    parabola theta0 - zeta**2/12, which has no halo boundary to need."""
+    for theta0 in (1e-8, 0.5, 1.0, 3.0, 1e8):
+        for zeta in (0.0, 1e-3, 0.5, 1.0, 3.0, 10.0, 1e3):
+            want = theta0 - zeta * zeta / 12.0
+            assert math.isclose(gamma2_profile(zeta, theta0, 0.0), want,
+                                rel_tol=1e-15,
+                                abs_tol=1e-15 * (theta0 + zeta * zeta / 12.0))
+
+
+@pytest.mark.parametrize("omega", [1e-8, 0.01, 0.5, 4.0])
+def test_gamma2_profile_past_the_window(omega):
+    """At theta0*omega = 3 the start lies above the repelling equilibrium
+    and the profile grows without a boundary; it matches the closed form
+    taken at 50 digits on the exact product."""
+    theta0 = 3.0 / omega
+    for zeta in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
+        with mp.workdps(50):
+            om, a = mp.mpf(omega), mp.mpf(theta0) * mp.mpf(omega)
+            x = mp.sqrt(om / 2) * zeta
+            exact = (1 + (a - 1) * mp.sinh(x) / x) / om
+            rel = abs((mp.mpf(gamma2_profile(zeta, theta0, omega)) - exact)
+                      / exact)
         assert rel <= 1e-13, (zeta, float(rel))
 
 
 def test_halo_boundary_against_independent_bisection():
     """halo_boundary must agree with a from-scratch bisection on
     sinh(x)/x = 1/(1 - theta0*omega), run here with no shared code."""
-    p = HaloProfile(theta0=1.0, omega=0.5)
     lo, hi = 1.0, 4.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -137,8 +201,9 @@ def test_halo_boundary_against_independent_bisection():
     x_star = 0.5 * (lo + hi)
     assert math.isclose(x_star, SINHC_EQUALS_TWO, rel_tol=1e-12)
     expect = x_star * math.sqrt(2.0 / 0.5)
-    assert abs(halo_boundary(p) - expect) <= 1e-9
-    assert math.isclose(halo_boundary(p), 4.354637969930614, rel_tol=1e-12)
+    assert abs(halo_boundary(1.0, 0.5) - expect) <= 1e-9
+    assert math.isclose(halo_boundary(1.0, 0.5), 4.354637969930614,
+                        rel_tol=1e-12)
 
 
 def test_halo_boundary_zero_consistency():
@@ -147,10 +212,9 @@ def test_halo_boundary_zero_consistency():
     for _ in range(40):
         theta0 = float(rng.uniform(0.2, 3.0))
         omega = float(rng.uniform(0.05, 0.95) / theta0)
-        p = HaloProfile(theta0=theta0, omega=omega)
-        zeta_m = halo_boundary(p)
+        zeta_m = halo_boundary(theta0, omega)
         assert zeta_m > 0.0
-        assert abs(gamma2_profile(zeta_m, p)) <= 1e-8
+        assert abs(gamma2_profile(zeta_m, theta0, omega)) <= 1e-8
 
 
 def _halo_boundary_oracle(theta0: float, omega: float) -> float:
@@ -170,35 +234,35 @@ def _halo_boundary_oracle(theta0: float, omega: float) -> float:
 # overflow, and zeta_M read inf.  theta0*omega = 1 - 2**-40, exact in
 # floats, puts zeta_M far out.  At theta0 = 7 the product rounds near 1,
 # and 1 - theta0*omega taken from the rounded product left zeta_M 7.2e-4
-# off.
+# off.  3 times 1/3 rounds to 1 but lies 5.55e-17 below it, which the
+# rounded window omega < 1/theta0 refused; (1 + 2**-52)(1 - 2**-52) lies
+# 2**-104 below 1, about the closest an exact product gets.
 HALO_CASES = [(1.0, 1e-8), (1.0, 1e-6), (1.0, 1e-4), (1.0, 0.5), (1.0, 0.9),
               (1e308, 1e-309), (1e308, 9e-309), (3.0, 0.3), (0.2, 4.0),
               (1e-300, 5e299), (1e200, 1e-210), (8.0, (1 - 2 ** -40) / 8),
-              (7.0, (1 - 1e-15) / 7.0)]
+              (7.0, (1 - 1e-15) / 7.0), (3.0, 1 / 3),
+              (1 + 2 ** -52, 1 - 2 ** -52)]
 
 
 @pytest.mark.parametrize("theta0, omega", HALO_CASES, ids=[
     f"{om}" if t0 == 1.0 else f"theta0={t0}-omega={om}"
     for t0, om in HALO_CASES])
 def test_halo_boundary_against_highprec_root(theta0, omega):
-    p = HaloProfile(theta0=theta0, omega=omega)
-    assert math.isclose(halo_boundary(p), _halo_boundary_oracle(theta0, omega),
-                        rel_tol=1e-12)
+    assert math.isclose(halo_boundary(theta0, omega),
+                        _halo_boundary_oracle(theta0, omega), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("omega", [1e-300, 1e-20, 1e-12])
 def test_halo_boundary_small_omega_limit(omega):
     # zeta_M -> sqrt(12 theta0) (1 + 0.35 theta0 omega) as omega -> 0
     limit = math.sqrt(12.0) * (1.0 + 0.35 * omega)
-    p = HaloProfile(theta0=1.0, omega=omega)
-    assert math.isclose(halo_boundary(p), limit, rel_tol=1e-13)
+    assert math.isclose(halo_boundary(1.0, omega), limit, rel_tol=1e-13)
 
 
 def test_gamma2_profile_strictly_decreasing_inside():
     for theta0, omega in ((1.0, 0.5), (0.8, 0.9), (2.0, 0.3)):
-        p = HaloProfile(theta0=theta0, omega=omega)
-        grid = np.linspace(0.0, halo_boundary(p), 200)
-        vals = [gamma2_profile(float(t), p) for t in grid]
+        grid = np.linspace(0.0, halo_boundary(theta0, omega), 200)
+        vals = [gamma2_profile(float(t), theta0, omega) for t in grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -296,9 +360,8 @@ def test_gamma_to_one_continuity():
 
 def test_gamma2_small_omega_approaches_powerlaw():
     # the two independent closed forms must meet in the omega -> 0 corner
-    p = HaloProfile(theta0=1.0, omega=1e-8)
     for zeta in np.linspace(0.0, 3.0, 40):
-        diff = abs(gamma2_profile(float(zeta), p)
+        diff = abs(gamma2_profile(float(zeta), 1.0, 1e-8)
                    - powerlaw_profile(float(zeta), 2.0, 1.0))
         assert diff <= 1e-6
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from lanestab import (
-    HaloProfile,
     IntegrationError,
     IntegratorOptions,
     ValidationError,
@@ -326,10 +325,9 @@ def test_tolerance_ladder_converges():
 def test_oracle_gamma2_closed_form():
     p = make_params(1, 0.5)
     traj = integrate(p, IntegratorOptions(zeta_end=10.0, start_mode="series"))
-    profile = HaloProfile(theta0=1.0, omega=0.5)
     grid = np.linspace(1e-3, 10.0, 301)
     zs = np.asarray(traj.evaluate_many(grid))[:, 0]
-    err = max(abs(float(z) - gamma2_profile(float(t), profile))
+    err = max(abs(float(z) - gamma2_profile(float(t), 1.0, 0.5))
               for t, z in zip(grid, zs))
     assert err <= 1e-6
 
@@ -350,7 +348,7 @@ def test_first_zero_matches_halo_boundary():
     traj = integrate(p, IntegratorOptions(zeta_end=6.0, start_mode="series"))
     zc = first_zero(traj)
     assert zc is not None
-    assert abs(zc - halo_boundary(HaloProfile(theta0=1.0, omega=0.5))) <= 1e-6
+    assert abs(zc - halo_boundary(1.0, 0.5)) <= 1e-6
     z_at, _ = _point(traj, zc)
     assert abs(z_at) <= 1e-9
     assert zc == traj.events[0]

@@ -5,13 +5,13 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from lanestab import (
     Equilibrium,
-    HaloProfile,
     IntegratorOptions,
     ModelParams,
     ValidationError,
@@ -19,7 +19,9 @@ from lanestab import (
     integrate,
     equilibria,
     escape_zeta,
+    gamma2_profile,
     gaussian_profile,
+    halo_boundary,
     lane_emden_radius,
     make_params,
     rhs,
@@ -27,7 +29,7 @@ from lanestab import (
 )
 from lanestab.cli import build_parser
 from lanestab.closedform import powerlaw_boundary
-from lanestab.model import STABLE_LEFT, UNSTABLE_ODD, UNSTABLE_RIGHT
+from lanestab.model import STABLE_LEFT, UNSTABLE_ODD, UNSTABLE_RIGHT, _Record
 
 from certificate_oracle import basin_contains
 
@@ -39,13 +41,18 @@ def _oracle_zeta_end(value):
 
 
 def _records():
-    """One instance of each of the six records, with one of its fields."""
+    """One instance of each of the five records, with one of its fields."""
     p = make_params(2, 0.5)
     return [(p, "omega"), (equilibria(p)[0], "z_eq"),
             (IntegratorOptions(10.0), "rel_tol"),
             (integrate(p, IntegratorOptions(1.0)), "events"),
-            (HaloProfile(1.0, 0.5), "omega"),
             (classify(p), "instability_zeta0")]
+
+
+class _Pair(_Record, namedtuple("_Pair", "first second")):
+    """A two-field record of the tests' own, to compare Equilibrium with."""
+
+    __slots__ = ()
 
 
 def test_make_params_basic():
@@ -100,14 +107,15 @@ def test_make_params_rejections(kwargs, field):
     (lambda v: make_params(2, 0.5, theta0=v), "theta0"),
     (lambda v: IntegratorOptions(10.0, zeta_start=v), "zeta_start"),
     (lambda v: IntegratorOptions(zeta_end=v), "zeta_end"),
-    (lambda v: HaloProfile(theta0=v, omega=0.5), "theta0"),
+    (lambda v: halo_boundary(v, 0.5), "theta0"),
+    (lambda v: gamma2_profile(1.0, v, 0.5), "theta0"),
     (lambda v: powerlaw_boundary(2.0, v), "theta0"),
     (lambda v: gaussian_profile(1.0, v), "theta0"),
     (lambda v: lane_emden_radius(v), "omega"),
     (_oracle_zeta_end, "zeta_end"),
 ], ids=["make_params.theta0", "IntegratorOptions.zeta_start",
-        "IntegratorOptions.zeta_end", "HaloProfile.theta0",
-        "powerlaw.theta0", "gaussian_profile.theta0",
+        "IntegratorOptions.zeta_end", "halo_boundary.theta0",
+        "gamma2_profile.theta0", "powerlaw.theta0", "gaussian_profile.theta0",
         "lane_emden_radius.omega", "oracle.zeta_end"])
 def test_positive_value_rule(call, field, value):
     """Every site of the finite-and-positive rule names its own field and
@@ -139,6 +147,8 @@ def test_positive_integer_rule(call, field, value):
 @pytest.mark.parametrize("call, field", [
     (lambda v: make_params(2, v), "omega"),
     (lambda v: make_params(2, 0.5, theta0=v), "theta0"),
+    (lambda v: gamma2_profile(1.0, 1.0, v), "omega"),
+    (lambda v: halo_boundary(1.0, v), "omega"),
     (lambda v: IntegratorOptions(10.0, zeta_start=v), "zeta_start"),
     (lambda v: IntegratorOptions(v), "zeta_end"),
     (lambda v: IntegratorOptions(10.0, rel_tol=v), "rel_tol"),
@@ -148,8 +158,8 @@ def test_positive_integer_rule(call, field, value):
     (lambda v: escape_zeta(make_params(1, 0.5), perturbation=v),
      "perturbation"),
     (lambda v: escape_zeta(make_params(1, 0.5), threshold=v), "threshold"),
-], ids=["make_params.omega", "make_params.theta0",
-        "IntegratorOptions.zeta_start",
+], ids=["make_params.omega", "make_params.theta0", "gamma2_profile.omega",
+        "halo_boundary.omega", "IntegratorOptions.zeta_start",
         "IntegratorOptions.zeta_end", "IntegratorOptions.rel_tol",
         "IntegratorOptions.abs_tol", "powerlaw.gamma", "basin_contains.delta",
         "escape_zeta.perturbation", "escape_zeta.threshold"])
@@ -178,7 +188,7 @@ def test_omega_zero_is_a_valid_parameter():
 
 def test_immutability():
     records = _records()
-    assert len({type(rec) for rec, _ in records}) == 6
+    assert len({type(rec) for rec, _ in records}) == 5
     for rec, field in records:
         before = getattr(rec, field)
         with pytest.raises(AttributeError):
@@ -195,7 +205,6 @@ def test_records_compare_hash_and_print_by_value():
     assert repr(p) == "ModelParams(n=2, omega=0.5, theta0=1.0)"
     assert repr(equilibria(p)[1]) == ("Equilibrium(z_eq=1.4142135623730951, "
                                       "kind='unstable_right')")
-    assert repr(HaloProfile(1.0, 0.5)) == "HaloProfile(theta0=1.0, omega=0.5)"
     assert repr(classify(p)).startswith(
         "StabilityReport(params=ModelParams(n=2, omega=0.5, theta0=1.0), "
         "equilibria=(Equilibrium(z_eq=-1.4142135623730951, "
@@ -206,7 +215,9 @@ def test_records_compare_hash_and_print_by_value():
     assert p != make_params(2, 0.25) and p != make_params(4, 0.5)
     assert p != (2, 0.5, 1.0)
     # equal field values in another record type are not equal
-    assert Equilibrium(1.0, 0.5) != HaloProfile(1.0, 0.5)
+    assert Equilibrium(1.0, 0.5) != _Pair(1.0, 0.5)
+    assert _Pair(1.0, 0.5) != Equilibrium(1.0, 0.5)
+    assert _Pair(1.0, 0.5) == _Pair(1.0, 0.5)
     assert len({Equilibrium(1.0, "zero"), Equilibrium(1.0, "zero"),
                 Equilibrium(1.0, "x")}) == 2
     assert classify(p) == classify(same) != classify(make_params(4, 0.5))
@@ -228,8 +239,8 @@ def test_records_take_fields_by_position_or_keyword():
 
 @pytest.mark.parametrize("record, field, value", [
     (IntegratorOptions(10.0), "zeta_start", -1),
-    (HaloProfile(1.0, 0.5), "omega", 2),
-], ids=["IntegratorOptions", "HaloProfile"])
+    (make_params(2, 0.5), "n", 0),
+], ids=["IntegratorOptions", "ModelParams"])
 def test_replace_and_make_go_through_the_checks(record, field, value):
     """_replace and _make build through the checking constructor, so they
     raise its ValidationError, naming the field, as the class call does."""
@@ -241,6 +252,30 @@ def test_replace_and_make_go_through_the_checks(record, field, value):
             build()
         assert exc.value.field == field
     assert record._replace() == record == type(record)._make(record)
+
+
+@pytest.mark.parametrize("fields, field", [
+    ((0, 0.5, 1.0), "n"), ((-1, 0.5, 1.0), "n"), ((2, -0.5, 1.0), "omega"),
+    ((2, math.nan, 1.0), "omega"), ((2, 0.5, 0.0), "theta0")])
+def test_model_params_checks_every_way_of_building(fields, field):
+    """A ModelParams built by call, _replace or _make, or rebuilt by copy
+    or pickle, raises the ValidationError that make_params raises, naming
+    the same field; a bad record cannot reach integrate or classify."""
+    with pytest.raises(ValidationError) as want:
+        make_params(*fields)
+    assert want.value.field == field
+    # a record forged past the constructor still rebuilds through it
+    forged = tuple.__new__(ModelParams, fields)
+    for build in (lambda: ModelParams(*fields),
+                  lambda: ModelParams._make(fields),
+                  lambda: make_params(2, 0.5)._replace(
+                      **dict(zip(ModelParams._fields, fields))),
+                  lambda: copy.copy(forged), lambda: copy.deepcopy(forged),
+                  lambda: pickle.loads(pickle.dumps(forged))):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert (exc.value.field, exc.value.message) \
+            == (want.value.field, want.value.message)
 
 
 def test_theta_from_z_examples():
