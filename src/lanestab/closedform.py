@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 
-from .model import (ValidationError, _bisect, _require_float,
-                    _require_nonnegative, _require_positive)
+from .model import (ValidationError, _bisect, _one_minus_product,
+                    _product_below_one, _require_float, _require_nonnegative,
+                    _require_positive)
 
 SHC_SERIES_CUTOFF = 1e-4
 
@@ -67,31 +68,6 @@ def gamma2_profile(zeta: float, theta0: float, omega: float) -> float:
     return theta0 * shc(x) - zeta * zeta * _shc_excess(abs(x)) / 2.0
 
 
-def _split(m: float) -> tuple[float, float]:
-    """Veltkamp's split m = hi + lo into two halves of 26 bits or fewer."""
-    c = 134217729.0 * m  # 2**27 + 1
-    hi = c - (c - m)
-    return hi, m - hi
-
-
-def _one_minus_product(x: float, y: float) -> float:
-    """1 - x*y, where x*y = p + err exactly by Dekker's two-product, so a
-    product near 1 loses nothing before the subtraction.  The product is
-    taken on the frexp mantissas, where the split cannot overflow, and
-    scaled back by ldexp; math.fma would need Python 3.13."""
-    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
-    (xh, xl), (yh, yl), p = _split(mx), _split(my), mx * my
-    err = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    return (1.0 - math.ldexp(p, ex + ey)) - math.ldexp(err, ex + ey)
-
-
-def _product_below_one(x: float, y: float) -> bool:
-    """Whether x*y < 1 exactly, for x, y >= 0.  A rounded product above 2
-    is past 1 whatever its rounding, and it skips the exact test, whose
-    ldexp could overflow there."""
-    return x * y <= 2.0 and _one_minus_product(x, y) > 0.0
-
-
 def halo_boundary(theta0: float, omega: float) -> float:
     """Radius zeta_M > 0 where the gamma = 2 profile reaches zero, which
     it does for 0 < omega with theta0*omega < 1, exactly.
@@ -100,8 +76,8 @@ def halo_boundary(theta0: float, omega: float) -> float:
     With zeta = sqrt(theta0)*y and x = sqrt(a/2)*y, divided by a/2:
     F(y) = _shc_excess(x)*y^2 = 2/(1 - a), finite for every 0 < a < 1, and
     accurate as omega -> 0, where zeta_M -> sqrt(12 theta0)(1 + 0.35 a).
-    1 - a is taken without rounding a first, so it stays accurate where
-    the product rounds near 1.  F(0) = 0 and F >= y^2/6, so the root is the
+    The target is 2/(1 - a) on the exact 1 - a of _one_minus_product,
+    rounded once.  F(0) = 0 and F >= y^2/6, so the root is the
     last float of [0, sqrt(6*target)] with F < target.  An exact product
     of two floats below 1 lies at least 2**-107 below it, so y < 115 and
     zeta_M < 2e156 stays in the float range.
@@ -110,8 +86,8 @@ def halo_boundary(theta0: float, omega: float) -> float:
     omega = _require_float("omega", omega, "must satisfy 0 < omega and "
                            "theta0*omega < 1 for a real halo boundary",
                            lambda v: 0.0 < v and _product_below_one(theta0, v))
-    a = theta0 * omega
-    c, target = math.sqrt(0.5 * a), 2.0 / _one_minus_product(theta0, omega)
+    gap, den = _one_minus_product(theta0, omega)
+    c, target = math.sqrt(0.5 * theta0 * omega), 2 * den / gap
     y = _bisect(lambda y: _shc_excess(c * y) * y * y < target, 0.0,
                 math.sqrt(6.0 * target))
     return y * math.sqrt(theta0)

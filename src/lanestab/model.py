@@ -130,6 +130,18 @@ def _bisect(inside, lo: float, hi: float) -> float:
     return lo
 
 
+def _one_minus_product(x: float, y: float) -> tuple[int, int]:
+    """1 - x*y exactly, as (qs - pr, qs) on the finite floats' integer
+    ratios x = p/q and y = r/s, with no rounding at all."""
+    (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
+    return q * s - p * r, q * s
+
+
+def _product_below_one(x: float, y: float) -> bool:
+    """Whether x*y < 1 exactly, for finite floats x and y."""
+    return _one_minus_product(x, y)[0] > 0
+
+
 def make_params(n: int, omega: float, theta0: float = 1.0) -> ModelParams:
     """ModelParams(n, omega, theta0), with a unit central density by
     default.  Raises ValidationError naming the offending field."""

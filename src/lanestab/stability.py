@@ -31,17 +31,17 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .closedform import _product_below_one
-from .model import (ModelParams, ValidationError, _Record, _radius,
-                    _require_float, _require_positive, equilibria,
-                    make_params)
+from .model import (ModelParams, ValidationError, _Record,
+                    _product_below_one, _radius, _require_float,
+                    _require_positive, equilibria, make_params)
 from .integrate import IntegratorOptions, integrate
 
 
 class StabilityReport(_Record, namedtuple("StabilityReport", "params "
                       "equilibria alpha_max instability_zeta0 summary")):
     """classify() output; serializes to the CLI's JSON schema.  The LMI
-    holds by its identity exactly when alpha_max is set (even n)."""
+    holds by its identity exactly when alpha_max is set (even n), and then
+    the JSON also says whether the start lies in the basin estimate."""
 
     __slots__ = ()
 
@@ -56,6 +56,9 @@ class StabilityReport(_Record, namedtuple("StabilityReport", "params "
             d["lmi"] = {"verified": True, "worst_eig": 0.0}
         d["instability_zeta0"] = self.instability_zeta0
         d["stable_regime"] = self.params.stable_regime
+        if self.alpha_max is not None:  # even n: x1 < 2u, theta0*omega < 1
+            d["start_in_basin"] = _product_below_one(self.params.theta0,
+                                                     self.params.omega)
         return d
 
 

@@ -37,6 +37,7 @@ from lanestab import (
 )
 from lanestab.cli import main
 from lanestab.integrate import COMPLETED, DIVERGED, DIVERGENCE_GUARD
+from lanestab.model import _product_below_one
 
 from certificate_oracle import certificate_P, jacobian, lmi_residual
 
@@ -524,18 +525,19 @@ LAW_FACTORS = (0.3, 0.9, 0.99, 1 - 1e-6, 1 + 1e-6, 1.01, 1.1, 3.0)
 
 def test_criterion_13_dichotomy_law(record_criterion):
     """The paper's dichotomy for the offset start (theta0**(1/n), 0): the
-    run stays bounded exactly when n is even and theta0 < 1/omega, where
-    the start lies in the basin estimate, and blows up otherwise.  Each
-    run to zeta 200, with theta0 = f/omega, must end "completed" or
-    "diverged" as the law says, never in an IntegrationError."""
+    run stays bounded exactly when n is even and theta0*omega < 1, on the
+    exact product, where the start lies in the basin estimate, and blows
+    up otherwise.  Each run to zeta 200, with theta0 = f/omega, must end
+    "completed" or "diverged" as the law says, never in an
+    IntegrationError."""
     t0 = time.perf_counter()
     runs, misses = 0, []
     for n in LAW_NS:
         for omega in LAW_OMEGAS:
             for f in LAW_FACTORS:
                 theta0 = f / omega
-                law = COMPLETED if n % 2 == 0 and theta0 < 1.0 / omega \
-                    else DIVERGED
+                law = COMPLETED if n % 2 == 0 and \
+                    _product_below_one(theta0, omega) else DIVERGED
                 try:
                     outcome = integrate(make_params(n, omega, theta0),
                                         IntegratorOptions(200.0)).status
@@ -548,7 +550,7 @@ def test_criterion_13_dichotomy_law(record_criterion):
     record_criterion(13, not misses,
                      f"dichotomy law: {runs - len(misses)}/{runs} offset "
                      f"starts to zeta 200 end as the law says (completed "
-                     f"exactly when n is even and theta0 < 1/omega, else "
+                     f"exactly when n is even and theta0*omega < 1, else "
                      f"diverged) over n = 1-12, 20, 21, 49, 50, omega in "
                      f"{LAW_OMEGAS}, theta0 = f/omega with f in "
                      f"{LAW_FACTORS}; "
@@ -564,6 +566,12 @@ SCALE_RTOL = 1e-10
 SCALE_S_END = 30.0
 # |zeta_star/sqrt(u) - s_star| <= SCALE_BOUND * rtol * s_star
 SCALE_BOUND = 1.0
+# common scaled points s inside both runs' ranges, where |w| <= SCALE_W_MAX:
+# |z(sqrt(u) s)/u - w(s)| <= SCALE_POINT_BOUND * rtol * max(1, |w(s)|), and
+# the same for dz(sqrt(u) s)/sqrt(u) against w'(s)
+SCALE_POINTS = (0.5, 1.0, 3.0, 10.0, 30.0)
+SCALE_W_MAX = 1e6
+SCALE_POINT_BOUND = 10.0
 
 
 def test_criterion_14_omega_scales_out(record_criterion):
@@ -573,13 +581,16 @@ def test_criterion_14_omega_scales_out(record_criterion):
     zeta = sqrt(u)*30 at rtol 1e-10, is compared with its omega = 1 twin
     started at zeta0/sqrt(u) and run to s = 30: zeta_star/sqrt(u) must
     match the twin's within SCALE_BOUND * rtol relative, and the statuses
-    must match.  The one part of a run that does not scale is the
+    must match.  At each common scaled point s of SCALE_POINTS, z/u and
+    dz/sqrt(u) must match w and w' within SCALE_POINT_BOUND * rtol, over
+    max(1, |twin value|).  The one part of a run that does not scale is the
     absolute guard |z| > 1e12: a run whose twin completes diverges
     exactly where u times the twin's largest |w| passes the guard (n = 1,
     whose solutions grow exponentially but never blow up, at omega below
     about 1e-4)."""
     t0 = time.perf_counter()
     pairs, worst, misses, by_guard = 0, 0.0, [], 0
+    points, worst_z, worst_dz = 0, (0.0, None), (0.0, None)
     for n in SCALE_NS:
         for omega in SCALE_OMEGAS:
             for product in SCALE_PRODUCTS:
@@ -608,8 +619,23 @@ def test_criterion_14_omega_scales_out(record_criterion):
                 elif star is not None:
                     dev = abs(star / root - twin_star) / twin_star
                     worst = max(worst, dev / SCALE_RTOL)
+                for s in SCALE_POINTS:
+                    if s > twin.zetas[-1] or root * s > run.zetas[-1]:
+                        continue
+                    (z, dz), = run.evaluate_many([root * s])
+                    (w, dw), = twin.evaluate_many([s])
+                    if abs(w) > SCALE_W_MAX:
+                        continue
+                    points += 1
+                    where = (n, omega, product, s)
+                    worst_z = max(worst_z, (abs(z / u - w) / max(1.0, abs(w))
+                                            / SCALE_RTOL, where))
+                    worst_dz = max(worst_dz, (abs(dz / root - dw)
+                                              / max(1.0, abs(dw))
+                                              / SCALE_RTOL, where))
     runtime = time.perf_counter() - t0
-    ok = not misses and worst <= SCALE_BOUND
+    ok = not misses and worst <= SCALE_BOUND and \
+        max(worst_z[0], worst_dz[0]) <= SCALE_POINT_BOUND
     record_criterion(14, ok,
                      f"omega scales out: {pairs} series starts over n = "
                      f"{SCALE_NS}, omega = {SCALE_OMEGAS}, theta0*omega = "
@@ -617,8 +643,15 @@ def test_criterion_14_omega_scales_out(record_criterion):
                      f"their omega = 1 twins: worst |zeta_star/sqrt(u) - "
                      f"s_star|/s_star = {worst * SCALE_RTOL:.2e} (gate "
                      f"{SCALE_BOUND:g} * rtol), status misses {misses[:5]} "
-                     f"({by_guard} runs past the absolute guard only); "
-                     f"runtime {runtime:.1f} s")
+                     f"({by_guard} runs past the absolute guard only); at "
+                     f"{points} common points s in {SCALE_POINTS} with "
+                     f"|w| <= {SCALE_W_MAX:g}, worst z {worst_z[0] * SCALE_RTOL:.2e} "
+                     f"at (n, omega, theta0*omega, s) = {worst_z[1]} and worst "
+                     f"dz {worst_dz[0] * SCALE_RTOL:.2e} at {worst_dz[1]} "
+                     f"(gate {SCALE_POINT_BOUND:g} * rtol); runtime {runtime:.1f} s")
     assert pairs == 216
     assert not misses, misses
     assert worst <= SCALE_BOUND
+    assert points > 0
+    assert worst_z[0] <= SCALE_POINT_BOUND, worst_z
+    assert worst_dz[0] <= SCALE_POINT_BOUND, worst_dz

@@ -572,6 +572,22 @@ def test_oracle_rejects_unknown_kind(tmp_path, capsys):
     assert "--kind" in err
 
 
+# 3 times 1/3 rounded down lies 5.55e-17 below 1, the next float up above it
+@pytest.mark.parametrize("n, omega, inside", [
+    ("2", "0.3333333333333333", True), ("2", "0.33333333333333337", False),
+    ("4", "0.25", True), ("3", "0.3333333333333333", None)])
+def test_stability_json_places_the_start(n, omega, inside, capsys):
+    """For even n, stability --json says whether the start lies in the
+    basin estimate, theta0*omega < 1 exactly; odd n omits the key."""
+    code, stdout, _ = _run(["stability", "--n", n, "--omega", omega,
+                            "--theta0", "3", "--json"], capsys)
+    assert code == 0
+    report = json.loads(stdout)
+    assert report.get("start_in_basin") is inside
+    assert list(report)[-1] == ("start_in_basin" if inside is not None
+                                else "stable_regime")
+
+
 def test_stability_cli_json_and_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, stdout, _ = _run(["stability", "--n", "2", "--omega", "0.5",

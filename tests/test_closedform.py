@@ -8,10 +8,12 @@ package code never feeds its own values back in as expectations.
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
@@ -27,7 +29,9 @@ from lanestab import (
     shc,
     waterbag_profile,
 )
+from lanestab import closedform
 from lanestab.closedform import SHC_SERIES_CUTOFF, powerlaw_boundary
+from lanestab.model import _one_minus_product, _product_below_one
 
 # root of sinh(x)/x = 2, frozen from mpmath.findroot
 SINHC_EQUALS_TWO = 2.1773189849653068
@@ -127,6 +131,60 @@ def test_classify_and_halo_boundary_agree_on_the_window(theta0):
         else:
             assert inside
     assert sides == {True, False}
+
+
+_THIRD = 1 / 3
+PRODUCT_CASES = [
+    (3.0, math.nextafter(_THIRD, 0.0)), (3.0, _THIRD),
+    (3.0, math.nextafter(_THIRD, 1.0)), (1e300, 1e300),
+    (5e-324, sys.float_info.max), (2.0 ** 1023, 2.0 ** -1023),
+    (2.0 ** 1023, math.nextafter(2.0 ** -1023, 0.0)), (1e308, 1e-309),
+    (1e308, 2.2250738585072014e-308), (0.0, 1e300), (1.0, 1.0),
+    (1 + 2 ** -52, 1 - 2 ** -52), (1 + 2 ** -52, 1 - 2 ** -53)]
+
+
+@pytest.mark.parametrize("x, y", PRODUCT_CASES)
+def test_product_below_one_is_exact(x, y):
+    """x*y < 1 on the exact product, whatever the rounded one says, also
+    where that product overflows, underflows or meets a subnormal; and
+    the gap 1 - x*y that halo_boundary's target divides by is exact."""
+    want = Fraction(x) * Fraction(y) < 1
+    assert _product_below_one(x, y) == want
+    assert _product_below_one(y, x) == want
+    gap = 1 - Fraction(x) * Fraction(y)
+    assert Fraction(*_one_minus_product(x, y)) == gap
+    assert Fraction(*_one_minus_product(y, x)) == gap
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(x=st.floats(1e-300, 1e300), steps=st.integers(-3, 3))
+def test_product_below_one_on_reciprocal_neighbours(x, steps):
+    """1/x rounded, moved up to three floats either way, puts x*y within
+    a few ulps of 1 on either side."""
+    y = 1.0 / x
+    for _ in range(abs(steps)):
+        y = math.nextafter(y, math.inf if steps > 0 else 0.0)
+    assert _product_below_one(x, y) == (Fraction(x) * Fraction(y) < 1)
+
+
+# the floats' evaluation of shc(x) - 1 leaves zeta_M up to 2.5 ulp from
+# the root (at theta0 = 3, omega = 1/3), whatever the target's last bit
+HALO_ULPS = 3
+TARGET_CASES = [(3.0, _THIRD), (0.3, 1e-6), (0.5, 0.05), (0.5, 1e-3),
+                (1e308, 1e-309), (1e-300, 5e299), (3.0, 5e-324),
+                (1 + 2 ** -52, 1 - 2 ** -52), (7.0, (1 - 1e-15) / 7.0)]
+
+
+@pytest.mark.parametrize("theta0, omega", TARGET_CASES)
+def test_halo_boundary_on_the_exact_gap(theta0, omega):
+    """The target 2/(1 - theta0*omega), taken on the exact gap and rounded
+    once, puts zeta_M within HALO_ULPS of a 60-digit root, also where the
+    product rounds near 1 or past the float range."""
+    gap, den = _one_minus_product(theta0, omega)
+    assert 2 * den / gap == float(2 / (1 - Fraction(theta0) * Fraction(omega)))
+    zeta_m = halo_boundary(theta0, omega)
+    assert abs(zeta_m - _halo_boundary_oracle(theta0, omega)) \
+        <= HALO_ULPS * math.ulp(zeta_m)
 
 
 

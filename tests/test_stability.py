@@ -468,7 +468,9 @@ def test_classify_even_report():
     assert kinds == ["stable_left", "unstable_right"]
     assert "stable" in report.summary
     assert list(d.keys()) == ["params", "equilibria", "alpha_max", "lmi",
-                              "instability_zeta0", "stable_regime"]
+                              "instability_zeta0", "stable_regime",
+                              "start_in_basin"]
+    assert d["start_in_basin"] is True
     assert list(d["lmi"].keys()) == ["verified", "worst_eig"]
     assert d["equilibria"][0]["kind"] == "stable_left"
     assert d["params"] == {"n": 2, "omega": 0.5, "theta0": 1.0}
@@ -509,7 +511,10 @@ def test_summary_places_the_start_by_theta0_omega(n, omega, theta0, outside):
     assert ("basin" in report.summary) == outside
     assert ("outside the trapped regime 0 < omega < 1." in report.summary) \
         == (omega >= 1.0)
-    # the JSON report carries no summary: theta0 moves only its params
+    # the JSON report carries no summary: theta0 moves only its params and,
+    # for even n, start_in_basin, which the sentence's absence states
     want = classify(make_params(n, omega)).to_json_dict()
     want["params"] = make_params(n, omega, theta0)._asdict()
+    if n % 2 == 0:
+        want["start_in_basin"] = not outside
     assert report.to_json_dict() == want
