@@ -17,22 +17,32 @@ error (the message names the offending flag), 2 numerical failure.
 All emitted files are byte deterministic for identical inputs.  CSV cells
 carry 17 significant digits; a sweep splits its runs across one forked
 process per CPU in its affinity mask, and writes the index last.
+
+A solve that passes 4096 nodes, with a second CPU in its affinity mask,
+forks one process that formats the CSV rows while the run goes on: the
+nodes reach it as raw doubles over a pipe, and its text comes back when
+the run ends.  solve itself writes every file, after the same checks as
+a serial solve.  Shorter solves, the sweep's runs, a one-CPU mask
+and a platform without fork format serially, as does a solve whose
+formatter fails; the bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import re
 import sys
+from array import array
 from pathlib import Path
 
 from . import closedform
 from .integrate import (DIVERGED, DIVERGENCE_GUARD, IntegrationError,
-                        IntegratorOptions, OFFSET, SERIES, Trajectory,
-                        first_zero, integrate)
+                        IntegratorOptions, OFFSET, SERIES, _SINK_STEPS,
+                        Trajectory, first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
                     _require_positive, equilibria, make_params, theta_from_z)
 from .stability import classify, lyapunov_V
@@ -43,6 +53,8 @@ ORACLE_KINDS = ("gamma2", "powerlaw", "gaussian")
 BOUNDED_LIMIT = 1e3
 STABLE_COLOR = "#000000"
 UNSTABLE_COLOR = "#d62728"
+# a solve forks its CSV row formatter once it passes this many nodes
+_FORK_NODES = 4096
 
 # a ValidationError field names the flag "--" + field, "-" for "_", except
 FLAG_BY_FIELD = {"zeta_start": "--zeta0", "rel_tol": "--rtol",
@@ -73,28 +85,125 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _trajectory_csv(traj: Trajectory) -> str:
-    """The CSV text; theta, V and Vdot repeat theta_from_z, lyapunov_V and
-    lyapunov_Vdot's arithmetic inline, so each cell equals theirs."""
-    params = traj.params
+def _csv_rows(params: ModelParams, z0: float, dz0: float):
+    """The CSV header line, and a function from node columns (zetas, zs,
+    dzs) to their rows' text.  theta, V and Vdot repeat theta_from_z,
+    lyapunov_V and lyapunov_Vdot's arithmetic inline, so each cell equals
+    theirs; lyapunov_V's checks run once, on the start node (z0, dz0)."""
     n = params.n
-    rows = zip(traj.zetas, traj.zs, traj.dzs)
     if n % 2 == 0 and params.omega > 0.0:
         z_eq = equilibria(params)[0].z_eq
-        lyapunov_V(traj.zs[0] - z_eq, traj.dzs[0], params)  # its checks, once
+        lyapunov_V(z0 - z_eq, dz0, params)
         u, m = -z_eq, n + 1
         tail, c = u ** m, -2.0 * params.omega / m ** 2
-        lines = [CSV_HEADER_FULL + "\n"] + [
+        return CSV_HEADER_FULL + "\n", lambda ts, zs, dzs: "".join([
             "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
                 t, z, dz, z ** n,
                 c * (((x1 := z - z_eq) - u) ** m + tail) + 2.0 * x1 / m
                 + dz * dz, -4.0 * dz * dz / t)
-            for t, z, dz in rows]
-    else:
-        lines = [CSV_HEADER_BARE + "\n"] + [
-            "%.17g,%.17g,%.17g,%.17g\n" % (t, z, dz, z ** n)
-            for t, z, dz in rows]
-    return "".join(lines)
+            for t, z, dz in zip(ts, zs, dzs)])
+    return CSV_HEADER_BARE + "\n", lambda ts, zs, dzs: "".join([
+        "%.17g,%.17g,%.17g,%.17g\n" % (t, z, dz, z ** n)
+        for t, z, dz in zip(ts, zs, dzs)])
+
+
+def _trajectory_csv(traj: Trajectory, rows: str | None = None) -> str:
+    """The CSV text of traj's nodes.  rows, where given, is their rows'
+    text, formatted elsewhere by _csv_rows; the checks still run here."""
+    header, format_rows = _csv_rows(traj.params, traj.zs[0], traj.dzs[0])
+    if rows is None:
+        rows = format_rows(traj.zetas, traj.zs, traj.dzs)
+    return header + rows
+
+
+def _fork_cpus() -> int:
+    """The CPUs in this process's affinity mask; 1 where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+class _RowFormatter:
+    """integrate's node sink in `solve`.  Once the run passes _FORK_NODES
+    nodes, and the affinity mask has a second CPU, it forks one process
+    that formats the CSV rows of those nodes and of the nodes streamed to
+    it, as raw doubles, while the run goes on; at end of input the child
+    sends the text back.  Fork is safe: solve starts no thread."""
+
+    def __init__(self, params: ModelParams):
+        self.params, self.sent = params, 0  # sent: doubles the child has
+        self.to_child = self.from_child = None
+        # None: may fork; 0: forks no more, and no child is running
+        self.pid = None if _fork_cpus() > 1 else 0
+
+    def __call__(self, nodes: array) -> None:
+        if self.pid is None:
+            if len(nodes) >= 3 * _FORK_NODES:
+                self._fork(nodes)
+        elif self.pid:
+            try:
+                self.to_child.write(nodes[self.sent:])
+                self.to_child.flush()
+                self.sent = len(nodes)
+            except OSError:  # the child is gone: solve formats serially
+                self.close()
+
+    def _fork(self, nodes: array) -> None:
+        self.pid = 0  # one fork at most
+        down_r, down_w = os.pipe()
+        up_r, up_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: solve formats serially
+            for fd in (down_r, down_w, up_r, up_w):
+                os.close(fd)
+            return
+        if pid == 0:  # the child leaves only through _exit
+            try:
+                os.close(down_w)
+                os.close(up_r)
+                _, rows = _csv_rows(self.params, nodes[1], nodes[2])
+                parts = [rows(nodes[0::3], nodes[1::3], nodes[2::3])]
+                with open(down_r, "rb") as fh:
+                    while chunk := fh.read(24 * _SINK_STEPS):
+                        more = array("d", chunk)
+                        parts.append(rows(more[0::3], more[1::3], more[2::3]))
+                with open(up_w, "w", newline="") as fh:
+                    fh.write("".join(parts))
+            except BaseException:
+                os._exit(1)
+            os._exit(0)
+        os.close(down_r)
+        os.close(up_w)
+        self.pid, self.sent = pid, len(nodes)
+        self.to_child = open(down_w, "wb")
+        self.from_child = open(up_r, newline="")
+
+    def rows(self, count: int) -> str | None:
+        """The child's text, where it exited 0 with the rows of exactly
+        `count` nodes, else None; call once the run has ended.  The child
+        is reaped."""
+        if not self.pid:
+            return None
+        self.to_child.close()  # end of input
+        text = self.from_child.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = 0
+        self.close()
+        return text if code == 0 and text.count("\n") == count else None
+
+    def close(self) -> None:
+        """Close the pipes; stop and reap a child still running."""
+        for fh in (self.to_child, self.from_child):
+            if fh is not None:
+                with contextlib.suppress(OSError):
+                    fh.close()
+        self.to_child = self.from_child = None
+        if self.pid:
+            from signal import SIGKILL  # only a failed run gets here
+            os.kill(self.pid, SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
 
 
 def _outcome(traj: Trajectory, zeta_star: float | None) -> dict:
@@ -181,7 +290,12 @@ def cmd_solve(args) -> int:
             raise ValidationError("check_oracle", f"the {args.check_oracle} "
                                   f"profile ends at zeta = {end!r}, not past "
                                   f"--zeta0 = {opts.zeta_start!r}")
-    traj = integrate(params, opts)
+    formatter = _RowFormatter(params)
+    try:
+        traj = integrate(params, opts, _sink=formatter)
+        rows = formatter.rows(len(traj.zetas))
+    finally:
+        formatter.close()
     zeta_star = first_zero(traj)
     summary = {"params": _run_json(params, opts),
                "stable_regime": params.stable_regime,
@@ -197,7 +311,7 @@ def cmd_solve(args) -> int:
             "kind": args.check_oracle, "max_abs_err": max(e for e, _ in errs),
             "max_rel_err": max(e / max(1.0, abs(x)) for e, x in errs)}
     out = Path(args.out or _run_name(params))
-    _write_text(out, _trajectory_csv(traj))
+    _write_text(out, _trajectory_csv(traj, rows))
     sidecar = out.with_suffix(".summary.json")
     _write_text(sidecar, _json_text(summary))
     if args.json:
@@ -309,8 +423,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # unusable: exit 1, no run yet
     # process i of k runs runs[i::k]; fork is safe, the sweep starts no thread
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    k = min(len(run_params), len(os.sched_getaffinity(0))) if can_fork else 1
+    k = min(len(run_params), _fork_cpus())
     entries = [None] * len(run_params)
     workers = []
     try:

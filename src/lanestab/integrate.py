@@ -67,6 +67,8 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
+# integrate's private _sink sees the nodes after every this many steps
+_SINK_STEPS = 256
 
 
 class IntegrationError(RuntimeError):
@@ -234,7 +236,8 @@ def series_start(params: ModelParams, zeta: float) -> tuple[float, float]:
     return (z0 + c * zeta * zeta, 2.0 * c * zeta)
 
 
-def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
+def integrate(params: ModelParams, opts: IntegratorOptions, *,
+              _sink=None) -> Trajectory:
     """Integrate from zeta_start to zeta_end, or until the run diverges.
 
     Raises IntegrationError on step-size underflow, on an overflowing
@@ -242,6 +245,10 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     is not an error: the trajectory is returned with diverged_at set to
     the last float before the guard crossing |z| > 1e12, or to the node
     where the runaway rule fired, so its status is "diverged".
+
+    _sink, where given, is called with the array of nodes so far, as
+    (zeta, z, dz) triples, after every _SINK_STEPS accepted steps and once
+    when the step loop ends; it must not change the array.
     """
     t = opts.zeta_start
     if opts.start_mode == SERIES:
@@ -268,6 +275,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
     az, adz = abs(z), abs(dz)
     nodes = array("d", (t, z, dz))  # (zeta, z, dz) per node
     steps = 0
+    sink_at = _SINK_STEPS if _sink is not None else 0  # steps is never 0
 
     while t < t_end:
         if steps >= max_steps:
@@ -310,6 +318,9 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
         nodes.extend((t_new, z_new, dz_new))
+        if steps == sink_at:
+            _sink(nodes)
+            sink_at += _SINK_STEPS
         t, z, dz, k1z, k1d = t_new, z_new, dz_new, k7z, k7d
         az, adz = az_new, adz_new
         if az > guard:
@@ -317,6 +328,8 @@ def integrate(params: ModelParams, opts: IntegratorOptions) -> Trajectory:
         if az > u and z * dz > 0.0 and 2.0 * az < scale * adz * ulp(t):
             diverged_at = t
             break
+    if _sink is not None:
+        _sink(nodes)
 
     traj = Trajectory(params, nodes[0::3], nodes[1::3], nodes[2::3], (), None)
     zs = traj.zs

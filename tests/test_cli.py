@@ -785,8 +785,8 @@ def deadline():
 
 
 def _cpus(monkeypatch, count: int) -> list:
-    """Give the sweep `count` CPUs in its affinity mask, and return the
-    list that records each fork this process makes."""
+    """Give a sweep or solve `count` CPUs in its affinity mask, and return
+    the list that records each fork this process makes."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
     forks, fork = [], os.fork
@@ -918,6 +918,139 @@ def test_sweep_into_an_unusable_out_dir_exits_1(tmp_path, capsys,
     assert (code, out, runs) == (1, "", [])
     assert err.startswith("error: ") and str(blocker) in err
     assert blocker.read_text() == ""
+
+
+SOLVES = {
+    "completed": ["--n", "4", "--omega", "0.65"],
+    "guard": ["--n", "3", "--omega", "0.125", "--theta0", "8.2",
+              "--zeta-end", "50"],
+    "runaway": ["--n", "5", "--omega", "0.5"],
+    "gamma2": ["--n", "1", "--omega", "0.5", "--check-oracle", "gamma2"],
+    "json": ["--n", "2", "--omega", "0.5", "--json"],
+}
+
+
+def _solve_outputs(args, out_dir: Path, capsys) -> tuple:
+    """Exit code, streams (out_dir read as DIR) and the files in out_dir
+    of `solve *args --out out_dir/run.csv`."""
+    code, out, err = _run(["solve", *args, "--out", str(out_dir / "run.csv")],
+                          capsys)
+    files = {f.name: f.read_bytes() for f in out_dir.iterdir()} \
+        if out_dir.exists() else {}
+    return (code, out.replace(str(out_dir), "DIR"),
+            err.replace(str(out_dir), "DIR"), files)
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("case", sorted(SOLVES))
+def test_solve_bytes_do_not_depend_on_the_cpus(case, tmp_path, capsys,
+                                               monkeypatch, deadline):
+    """With the fork threshold at one node, two CPUs fork the row formatter
+    at step 256 and stream it the later nodes; one CPU formats serially.
+    Both give the same exit code, streams and files."""
+    monkeypatch.setattr(cli, "_FORK_NODES", 1)
+    outputs = []
+    for cpus in (1, 2):
+        forks = _cpus(monkeypatch, cpus)
+        outputs.append(_solve_outputs(SOLVES[case], tmp_path / f"cpus{cpus}",
+                                      capsys))
+        assert len(forks) == cpus - 1
+        _no_child_left()
+    assert outputs[0] == outputs[1]
+    code, _, err, files = outputs[0]
+    assert (code, err) == (0, "")
+    assert sorted(files) == ["run.csv", "run.summary.json"]
+
+
+def test_point_sized_solve_forks_nothing(tmp_path, capsys, monkeypatch):
+    """824 steps, about the longest `point` solve, stays under the fork
+    threshold."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+
+    def refuse():
+        raise AssertionError("a point-sized solve forked its formatter")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    code, out, _ = _run(["solve", *SOLVES["completed"],
+                         "--out", str(tmp_path / "run.csv")], capsys)
+    assert code == 0 and "in 824 steps" in out
+
+
+@needs_fork
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("case", ["max-steps", "tiny-omega"])
+def test_solve_failure_after_the_fork_writes_nothing(case, existing, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     deadline):
+    """The run exhausts --max-steps after the formatter forked (at step
+    256), or the V column's --omega check fails once it has forked (at the
+    run's end, 59 steps): on one CPU and on two, the same exit code and
+    message, no CSV and no sidecar, and an existing --out left as it
+    was."""
+    monkeypatch.setattr(cli, "_FORK_NODES", 1)
+    args = {"max-steps": [*SOLVES["completed"], "--max-steps", "600"],
+            "tiny-omega": ["--n", "4", "--omega", "1e-250",
+                           "--zeta-end", "1e6"]}[case]
+    outputs = []
+    for cpus in (1, 2):
+        forks = _cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus{cpus}"
+        if existing:
+            out_dir.mkdir()
+            (out_dir / "run.csv").write_bytes(b"zeta\n1\n")
+        outputs.append(_solve_outputs(args, out_dir, capsys))
+        assert len(forks) == cpus - 1
+        _no_child_left()
+    assert outputs[0] == outputs[1]
+    code, out, err, files = outputs[0]
+    assert out == ""
+    assert files == ({"run.csv": b"zeta\n1\n"} if existing else {})
+    if case == "max-steps":
+        assert code == 2 and err.startswith(
+            "numerical failure: max_steps = 600 exhausted at zeta = ")
+    else:
+        assert code == 1 and err.startswith("error: --omega: ") \
+            and "float range" in err
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["exit-at-start", "exit-7", "cut-text"])
+def test_solve_formatter_failure_formats_serially(failure, tmp_path, capsys,
+                                                  monkeypatch, deadline):
+    """The formatter dies before it reads a node, exits 7 after sending
+    all its text, or exits 0 with a row of each chunk missing: solve
+    formats the rows itself, and the bytes match a one-CPU run."""
+    monkeypatch.setattr(cli, "_FORK_NODES", 1)
+    _cpus(monkeypatch, 1)
+    serial = _solve_outputs(SOLVES["completed"], tmp_path / "serial", capsys)
+    forks = _cpus(monkeypatch, 2)
+    solve_pid, real_exit, real_rows = os.getpid(), os._exit, cli._csv_rows
+    formatted = []  # node counts solve's own process formats
+
+    def failing_rows(params, z0, dz0):
+        header, rows = real_rows(params, z0, dz0)
+        if os.getpid() == solve_pid:
+            return header, lambda *cols: formatted.append(len(cols[0])) \
+                or rows(*cols)
+        if failure == "exit-at-start":
+            real_exit(7)
+        if failure == "exit-7":
+            return header, rows
+        return header, lambda ts, zs, dzs: rows(ts[1:], zs[1:], dzs[1:])
+
+    monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+    if failure == "exit-7":  # only the formatter leaves through _exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(7))
+    assert _solve_outputs(SOLVES["completed"], tmp_path / "forked",
+                          capsys) == serial
+    assert len(forks) == 1 and formatted == [825]
+    _no_child_left()
 
 
 def test_plot_profile_svg(tmp_path, capsys):

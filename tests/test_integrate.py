@@ -527,6 +527,23 @@ def test_max_steps_exhaustion_raises():
     assert exc.value.last_zeta < 60.0
 
 
+@pytest.mark.parametrize("n, steps", [(2, 705), (4, 798), (5, 794)])
+def test_sink_sees_the_nodes_and_changes_nothing(n, steps):
+    """The private sink gets the nodes so far after every 256 steps and
+    once at the end, for a completed and a diverged run alike; the
+    trajectory is the one integrate returns without it."""
+    p, opts = make_params(n, 0.5), IntegratorOptions(zeta_end=60.0)
+    seen = []
+    traj = integrate(p, opts, _sink=lambda nodes: seen.append(nodes[:]))
+    assert traj == integrate(p, opts)
+    assert len(traj.zetas) == steps + 1
+    assert [len(a) // 3 for a in seen] \
+        == [*range(257, steps + 1, 256), steps + 1]
+    assert (seen[-1][0::3], seen[-1][1::3], seen[-1][2::3]) \
+        == (traj.zetas, traj.zs, traj.dzs)
+    assert all(a == seen[-1][:len(a)] for a in seen)
+
+
 def test_tableau_is_rk45s():
     """C, A, B, E and the interpolant P are the Dormand-Prince 5(4) pair
     with Shampine's free quartic, bit for bit as scipy's RK45 holds them."""
