@@ -18,31 +18,30 @@ All emitted files are byte deterministic for identical inputs.  CSV cells
 carry 17 significant digits; a sweep splits its runs across one forked
 process per CPU in its affinity mask, and writes the index last.
 
-A solve that passes 4096 nodes, with a second CPU in its affinity mask,
+A solve that passes 1024 nodes, with a second CPU in its affinity mask,
 forks one process that formats the CSV rows while the run goes on: the
-nodes reach it as raw doubles over a pipe, and its text comes back when
-the run ends.  solve itself writes every file, after the same checks as
-a serial solve.  Shorter solves, the sweep's runs, a one-CPU mask
-and a platform without fork format serially, as does a solve whose
-formatter fails; the bytes are the same either way.
+nodes reach it as raw doubles over a pipe, and it appends its text to an
+anonymous in-memory file that solve reads when the run ends.  solve
+itself writes every file, after the same checks as a serial solve.
+Shorter solves, the sweep's runs, a one-CPU mask and a platform without
+fork or memfd_create format serially, as does a solve whose formatter
+fails; the bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import re
 import sys
-from array import array
 from pathlib import Path
 
 from . import closedform
 from .integrate import (DIVERGED, DIVERGENCE_GUARD, IntegrationError,
-                        IntegratorOptions, OFFSET, SERIES, _SINK_STEPS,
-                        Trajectory, first_zero, integrate)
+                        IntegratorOptions, OFFSET, SERIES, Trajectory,
+                        first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
                     _require_positive, equilibria, make_params, theta_from_z)
 from .stability import classify, lyapunov_V
@@ -53,8 +52,11 @@ ORACLE_KINDS = ("gamma2", "powerlaw", "gaussian")
 BOUNDED_LIMIT = 1e3
 STABLE_COLOR = "#000000"
 UNSTABLE_COLOR = "#d62728"
-# a solve forks its CSV row formatter once it passes this many nodes
-_FORK_NODES = 4096
+# a solve forks its CSV row formatter once it passes this many nodes: above
+# the longest `point` solve (830 steps), and low, because the formatter
+# starts this many nodes behind a run it then only keeps pace with, and
+# the run's end waits for it to catch up
+_FORK_NODES = 1024
 
 # a ValidationError field names the flag "--" + field, "-" for "_", except
 FLAG_BY_FIELD = {"zeta_start": "--zeta0", "rel_tol": "--rtol",
@@ -123,87 +125,26 @@ def _fork_cpus() -> int:
     return 1
 
 
-class _RowFormatter:
-    """integrate's node sink in `solve`.  Once the run passes _FORK_NODES
-    nodes, and the affinity mask has a second CPU, it forks one process
-    that formats the CSV rows of those nodes and of the nodes streamed to
-    it, as raw doubles, while the run goes on; at end of input the child
-    sends the text back.  Fork is safe: solve starts no thread."""
+def _integrate_rows(params: ModelParams, opts: IntegratorOptions):
+    """integrate(params, opts), and the text of its CSV rows where a forked
+    formatter made it, else None.  With a second CPU in the affinity mask,
+    a run that passes _FORK_NODES nodes forks the formatter (_rowfork)."""
+    formatter = []
 
-    def __init__(self, params: ModelParams):
-        self.params, self.sent = params, 0  # sent: doubles the child has
-        self.to_child = self.from_child = None
-        # None: may fork; 0: forks no more, and no child is running
-        self.pid = None if _fork_cpus() > 1 else 0
+    def sink(nodes) -> None:
+        if formatter:
+            formatter[0].send(nodes)
+        elif len(nodes) >= 3 * _FORK_NODES:
+            from ._rowfork import RowFormatter
+            formatter.append(RowFormatter(params, nodes))
 
-    def __call__(self, nodes: array) -> None:
-        if self.pid is None:
-            if len(nodes) >= 3 * _FORK_NODES:
-                self._fork(nodes)
-        elif self.pid:
-            try:
-                self.to_child.write(nodes[self.sent:])
-                self.to_child.flush()
-                self.sent = len(nodes)
-            except OSError:  # the child is gone: solve formats serially
-                self.close()
-
-    def _fork(self, nodes: array) -> None:
-        self.pid = 0  # one fork at most
-        down_r, down_w = os.pipe()
-        up_r, up_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: solve formats serially
-            for fd in (down_r, down_w, up_r, up_w):
-                os.close(fd)
-            return
-        if pid == 0:  # the child leaves only through _exit
-            try:
-                os.close(down_w)
-                os.close(up_r)
-                _, rows = _csv_rows(self.params, nodes[1], nodes[2])
-                parts = [rows(nodes[0::3], nodes[1::3], nodes[2::3])]
-                with open(down_r, "rb") as fh:
-                    while chunk := fh.read(24 * _SINK_STEPS):
-                        more = array("d", chunk)
-                        parts.append(rows(more[0::3], more[1::3], more[2::3]))
-                with open(up_w, "w", newline="") as fh:
-                    fh.write("".join(parts))
-            except BaseException:
-                os._exit(1)
-            os._exit(0)
-        os.close(down_r)
-        os.close(up_w)
-        self.pid, self.sent = pid, len(nodes)
-        self.to_child = open(down_w, "wb")
-        self.from_child = open(up_r, newline="")
-
-    def rows(self, count: int) -> str | None:
-        """The child's text, where it exited 0 with the rows of exactly
-        `count` nodes, else None; call once the run has ended.  The child
-        is reaped."""
-        if not self.pid:
-            return None
-        self.to_child.close()  # end of input
-        text = self.from_child.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = 0
-        self.close()
-        return text if code == 0 and text.count("\n") == count else None
-
-    def close(self) -> None:
-        """Close the pipes; stop and reap a child still running."""
-        for fh in (self.to_child, self.from_child):
-            if fh is not None:
-                with contextlib.suppress(OSError):
-                    fh.close()
-        self.to_child = self.from_child = None
-        if self.pid:
-            from signal import SIGKILL  # only a failed run gets here
-            os.kill(self.pid, SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
+    can_fork = _fork_cpus() > 1 and hasattr(os, "memfd_create")
+    try:
+        traj = integrate(params, opts, _sink=sink if can_fork else None)
+        return traj, formatter[0].rows(len(traj.zetas)) if formatter else None
+    finally:
+        if formatter:
+            formatter[0].close()
 
 
 def _outcome(traj: Trajectory, zeta_star: float | None) -> dict:
@@ -290,12 +231,7 @@ def cmd_solve(args) -> int:
             raise ValidationError("check_oracle", f"the {args.check_oracle} "
                                   f"profile ends at zeta = {end!r}, not past "
                                   f"--zeta0 = {opts.zeta_start!r}")
-    formatter = _RowFormatter(params)
-    try:
-        traj = integrate(params, opts, _sink=formatter)
-        rows = formatter.rows(len(traj.zetas))
-    finally:
-        formatter.close()
+    traj, rows = _integrate_rows(params, opts)
     zeta_star = first_zero(traj)
     summary = {"params": _run_json(params, opts),
                "stable_regime": params.stable_regime,

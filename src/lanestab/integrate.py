@@ -247,8 +247,9 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
     where the runaway rule fired, so its status is "diverged".
 
     _sink, where given, is called with the array of nodes so far, as
-    (zeta, z, dz) triples, after every _SINK_STEPS accepted steps and once
-    when the step loop ends; it must not change the array.
+    (zeta, z, dz) triples, after every _SINK_STEPS accepted steps while the
+    run goes on, and once when the step loop ends; it must not change the
+    array.
     """
     t = opts.zeta_start
     if opts.start_mode == SERIES:
@@ -275,12 +276,17 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
     az, adz = abs(z), abs(dz)
     nodes = array("d", (t, z, dz))  # (zeta, z, dz) per node
     steps = 0
-    sink_at = _SINK_STEPS if _sink is not None else 0  # steps is never 0
+    # one test a step serves both: the loop pauses at `pause` steps to fail
+    # at max_steps, or else to hand _sink the nodes
+    pause = max_steps if _sink is None else min(max_steps, _SINK_STEPS)
 
     while t < t_end:
-        if steps >= max_steps:
-            raise IntegrationError(
-                f"max_steps = {max_steps} exhausted at zeta = {t!r}", t)
+        if steps >= pause:
+            if steps >= max_steps:
+                raise IntegrationError(
+                    f"max_steps = {max_steps} exhausted at zeta = {t!r}", t)
+            _sink(nodes)
+            pause = min(max_steps, steps + _SINK_STEPS)
         steps += 1
         min_step = 10.0 * ulp(t)  # ten float spacings above t
         # plain comparisons clamp the step and take the error scale: each
@@ -318,9 +324,6 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
         nodes.extend((t_new, z_new, dz_new))
-        if steps == sink_at:
-            _sink(nodes)
-            sink_at += _SINK_STEPS
         t, z, dz, k1z, k1d = t_new, z_new, dz_new, k7z, k7d
         az, adz = az_new, adz_new
         if az > guard:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -951,15 +952,31 @@ def _no_child_left() -> None:
 def test_solve_bytes_do_not_depend_on_the_cpus(case, tmp_path, capsys,
                                                monkeypatch, deadline):
     """With the fork threshold at one node, two CPUs fork the row formatter
-    at step 256 and stream it the later nodes; one CPU formats serially.
-    Both give the same exit code, streams and files."""
+    at step 256 and stream it the later nodes, and solve formats no row
+    itself; one CPU formats serially.  Both give the same exit code,
+    streams and files."""
     monkeypatch.setattr(cli, "_FORK_NODES", 1)
+    solve_pid, real_rows = os.getpid(), cli._csv_rows
+    formatted = []  # node counts solve's own process formats
+
+    def counted_rows(params, z0, dz0):
+        header, rows = real_rows(params, z0, dz0)
+
+        def counted(*cols):
+            if os.getpid() == solve_pid:
+                formatted.append(len(cols[0]))
+            return rows(*cols)
+        return header, counted
+
+    monkeypatch.setattr(cli, "_csv_rows", counted_rows)
     outputs = []
     for cpus in (1, 2):
         forks = _cpus(monkeypatch, cpus)
         outputs.append(_solve_outputs(SOLVES[case], tmp_path / f"cpus{cpus}",
                                       capsys))
         assert len(forks) == cpus - 1
+        assert len(formatted) == 2 - cpus
+        formatted.clear()
         _no_child_left()
     assert outputs[0] == outputs[1]
     code, _, err, files = outputs[0]
@@ -980,6 +997,33 @@ def test_point_sized_solve_forks_nothing(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(["solve", *SOLVES["completed"],
                          "--out", str(tmp_path / "run.csv")], capsys)
     assert code == 0 and "in 824 steps" in out
+
+
+@needs_fork
+@pytest.mark.parametrize("lack", ["no-memfd", "memfd-fails", "fork-fails"])
+def test_solve_that_cannot_fork_formats_serially(lack, tmp_path, capsys,
+                                                 monkeypatch, deadline):
+    """On two CPUs, without os.memfd_create, or where it or the fork fails
+    (no file or process to spare), solve forks nothing, gives a one-CPU
+    run's bytes and leaves no descriptor open."""
+    monkeypatch.setattr(cli, "_FORK_NODES", 1)
+    _cpus(monkeypatch, 1)
+    serial = _solve_outputs(SOLVES["completed"], tmp_path / "serial", capsys)
+    forks = _cpus(monkeypatch, 2)
+
+    def fail(*args):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    if lack == "no-memfd":
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+    else:
+        monkeypatch.setattr(os, {"memfd-fails": "memfd_create",
+                                 "fork-fails": "fork"}[lack], fail)
+    fds = sorted(os.listdir("/dev/fd"))
+    assert _solve_outputs(SOLVES["completed"], tmp_path / lack,
+                          capsys) == serial
+    assert forks == []
+    assert sorted(os.listdir("/dev/fd")) == fds
 
 
 @needs_fork
@@ -1023,8 +1067,8 @@ def test_solve_failure_after_the_fork_writes_nothing(case, existing, tmp_path,
 @pytest.mark.parametrize("failure", ["exit-at-start", "exit-7", "cut-text"])
 def test_solve_formatter_failure_formats_serially(failure, tmp_path, capsys,
                                                   monkeypatch, deadline):
-    """The formatter dies before it reads a node, exits 7 after sending
-    all its text, or exits 0 with a row of each chunk missing: solve
+    """The formatter dies before it reads a node, exits 7 after writing
+    all its text, or exits 0 with a row of each batch missing: solve
     formats the rows itself, and the bytes match a one-CPU run."""
     monkeypatch.setattr(cli, "_FORK_NODES", 1)
     _cpus(monkeypatch, 1)

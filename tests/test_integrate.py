@@ -544,6 +544,22 @@ def test_sink_sees_the_nodes_and_changes_nothing(n, steps):
     assert all(a == seen[-1][:len(a)] for a in seen)
 
 
+@pytest.mark.parametrize("max_steps, seen_nodes", [(256, []), (300, [257])])
+def test_sink_keeps_max_steps(max_steps, seen_nodes):
+    """A run that exhausts max_steps fails with the same error with a sink
+    as without; the sink saw the nodes after each 256 steps before it."""
+    p = make_params(2, 0.5)
+    opts = IntegratorOptions(zeta_end=60.0, max_steps=max_steps)
+    seen = []
+    with pytest.raises(IntegrationError) as plain:
+        integrate(p, opts)
+    with pytest.raises(IntegrationError) as sunk:
+        integrate(p, opts, _sink=lambda nodes: seen.append(len(nodes) // 3))
+    assert (str(sunk.value), sunk.value.last_zeta) \
+        == (str(plain.value), plain.value.last_zeta)
+    assert seen == seen_nodes
+
+
 def test_tableau_is_rk45s():
     """C, A, B, E and the interpolant P are the Dormand-Prince 5(4) pair
     with Shampine's free quartic, bit for bit as scipy's RK45 holds them."""
