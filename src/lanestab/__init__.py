@@ -15,17 +15,16 @@ from .integrate import (IntegrationError, IntegratorOptions, Trajectory,
                         first_zero, integrate, series_start)
 from .model import (Equilibrium, ModelParams, ValidationError, equilibria,
                     make_params, rhs, theta_from_z)
-from .stability import (StabilityReport, basin_alpha, classify, escape_zeta,
-                        instability_zeta0, lyapunov_V, lyapunov_Vdot)
+from .stability import (StabilityReport, basin_alpha, classify,
+                        instability_zeta0, lyapunov_V)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Equilibrium", "IntegrationError", "IntegratorOptions",
     "ModelParams", "StabilityReport", "Trajectory", "ValidationError",
-    "basin_alpha", "classify", "equilibria", "escape_zeta", "first_zero",
-    "gamma2_profile", "gaussian_profile", "halo_boundary", "instability_zeta0",
-    "integrate", "lane_emden_radius", "lyapunov_V", "lyapunov_Vdot",
-    "make_params", "powerlaw_profile", "rhs", "series_start", "shc",
-    "theta_from_z", "waterbag_profile",
+    "basin_alpha", "classify", "equilibria", "first_zero", "gamma2_profile",
+    "gaussian_profile", "halo_boundary", "instability_zeta0", "integrate",
+    "lane_emden_radius", "lyapunov_V", "make_params", "powerlaw_profile",
+    "rhs", "series_start", "shc", "theta_from_z", "waterbag_profile",
 ]

@@ -10,6 +10,8 @@ import contextlib
 import os
 from array import array
 
+_READ_BYTES = 24 * 256  # any multiple of 24 bytes (one node) works
+
 
 class RowFormatter:
     """Forks one process that formats the CSV rows of `nodes`, then of the
@@ -40,10 +42,10 @@ class RowFormatter:
                 _, rows = _csv_rows(params, nodes[1], nodes[2])
                 with open(down_r, "rb") as fh, open(text_fd, "wb") as out:
                     more = nodes
-                    while more:  # 256 nodes a batch, fewer at the end
+                    while more:  # a sink batch of 256 nodes, or fewer
                         out.write(rows(more[0::3], more[1::3],
                                        more[2::3]).encode())
-                        more = array("d", fh.read(24 * 256))
+                        more = array("d", fh.read(_READ_BYTES))
             except BaseException:
                 os._exit(1)
             os._exit(0)

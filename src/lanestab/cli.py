@@ -89,9 +89,9 @@ def _json_text(payload: dict) -> str:
 
 def _csv_rows(params: ModelParams, z0: float, dz0: float):
     """The CSV header line, and a function from node columns (zetas, zs,
-    dzs) to their rows' text.  theta, V and Vdot repeat theta_from_z,
-    lyapunov_V and lyapunov_Vdot's arithmetic inline, so each cell equals
-    theirs; lyapunov_V's checks run once, on the start node (z0, dz0)."""
+    dzs) to their rows' text.  theta and V repeat theta_from_z and
+    lyapunov_V's arithmetic inline, so each cell equals theirs; Vdot is
+    -4*dz**2/zeta.  lyapunov_V's checks run once, on the start node (z0, dz0)."""
     n = params.n
     if n % 2 == 0 and params.omega > 0.0:
         z_eq = equilibria(params)[0].z_eq
@@ -364,8 +364,15 @@ def cmd_sweep(args) -> int:
     workers = []
     try:
         for i in range(1, k):
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:  # a worker leaves only through _exit
+            fds = []
+            try:
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError:  # no descriptor or process to spare: fork no more
+                list(map(os.close, fds))
+                break
+            r, w = fds
+            if pid == 0:  # a worker leaves only through _exit
                 try:
                     with open(w, "w") as fh:
                         json.dump([_sweep_run(p, opts, out_dir)
@@ -375,7 +382,9 @@ def cmd_sweep(args) -> int:
                 os._exit(0)
             os.close(w)  # before the next fork, or r never reads EOF
             workers.append((pid, r))
-        entries[0::k] = [_sweep_run(p, opts, out_dir) for p in run_params[0::k]]
+        for i in (0, *range(len(workers) + 1, k)):  # 0, and slices not forked
+            entries[i::k] = [_sweep_run(p, opts, out_dir)
+                             for p in run_params[i::k]]
     finally:
         for i, (pid, r) in enumerate(workers, 1):
             with open(r) as fh:

@@ -17,9 +17,9 @@ For the repelling equilibrium z = +omega**(-1/n) (the only one when n is
 odd) there is an instability certificate: a function whose rate of change
 along solutions is nonnegative once zeta exceeds a computable onset
 radius, so perturbations cannot decay.  The certificate's positivity
-argument needs x1 >= -omega**(-1/n)/2 in addition to the ball bound; the
-tests evaluate that rate, and the basin membership, pointwise in
-tests/certificate_oracle.py.
+argument needs x1 >= -omega**(-1/n)/2 in addition to the ball bound.
+Nothing here integrates: both rates along solutions, the basin membership
+and a displaced start's escape are evaluated in tests/certificate_oracle.py.
 
 All functions are pure; classify() assembles them into a report.
 Functions that take params raise ValidationError naming omega for omega = 0
@@ -32,9 +32,7 @@ import math
 from collections import namedtuple
 
 from .model import (ModelParams, ValidationError, _Record,
-                    _product_below_one, _radius, _require_float,
-                    _require_positive, equilibria, make_params)
-from .integrate import IntegratorOptions, integrate
+                    _product_below_one, _radius, equilibria)
 
 
 class StabilityReport(_Record, namedtuple("StabilityReport", "params "
@@ -89,15 +87,6 @@ def lyapunov_V(x1: float, x2: float, params: ModelParams) -> float:
         + 2.0 * x1 / (n + 1) + x2 * x2
 
 
-def lyapunov_Vdot(x2: float, zeta: float) -> float:
-    """Rate of the descent function along any solution: -4*x2**2/zeta.
-
-    Independent of x1 and of the parameters; never positive.
-    """
-    zeta = _require_positive("zeta", zeta)
-    return -4.0 * x2 * x2 / zeta
-
-
 def basin_alpha(params: ModelParams) -> float:
     """Critical level alpha_max = 4n/(omega**(1/n)(n+1)**2) = V(2u, 0)."""
     _radius(params)  # names omega where no equilibrium exists
@@ -121,43 +110,6 @@ def instability_zeta0(params: ModelParams) -> float | None:
         return math.ldexp(root, h) if root < math.inf else None
     except OverflowError:
         return None
-
-
-def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
-                threshold: float = 10.0, zeta_end: float = 50.0) -> float | None:
-    """First zeta where a start displaced from the repelling equilibrium by
-    `perturbation` leaves the tube |z - z_eq| <= threshold, or None.
-
-    This operationalizes "unstable": the certificate forbids decay, and
-    this run exhibits the escape concretely.  The start replaces theta0
-    with (z_eq + perturbation)**n, for a finite perturbation > -z_eq that
-    keeps the start on z_eq's side of 0 and that power above 0; all other
-    params fields are kept.  threshold must be finite and > 0.
-    """
-    u = _radius(params)
-    perturbation = _require_float("perturbation", perturbation, "must be "
-                                  f"finite and > -omega**(-1/n) = {-u!r}",
-                                  lambda v: -u < v < math.inf)
-    threshold = _require_positive("threshold", threshold)
-    try:
-        theta0 = (u + perturbation) ** params.n
-    except OverflowError:
-        raise ValidationError("omega", f"the displaced start (omega**(-1/n) + "
-                              f"perturbation)**n passes the float range at "
-                              f"n = {params.n}, got {params.omega!r}") from None
-    if theta0 == 0.0:
-        raise ValidationError("perturbation", f"the displaced start "
-                              f"(omega**(-1/n) + perturbation)**n underflows "
-                              f"to 0 at n = {params.n}, got {perturbation!r}")
-    traj = integrate(make_params(params.n, params.omega, theta0),
-                     IntegratorOptions(zeta_end=zeta_end))
-    k = next((k for k, z in enumerate(traj.zs) if abs(z - u) > threshold),
-             None)
-    if k is None:
-        return None
-    if k == 0:
-        return traj.zetas[0]
-    return traj._crossing(k - 1, lambda z: abs(z - u) - threshold)
 
 
 def classify(params: ModelParams) -> StabilityReport:

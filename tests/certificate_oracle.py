@@ -5,9 +5,11 @@ M = A'P + PA + P' - g(zeta) P is exactly diag(0, -4(1+1/n)/(omega**(1/n)
 zeta^2)).  This module evaluates that residual entry by entry, with the
 Jacobian, the certificate matrix P and the odd-n instability function, so
 the tests check the identity and the certificates numerically instead of
-trusting it.  It also holds the pointwise certificates that no command
-calls: basin membership and the instability function's rate along
-solutions.  Each raises the package's ValidationError, naming its field.
+trusting it.  It also holds the certificates that no command calls:
+basin membership, the rates along solutions of the descent function (the
+reference of the CSV's Vdot column) and of the instability function, and
+escape_zeta, a run from a start displaced off the repelling equilibrium.
+Each raises the package's ValidationError, naming its field.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from lanestab import ModelParams, ValidationError, basin_alpha, lyapunov_V
+from lanestab import (IntegratorOptions, ModelParams, ValidationError,
+                      basin_alpha, integrate, lyapunov_V, make_params)
 from lanestab.model import _radius, _require_float, _require_positive
 from lanestab.stability import _require_even_n
 
@@ -113,6 +116,15 @@ def basin_contains(x1: float, x2: float, delta: float,
     return lyapunov_V(x1, x2, params) <= alpha - delta
 
 
+def lyapunov_Vdot(x2: float, zeta: float) -> float:
+    """Rate of the descent function along any solution: -4*x2**2/zeta.
+
+    Independent of x1 and of the parameters; never positive.
+    """
+    zeta = _require_positive("zeta", zeta)
+    return -4.0 * x2 * x2 / zeta
+
+
 def instability_Vdot(x1: float, x2: float, zeta: float,
                      params: ModelParams) -> float:
     """Rate along solutions of the instability certificate about the
@@ -135,3 +147,40 @@ def instability_Vdot(x1: float, x2: float, zeta: float,
     return drive * drive / (n + 1) \
         + x2 * x2 * (n * params.omega * (x1 + u) ** (n - 1)
                      - 5.0 * (n + 1) / (zeta * zeta))
+
+
+def escape_zeta(params: ModelParams, perturbation: float = 1e-3,
+                threshold: float = 10.0, zeta_end: float = 50.0) -> float | None:
+    """First zeta where a start displaced from the repelling equilibrium by
+    `perturbation` leaves the tube |z - z_eq| <= threshold, or None.
+
+    This operationalizes "unstable": the certificate forbids decay, and
+    this run exhibits the escape concretely.  The start replaces theta0
+    with (z_eq + perturbation)**n, for a finite perturbation > -z_eq that
+    keeps the start on z_eq's side of 0 and that power above 0; all other
+    params fields are kept.  threshold must be finite and > 0.
+    """
+    u = _radius(params)
+    perturbation = _require_float("perturbation", perturbation, "must be "
+                                  f"finite and > -omega**(-1/n) = {-u!r}",
+                                  lambda v: -u < v < math.inf)
+    threshold = _require_positive("threshold", threshold)
+    try:
+        theta0 = (u + perturbation) ** params.n
+    except OverflowError:
+        raise ValidationError("omega", f"the displaced start (omega**(-1/n) + "
+                              f"perturbation)**n passes the float range at "
+                              f"n = {params.n}, got {params.omega!r}") from None
+    if theta0 == 0.0:
+        raise ValidationError("perturbation", f"the displaced start "
+                              f"(omega**(-1/n) + perturbation)**n underflows "
+                              f"to 0 at n = {params.n}, got {perturbation!r}")
+    traj = integrate(make_params(params.n, params.omega, theta0),
+                     IntegratorOptions(zeta_end=zeta_end))
+    k = next((k for k, z in enumerate(traj.zs) if abs(z - u) > threshold),
+             None)
+    if k is None:
+        return None
+    if k == 0:
+        return traj.zetas[0]
+    return traj._crossing(k - 1, lambda z: abs(z - u) - threshold)

@@ -21,14 +21,12 @@ from lanestab import (
     IntegratorOptions,
     basin_alpha,
     equilibria,
-    escape_zeta,
     first_zero,
     gamma2_profile,
     gaussian_profile,
     halo_boundary,
     integrate,
     lyapunov_V,
-    lyapunov_Vdot,
     make_params,
     powerlaw_profile,
     rhs,
@@ -39,7 +37,8 @@ from lanestab.cli import main
 from lanestab.integrate import COMPLETED, DIVERGED, DIVERGENCE_GUARD
 from lanestab.model import _product_below_one
 
-from certificate_oracle import certificate_P, jacobian, lmi_residual
+from certificate_oracle import (certificate_P, escape_zeta, jacobian,
+                                lmi_residual, lyapunov_Vdot)
 
 GRID_NS = (2, 4, 6)
 GRID_OMEGAS = (0.1, 0.5, 0.9)
@@ -523,30 +522,41 @@ LAW_OMEGAS = (0.1, 0.5, 0.9, 1.5)
 LAW_FACTORS = (0.3, 0.9, 0.99, 1 - 1e-6, 1 + 1e-6, 1.01, 1.1, 3.0)
 
 
-def test_criterion_13_dichotomy_law(record_criterion):
+@pytest.fixture(scope="module")
+def law_runs():
+    """Criterion 13's runs: ((n, omega, f, trajectory or IntegrationError)
+    for each offset start to zeta 200 with theta0 = f/omega, runtime)."""
+    t0 = time.perf_counter()
+    runs = []
+    for n in LAW_NS:
+        for omega in LAW_OMEGAS:
+            for f in LAW_FACTORS:
+                try:
+                    run = integrate(make_params(n, omega, f / omega),
+                                    IntegratorOptions(200.0))
+                except IntegrationError as exc:
+                    run = exc
+                runs.append((n, omega, f, run))
+    return runs, time.perf_counter() - t0
+
+
+def test_criterion_13_dichotomy_law(law_runs, record_criterion):
     """The paper's dichotomy for the offset start (theta0**(1/n), 0): the
     run stays bounded exactly when n is even and theta0*omega < 1, on the
     exact product, where the start lies in the basin estimate, and blows
     up otherwise.  Each run to zeta 200, with theta0 = f/omega, must end
     "completed" or "diverged" as the law says, never in an
     IntegrationError."""
-    t0 = time.perf_counter()
-    runs, misses = 0, []
-    for n in LAW_NS:
-        for omega in LAW_OMEGAS:
-            for f in LAW_FACTORS:
-                theta0 = f / omega
-                law = COMPLETED if n % 2 == 0 and \
-                    _product_below_one(theta0, omega) else DIVERGED
-                try:
-                    outcome = integrate(make_params(n, omega, theta0),
-                                        IntegratorOptions(200.0)).status
-                except IntegrationError as exc:
-                    outcome = f"error at zeta {exc.last_zeta:.6g}"
-                runs += 1
-                if outcome != law:
-                    misses.append((n, omega, f, outcome))
-    runtime = time.perf_counter() - t0
+    runs, runtime = law_runs
+    misses = []
+    for n, omega, f, run in runs:
+        law = COMPLETED if n % 2 == 0 and \
+            _product_below_one(f / omega, omega) else DIVERGED
+        outcome = f"error at zeta {run.last_zeta:.6g}" \
+            if isinstance(run, IntegrationError) else run.status
+        if outcome != law:
+            misses.append((n, omega, f, outcome))
+    runs = len(runs)
     record_criterion(13, not misses,
                      f"dichotomy law: {runs - len(misses)}/{runs} offset "
                      f"starts to zeta 200 end as the law says (completed "
@@ -655,3 +665,72 @@ def test_criterion_14_omega_scales_out(record_criterion):
     assert points > 0
     assert worst_z[0] <= SCALE_POINT_BOUND, worst_z
     assert worst_dz[0] <= SCALE_POINT_BOUND, worst_dz
+
+
+BLOWUP_RTOL = 1e-9  # IntegratorOptions' default, which criterion 13 runs at
+BLOWUP_MUTANT = 1.0 + 1e-6
+
+
+def _blowup_deviation(n, omega, traj, c_scale=1.0):
+    """(Q, |Q - 4*tau/((n+3)*zeta)|, its gate) at traj's last node, for
+    Q = |z|*tau**p/C - 1 with C scaled by c_scale; see criterion 15."""
+    p = 2.0 / (n - 1)
+    c = c_scale * (2.0 * (n + 1) ** 2 / ((n - 1) ** 2 * omega)) ** (1.0 / (n - 1))
+    t, z, dz = traj.zetas[-1], abs(traj.zs[-1]), abs(traj.dzs[-1])
+    tau = p * z / dz
+    q = z * tau ** p / c - 1.0
+    weight = math.fsum(d * d + omega * abs(y) ** (n + 1) / (n + 1)
+                       for y, d in zip(traj.zs, traj.dzs))
+    gate = (tau / t) ** 2 \
+        + p * math.sqrt(2.0) * BLOWUP_RTOL * weight / (dz * dz)
+    return q, abs(q - 4.0 * tau / ((n + 3) * t)), gate
+
+
+def test_criterion_15_blowup_law(law_runs, record_criterion):
+    """Near a blow-up at zeta_b, z'' balances omega*z**n/(n+1), so
+    |z| ~ C*s**(-p) with s = zeta_b - zeta, p = 2/(n-1) and
+    C**(n-1) = 2(n+1)**2/((n-1)**2 omega), and tau = 2|z|/((n-1)|dz|)
+    estimates s.  Checked at the last node of criterion 13's diverged runs
+    with n >= 2 (n = 1 grows exponentially and has no blow-up), through
+    Q = |z|*tau**p/C - 1.
+
+    The gate is derived, not fitted.  The damping 2z'/zeta enters at
+    relative order s: |z| = C*s**(-p)*(1 + a*s + ...) with
+    a = 2/((n+3) zeta_b), so Q = 4*tau/((n+3)*zeta) + c2*(tau/zeta)**2 + ...
+    with c2 = (12 - (n+1)**2)/(n+3)**2 in (-1, 1); the -1 of the forcing
+    enters at relative order 1/(omega*|z|**n), below 1e-20 on these nodes.
+    Q depends on the state alone: Q ~ -p*E/dz**2, where
+    E = dz**2/2 - omega*z**(n+1)/(n+1)**2 is the first integral of
+    z'' = omega*z**n/(n+1), zero on the law.  A step whose RMS error norm
+    is below 1 errs by at most sqrt(2)*rtol*|z| in z and sqrt(2)*rtol*|dz|
+    in dz, which moves E by at most sqrt(2)*rtol*(dz**2 + omega*|z|**(n+1)
+    /(n+1)) at its end node.  So |Q - 4*tau/((n+3)*zeta)| must stay below
+    (tau/zeta)**2 plus p*sqrt(2)*rtol times those weights summed over the
+    nodes, over dz**2 at the last one.  At n = 2 the guard |z| > 1e12, not
+    the runaway rule, ends the run, so tau/zeta is near 1e-6 and the
+    expansion term carries Q; for n >= 3 Q reads up to 0.4*rtol.  C scaled
+    by 1 + 1e-6 moves Q by -1e-6 and must miss the gate on every run."""
+    worst, caught, checked, largest_q = (0.0, None), 0, 0, [0.0, 0.0]
+    for n, omega, f, run in law_runs[0]:
+        if n < 2 or isinstance(run, IntegrationError) \
+                or run.status != DIVERGED:
+            continue
+        checked += 1
+        q, dev, gate = _blowup_deviation(n, omega, run)
+        worst = max(worst, (dev / gate, (n, omega, f)))
+        largest_q[n > 2] = max(largest_q[n > 2], abs(q))
+        _, dev, gate = _blowup_deviation(n, omega, run, BLOWUP_MUTANT)
+        caught += dev > gate
+    ok = checked == 352 and worst[0] <= 1.0 and caught == checked
+    record_criterion(15, ok,
+                     f"blow-up law |z|*tau**(2/(n-1))/C - 1 = "
+                     f"4*tau/((n+3)*zeta) at the last node of {checked} "
+                     f"diverged runs of criterion 13 with n >= 2, |Q| up "
+                     f"to {largest_q[1]:.1e} at n >= 3 and {largest_q[0]:.1e} "
+                     f"at n = 2: worst "
+                     f"deviation {worst[0]:.3f} of its gate at (n, omega, f) "
+                     f"= {worst[1]}; C*(1 + 1e-6) misses the gate on "
+                     f"{caught}/{checked}")
+    assert checked == 352
+    assert worst[0] <= 1.0, worst
+    assert caught == checked

@@ -24,7 +24,6 @@ from lanestab import (
     gamma2_profile,
     integrate,
     lyapunov_V,
-    lyapunov_Vdot,
     make_params,
     powerlaw_profile,
     theta_from_z,
@@ -33,6 +32,8 @@ from lanestab import (
 from lanestab import cli
 from lanestab.cli import CSV_HEADER_BARE, CSV_HEADER_FULL, build_parser, main
 from lanestab.closedform import powerlaw_boundary
+
+from certificate_oracle import lyapunov_Vdot
 
 SVG = "{http://www.w3.org/2000/svg}"
 SRC = str(Path(lanestab.__file__).resolve().parents[1])
@@ -873,6 +874,45 @@ def test_sweep_worker_failure_leaves_error_rows(failure, status, tmp_path,
     else:
         assert sorted(f.name for f in out_dir.iterdir()) == [
             "index.json", "run_n2_omega0.5.csv", "run_n4_omega0.5.csv"]
+
+
+@needs_fork
+@pytest.mark.parametrize("call, error", [("pipe", errno.EMFILE),
+                                         ("fork", errno.EAGAIN)],
+                         ids=["pipe-fails", "fork-fails"])
+def test_sweep_that_cannot_fork_runs_serially(call, error, tmp_path, capsys,
+                                              monkeypatch, deadline):
+    """Where os.pipe or os.fork fails (no descriptor or process to spare),
+    the sweep forks no more and runs the slices left itself: on two CPUs,
+    where the first call fails, and on three, where the second does (runs
+    0 and 3, and 2, in the sweep process; 1 in a worker), the same exit
+    code, streams and files as on one CPU, and no descriptor or child
+    left."""
+    argv = ["sweep", "--n", "2,4", "--omega", "0.5,0.6", "--zeta-end", "10"]
+    outputs = []
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            forks, calls, real = _cpus(patch, cpus), [], getattr(os, call)
+
+            def flaky():
+                calls.append(1)
+                if len(calls) == cpus - 1:
+                    raise OSError(error, os.strerror(error))
+                return real()
+
+            patch.setattr(os, call, flaky)
+            fds = sorted(os.listdir("/dev/fd"))
+            out_dir = tmp_path / f"cpus{cpus}"
+            code, out, err = _run([*argv, "--out-dir", str(out_dir)], capsys)
+        assert len(forks) == max(0, cpus - 2)
+        assert sorted(os.listdir("/dev/fd")) == fds
+        _no_child_left()
+        outputs.append((code, out.replace(str(out_dir), "DIR"), err,
+                        {f.name: f.read_bytes() for f in out_dir.iterdir()}))
+    assert outputs[0] == outputs[1] == outputs[2]
+    code, out, err, files = outputs[0]
+    assert (code, out, err) == (0, "wrote DIR/index.json (4 runs)\n", "")
+    assert len(files) == 5
 
 
 @needs_fork

