@@ -14,18 +14,19 @@ Exit codes: 0 success (a run that diverges is a meaningful success,
 reported through diverged_at), 1 user or validation
 error (the message names the offending flag), 2 numerical failure.
 
-All emitted files are byte deterministic for identical inputs.  CSV cells
-carry 17 significant digits; a sweep splits its runs across one forked
-process per CPU in its affinity mask, and writes the index last.
+All emitted files are byte deterministic for identical inputs, whatever
+the CPUs in the affinity mask.  CSV cells carry 17 significant digits.
 
-A solve that passes 1024 nodes, with a second CPU in its affinity mask,
-forks one process that formats the CSV rows while the run goes on: the
-nodes reach it as raw doubles over a pipe, and it appends its text to an
-anonymous in-memory file that solve reads when the run ends.  solve
-itself writes every file, after the same checks as a serial solve.
-Shorter solves, the sweep's runs, a one-CPU mask and a platform without
-fork or memfd_create format serially, as does a solve whose formatter
-fails; the bytes are the same either way.
+With a second CPU in the mask, on a platform with fork and memfd_create,
+work goes to forked children (_fork.Child), each of which writes its
+result to an anonymous in-memory file that is read once it exits.  A
+sweep splits its runs across one process per CPU: of k, process i runs
+runs[i::k], process 0 being the sweep itself, and each child returns its
+index rows as JSON.  A solve that passes 1024 nodes forks one child that
+formats the CSV rows, from the nodes streamed to it as raw doubles, while
+the run goes on.  The command itself writes every file, after the same
+checks as a serial run, and does serially what it could not fork for; a
+failed sweep child leaves error rows, a failed formatter serial rows.
 """
 
 from __future__ import annotations
@@ -36,14 +37,16 @@ import math
 import os
 import re
 import sys
+from array import array
 from pathlib import Path
 
 from . import closedform
 from .integrate import (DIVERGED, DIVERGENCE_GUARD, IntegrationError,
-                        IntegratorOptions, OFFSET, SERIES, Trajectory,
-                        first_zero, integrate)
+                        IntegratorOptions, OFFSET, SERIES, _SINK_STEPS,
+                        Trajectory, first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
-                    _require_positive, equilibria, make_params, theta_from_z)
+                    _product_below_one, _require_positive, equilibria,
+                    make_params, theta_from_z)
 from .stability import classify, lyapunov_V
 
 CSV_HEADER_FULL = "zeta,z,dz,theta,V,Vdot"
@@ -119,32 +122,51 @@ def _trajectory_csv(traj: Trajectory, rows: str | None = None) -> str:
 
 
 def _fork_cpus() -> int:
-    """The CPUs in this process's affinity mask; 1 where it cannot fork."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    """The CPUs in this process's affinity mask; 1 where it cannot fork a
+    Child."""
+    if all(hasattr(os, name) for name in
+           ("fork", "sched_getaffinity", "memfd_create")):
         return len(os.sched_getaffinity(0))
     return 1
+
+
+def _format_rows(params: ModelParams, nodes: array, feed, out) -> None:
+    """A forked formatter's work: the CSV rows of nodes, then of the nodes
+    its feed streams, read one sink batch (24 bytes a node) at a time."""
+    _, rows = _csv_rows(params, nodes[1], nodes[2])
+    while nodes:
+        out.write(rows(nodes[0::3], nodes[1::3], nodes[2::3]))
+        nodes = array("d", feed.read(24 * _SINK_STEPS))
 
 
 def _integrate_rows(params: ModelParams, opts: IntegratorOptions):
     """integrate(params, opts), and the text of its CSV rows where a forked
     formatter made it, else None.  With a second CPU in the affinity mask,
-    a run that passes _FORK_NODES nodes forks the formatter (_rowfork)."""
-    formatter = []
+    a run that passes _FORK_NODES nodes forks the formatter."""
+    child, sent = None, 0  # sent: the node doubles the child has
 
     def sink(nodes) -> None:
-        if formatter:
-            formatter[0].send(nodes)
+        nonlocal child, sent
+        if child is not None:
+            child.send(nodes[sent:])
         elif len(nodes) >= 3 * _FORK_NODES:
-            from ._rowfork import RowFormatter
-            formatter.append(RowFormatter(params, nodes))
+            from ._fork import Child  # only a long run compiles it
+            child = Child(lambda feed, out: _format_rows(params, nodes, feed,
+                                                         out))
+        sent = len(nodes)
 
-    can_fork = _fork_cpus() > 1 and hasattr(os, "memfd_create")
     try:
-        traj = integrate(params, opts, _sink=sink if can_fork else None)
-        return traj, formatter[0].rows(len(traj.zetas)) if formatter else None
+        traj = integrate(params, opts,
+                         _sink=sink if _fork_cpus() > 1 else None)
+        if child is None:
+            return traj, None
+        code, text = child.result()
+        text = text.decode()
+        ok = code == 0 and text.count("\n") == len(traj.zetas)
+        return traj, text if ok else None
     finally:
-        if formatter:
-            formatter[0].close()
+        if child is not None:
+            child.close()
 
 
 def _outcome(traj: Trajectory, zeta_star: float | None) -> dict:
@@ -234,8 +256,11 @@ def cmd_solve(args) -> int:
     traj, rows = _integrate_rows(params, opts)
     zeta_star = first_zero(traj)
     summary = {"params": _run_json(params, opts),
-               "stable_regime": params.stable_regime,
-               **_outcome(traj, zeta_star)}
+               "stable_regime": params.stable_regime}
+    if params.n % 2 == 0 and params.omega > 0.0:  # as stability --json
+        summary["start_in_basin"] = _product_below_one(params.theta0,
+                                                       params.omega)
+    summary.update(_outcome(traj, zeta_star))
     if args.check_oracle is not None:
         # max |numeric - closed form| of theta on a 1001-point grid of the
         # run range, capped at the profile's domain end, and the max of
@@ -358,44 +383,32 @@ def cmd_sweep(args) -> int:
     opts = _integrator_options(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # unusable: exit 1, no run yet
-    # process i of k runs runs[i::k]; fork is safe, the sweep starts no thread
+    # process i of k runs runs[i::k]
     k = min(len(run_params), _fork_cpus())
     entries = [None] * len(run_params)
     workers = []
+    from ._fork import Child
     try:
-        for i in range(1, k):
-            fds = []
-            try:
-                fds += os.pipe()
-                pid = os.fork()
-            except OSError:  # no descriptor or process to spare: fork no more
-                list(map(os.close, fds))
+        for i in range(1, k):  # work runs in the child, before i moves on
+            worker = Child(lambda feed, out: json.dump(
+                [_sweep_run(p, opts, out_dir) for p in run_params[i::k]], out))
+            if not worker.pid:  # no descriptor or process to spare
                 break
-            r, w = fds
-            if pid == 0:  # a worker leaves only through _exit
-                try:
-                    with open(w, "w") as fh:
-                        json.dump([_sweep_run(p, opts, out_dir)
-                                   for p in run_params[i::k]], fh)
-                except BaseException:
-                    os._exit(1)
-                os._exit(0)
-            os.close(w)  # before the next fork, or r never reads EOF
-            workers.append((pid, r))
+            workers.append(worker)
         for i in (0, *range(len(workers) + 1, k)):  # 0, and slices not forked
             entries[i::k] = [_sweep_run(p, opts, out_dir)
                              for p in run_params[i::k]]
-    finally:
-        for i, (pid, r) in enumerate(workers, 1):
-            with open(r) as fh:
-                text = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        for i, worker in enumerate(workers, 1):
+            code, text = worker.result()
             try:  # an extended slice takes exactly one row per run
                 entries[i::k] = json.loads(text) if code == 0 else []
             except ValueError:  # the worker failed, or cut its JSON short
                 entries[i::k] = [_error_row(p, opts, "sweep worker exited "
                                             f"with status {code}")
                                  for p in run_params[i::k]]
+    finally:
+        for worker in workers:
+            worker.close()
 
     _write_text(out_dir / "index.json", _json_text({"runs": entries}))
     print(f"wrote {out_dir / 'index.json'} ({len(entries)} runs)")

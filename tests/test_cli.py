@@ -137,8 +137,35 @@ def test_solve_json_summary_to_stdout(tmp_path, capsys):
                            capsys)
     assert code == 0
     summary = json.loads(stdout)
-    assert list(summary.keys()) == ["params", "stable_regime", "zeta_star"]
+    assert list(summary.keys()) == ["params", "stable_regime",
+                                    "start_in_basin", "zeta_star"]
     assert stdout.encode() == (tmp_path / "run.summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("n, omega, theta0, inside", [
+    ("2", "0.5", "3", False), ("2", "0.5", "1", True),
+    ("4", "0.3333333333333333", "3", True),
+    ("4", "0.33333333333333337", "3", False),
+    ("3", "0.5", "1", None), ("2", "0", "1", None)])
+def test_solve_sidecar_places_the_start(n, omega, theta0, inside, tmp_path,
+                                        capsys):
+    """For even n with omega > 0 the sidecar says whether the start lies in
+    the basin estimate, right after stable_regime and as stability --json
+    says: a theta0 = 3 start that diverges is not inside.  Odd n and
+    omega = 0 omit the key."""
+    model = ["--n", n, "--omega", omega, "--theta0", theta0]
+    code, stdout, _ = _run(["solve", *model, "--zeta-end", "10", "--json",
+                            "--out", str(tmp_path / "run.csv")], capsys)
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary.get("start_in_basin") is inside
+    assert list(summary)[:2] == ["params", "stable_regime"]
+    if theta0 == "3" and n == "2":  # the runaway start
+        assert summary["diverged_at"] == pytest.approx(8.90, abs=0.01)
+    if inside is not None:
+        assert list(summary)[2] == "start_in_basin"
+        _, report, _ = _run(["stability", *model, "--json"], capsys)
+        assert json.loads(report)["start_in_basin"] is inside
 
 
 def test_solve_human_output_mentions_zeta_star(tmp_path, capsys):
@@ -770,6 +797,9 @@ def test_sweep_records_tiny_omega_runs_as_errors(tmp_path, capsys):
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="sweep workers are forked processes")
+# the fork _cpus wraps, taken once, so that a test calling _cpus in a loop
+# records each fork once, not once per call before it
+_REAL_FORK = getattr(os, "fork", None)
 
 
 @pytest.fixture
@@ -791,8 +821,8 @@ def _cpus(monkeypatch, count: int) -> list:
     the list that records each fork this process makes."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _REAL_FORK())
     return forks
 
 
@@ -913,6 +943,31 @@ def test_sweep_that_cannot_fork_runs_serially(call, error, tmp_path, capsys,
     code, out, err, files = outputs[0]
     assert (code, out, err) == (0, "wrote DIR/index.json (4 runs)\n", "")
     assert len(files) == 5
+
+
+@needs_fork
+def test_sweep_interrupted_in_its_own_slice_kills_its_worker(
+        tmp_path, capsys, monkeypatch, deadline):
+    """On two CPUs, a KeyboardInterrupt in the sweep process's own run
+    reaches the caller at once: the worker, still in its run, is killed
+    and reaped rather than waited for, and no descriptor is left open."""
+    forks = _cpus(monkeypatch, 2)
+    sweep_pid = os.getpid()
+
+    def interrupt_or_hang(params, opts, out_dir):
+        if os.getpid() == sweep_pid:
+            raise KeyboardInterrupt
+        signal.pause()  # the worker's run never ends
+
+    monkeypatch.setattr(cli, "_sweep_run", interrupt_or_hang)
+    fds = sorted(os.listdir("/dev/fd"))
+    with pytest.raises(KeyboardInterrupt):
+        _run(["sweep", "--n", "2", "--omega", "0.5,0.6", "--zeta-end", "10",
+              "--out-dir", str(tmp_path)], capsys)
+    assert len(forks) == 1
+    _no_child_left()
+    assert sorted(os.listdir("/dev/fd")) == fds
+    assert list(tmp_path.iterdir()) == []
 
 
 @needs_fork
