@@ -22,11 +22,12 @@ work goes to forked children (_fork.Child), each of which writes its
 result to an anonymous in-memory file that is read once it exits.  A
 sweep splits its runs across one process per CPU: of k, process i runs
 runs[i::k], process 0 being the sweep itself, and each child returns its
-index rows as JSON.  A solve that passes 1024 nodes forks one child that
-formats the CSV rows, from the nodes streamed to it as raw doubles, while
-the run goes on.  The command itself writes every file, after the same
-checks as a serial run, and does serially what it could not fork for; a
-failed sweep child leaves error rows, a failed formatter serial rows.
+index rows as JSON.  A solve past integrate._SINK_STEPS steps forks one
+child at its first sink batch and streams it every node as raw doubles;
+the child formats the CSV rows while the run goes on.  The command itself
+writes every file, after the same checks as a serial run, and does
+serially what it could not fork for; a failed sweep child leaves error
+rows, a failed formatter serial rows.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from .integrate import (DIVERGED, DIVERGENCE_GUARD, IntegrationError,
                         IntegratorOptions, OFFSET, SERIES, _SINK_STEPS,
                         Trajectory, first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
-                    _product_below_one, _require_positive, equilibria,
-                    make_params, theta_from_z)
-from .stability import classify, lyapunov_V
+                    _require_positive, equilibria, make_params,
+                    theta_from_z)
+from .stability import _basin_key, classify, lyapunov_V
 
 CSV_HEADER_FULL = "zeta,z,dz,theta,V,Vdot"
 CSV_HEADER_BARE = "zeta,z,dz,theta"
@@ -55,11 +56,6 @@ ORACLE_KINDS = ("gamma2", "powerlaw", "gaussian")
 BOUNDED_LIMIT = 1e3
 STABLE_COLOR = "#000000"
 UNSTABLE_COLOR = "#d62728"
-# a solve forks its CSV row formatter once it passes this many nodes: above
-# the longest `point` solve (830 steps), and low, because the formatter
-# starts this many nodes behind a run it then only keeps pace with, and
-# the run's end waits for it to catch up
-_FORK_NODES = 1024
 
 # a ValidationError field names the flag "--" + field, "-" for "_", except
 FLAG_BY_FIELD = {"zeta_start": "--zeta0", "rel_tol": "--rtol",
@@ -114,9 +110,10 @@ def _csv_rows(params: ModelParams, z0: float, dz0: float):
 
 def _trajectory_csv(traj: Trajectory, rows: str | None = None) -> str:
     """The CSV text of traj's nodes.  rows, where given, is their rows'
-    text, formatted elsewhere by _csv_rows; the checks still run here."""
+    text, formatted elsewhere by _csv_rows, and is used only where it has
+    one line per node; the checks run here either way."""
     header, format_rows = _csv_rows(traj.params, traj.zs[0], traj.dzs[0])
-    if rows is None:
+    if rows is None or rows.count("\n") != len(traj.zetas):
         rows = format_rows(traj.zetas, traj.zs, traj.dzs)
     return header + rows
 
@@ -130,9 +127,10 @@ def _fork_cpus() -> int:
     return 1
 
 
-def _format_rows(params: ModelParams, nodes: array, feed, out) -> None:
-    """A forked formatter's work: the CSV rows of nodes, then of the nodes
-    its feed streams, read one sink batch (24 bytes a node) at a time."""
+def _format_rows(params: ModelParams, feed, out) -> None:
+    """A forked formatter's work: the CSV rows of the nodes its feed streams,
+    start node first, read one sink batch (24 bytes a node) at a time."""
+    nodes = array("d", feed.read(24 * _SINK_STEPS))
     _, rows = _csv_rows(params, nodes[1], nodes[2])
     while nodes:
         out.write(rows(nodes[0::3], nodes[1::3], nodes[2::3]))
@@ -142,18 +140,15 @@ def _format_rows(params: ModelParams, nodes: array, feed, out) -> None:
 def _integrate_rows(params: ModelParams, opts: IntegratorOptions):
     """integrate(params, opts), and the text of its CSV rows where a forked
     formatter made it, else None.  With a second CPU in the affinity mask,
-    a run that passes _FORK_NODES nodes forks the formatter."""
-    child, sent = None, 0  # sent: the node doubles the child has
+    a run that reaches integrate's sink forks the formatter there."""
+    child = None
 
-    def sink(nodes) -> None:
-        nonlocal child, sent
-        if child is not None:
-            child.send(nodes[sent:])
-        elif len(nodes) >= 3 * _FORK_NODES:
+    def sink(batch) -> None:
+        nonlocal child
+        if child is None:
             from ._fork import Child  # only a long run compiles it
-            child = Child(lambda feed, out: _format_rows(params, nodes, feed,
-                                                         out))
-        sent = len(nodes)
+            child = Child(lambda feed, out: _format_rows(params, feed, out))
+        child.send(batch)
 
     try:
         traj = integrate(params, opts,
@@ -161,9 +156,7 @@ def _integrate_rows(params: ModelParams, opts: IntegratorOptions):
         if child is None:
             return traj, None
         code, text = child.result()
-        text = text.decode()
-        ok = code == 0 and text.count("\n") == len(traj.zetas)
-        return traj, text if ok else None
+        return traj, text.decode() if code == 0 else None
     finally:
         if child is not None:
             child.close()
@@ -257,9 +250,7 @@ def cmd_solve(args) -> int:
     zeta_star = first_zero(traj)
     summary = {"params": _run_json(params, opts),
                "stable_regime": params.stable_regime}
-    if params.n % 2 == 0 and params.omega > 0.0:  # as stability --json
-        summary["start_in_basin"] = _product_below_one(params.theta0,
-                                                       params.omega)
+    summary.update(_basin_key(params))  # as stability --json
     summary.update(_outcome(traj, zeta_star))
     if args.check_oracle is not None:
         # max |numeric - closed form| of theta on a 1001-point grid of the
@@ -349,10 +340,16 @@ def _parse_list(text: str, field: str, convert, what: str) -> list:
     return values
 
 
+def _row_params(params, opts) -> dict:
+    """The parameter block opening every index.json row: the sidecar's
+    params, zeta_end, then start_in_basin where the sidecar has it."""
+    return {**_run_json(params, opts), "zeta_end": opts.zeta_end,
+            **_basin_key(params)}
+
+
 def _error_row(params, opts, error: str) -> dict:
     """The index.json row of a sweep run that failed."""
-    return {**_run_json(params, opts), "zeta_end": opts.zeta_end,
-            "status": "error", "error": error}
+    return {**_row_params(params, opts), "status": "error", "error": error}
 
 
 def _sweep_run(params, opts, out_dir: Path) -> dict:
@@ -364,8 +361,7 @@ def _sweep_run(params, opts, out_dir: Path) -> dict:
     except Exception as exc:  # recorded per run; the sweep never aborts
         return _error_row(params, opts, str(exc))
     max_abs_z = max(map(abs, traj.zs))
-    return {**_run_json(params, opts), "zeta_end": opts.zeta_end,
-            "file": fname, "status": traj.status,
+    return {**_row_params(params, opts), "file": fname, "status": traj.status,
             **_outcome(traj, first_zero(traj)), "max_abs_z": max_abs_z,
             "bounded": traj.status != DIVERGED and max_abs_z <= BOUNDED_LIMIT}
 
@@ -471,9 +467,9 @@ def cmd_plot(args) -> int:
             raise ValidationError("input", f"{src} has no finite {x}/{y} pair")
         markers = _equilibrium_markers(src.with_suffix(".summary.json")) \
             if args.kind == "phase" else ()
-        svg = svgplot.line_chart([(src.stem, xs, ys)], xlabel=x, ylabel=y,
-                                 title=title, markers=markers)
+        series = [(src.stem, xs, ys)]
     else:
+        x, y, title, markers = "zeta", "theta", "density profile family", ()
         try:
             runs = json.loads(src.read_text())["runs"]
             if not isinstance(runs, list):
@@ -493,9 +489,11 @@ def cmd_plot(args) -> int:
             series.append((label, *_columns(path, "zeta", "theta")))
         if not series:
             raise ValidationError("input", f"{src} lists no bounded runs")
-        svg = svgplot.line_chart(series, xlabel="zeta", ylabel="theta",
-                                 title="density profile family")
-
+    try:
+        svg = svgplot.line_chart(series, xlabel=x, ylabel=y, title=title,
+                                 markers=markers)
+    except ValueError as exc:  # values too near the float range to place
+        raise ValidationError("input", f"{src}: {exc}") from None
     _write_text(out, svg)
     print(f"wrote {out}")
     return 0

@@ -67,8 +67,10 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
-# integrate's private _sink sees the nodes after every this many steps
-_SINK_STEPS = 256
+# integrate's private _sink gets the new nodes after every this many steps:
+# above the longest `point` solve (830 steps), so that none reaches it, and
+# 24 KiB of nodes a batch, which a 64 KiB pipe holds
+_SINK_STEPS = 1024
 
 
 class IntegrationError(RuntimeError):
@@ -246,10 +248,10 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
     the last float before the guard crossing |z| > 1e12, or to the node
     where the runaway rule fired, so its status is "diverged".
 
-    _sink, where given, is called with the array of nodes so far, as
-    (zeta, z, dz) triples, after every _SINK_STEPS accepted steps while the
-    run goes on, and once when the step loop ends; it must not change the
-    array.
+    _sink, where given, gets an array of the nodes it has not had, as
+    (zeta, z, dz) triples from the start node on: after every _SINK_STEPS
+    accepted steps while the run goes on, then, if it got any, the rest
+    when the step loop ends.  No run of at most _SINK_STEPS steps calls it.
     """
     t = opts.zeta_start
     if opts.start_mode == SERIES:
@@ -275,7 +277,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
     h_abs = min(1e-4, (t_end - t) / 100.0)
     az, adz = abs(z), abs(dz)
     nodes = array("d", (t, z, dz))  # (zeta, z, dz) per node
-    steps = 0
+    steps = sent = 0  # sent: the node doubles _sink has had
     # one test a step serves both: the loop pauses at `pause` steps to fail
     # at max_steps, or else to hand _sink the nodes
     pause = max_steps if _sink is None else min(max_steps, _SINK_STEPS)
@@ -285,7 +287,8 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
             if steps >= max_steps:
                 raise IntegrationError(
                     f"max_steps = {max_steps} exhausted at zeta = {t!r}", t)
-            _sink(nodes)
+            _sink(nodes[sent:])
+            sent = len(nodes)
             pause = min(max_steps, steps + _SINK_STEPS)
         steps += 1
         min_step = 10.0 * ulp(t)  # ten float spacings above t
@@ -331,8 +334,8 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
         if az > u and z * dz > 0.0 and 2.0 * az < scale * adz * ulp(t):
             diverged_at = t
             break
-    if _sink is not None:
-        _sink(nodes)
+    if sent:
+        _sink(nodes[sent:])
 
     traj = Trajectory(params, nodes[0::3], nodes[1::3], nodes[2::3], (), None)
     zs = traj.zs

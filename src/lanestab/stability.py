@@ -54,10 +54,17 @@ class StabilityReport(_Record, namedtuple("StabilityReport", "params "
             d["lmi"] = {"verified": True, "worst_eig": 0.0}
         d["instability_zeta0"] = self.instability_zeta0
         d["stable_regime"] = self.params.stable_regime
-        if self.alpha_max is not None:  # even n: x1 < 2u, theta0*omega < 1
-            d["start_in_basin"] = _product_below_one(self.params.theta0,
-                                                     self.params.omega)
+        d.update(_basin_key(self.params))
         return d
+
+
+def _basin_key(params: ModelParams) -> dict:
+    """{"start_in_basin": theta0*omega < 1, decided exactly} for even n and
+    omega > 0, else {}: the start is inside the basin estimate, x1 < 2u."""
+    if params.n % 2 == 0 and params.omega > 0.0:
+        return {"start_in_basin": _product_below_one(params.theta0,
+                                                     params.omega)}
+    return {}
 
 
 def _require_even_n(params: ModelParams, what: str) -> None:
@@ -135,8 +142,7 @@ def classify(params: ModelParams) -> StabilityReport:
     if not params.stable_regime:
         summary += (f" omega = {params.omega:g} lies outside the trapped "
                     f"regime 0 < omega < 1.")
-    # the start lies in the basin exactly when x1 < 2u, theta0*omega < 1
-    if even and not _product_below_one(params.theta0, params.omega):
+    if _basin_key(params) == {"start_in_basin": False}:
         summary += (f" The start theta0 = {params.theta0:g} has "
                     f"theta0*omega = {params.theta0 * params.omega:g} >= 1, "
                     f"so it is not inside the basin estimate.")

@@ -48,13 +48,18 @@ def _label(v: float) -> str:
 
 
 def _data_range(values) -> tuple[float, float]:
+    """The axis range of the finite values: padded a side by 5% of their
+    span, or by 1 for a constant series, and by at least 1e-9 of their
+    largest magnitude, so that ticks stay distinct floats.  Raises
+    ValueError where that range passes the float range."""
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
         return (0.0, 1.0)
     lo, hi = min(finite), max(finite)
-    if hi <= lo:
-        return (lo - 1.0, hi + 1.0)
-    pad = 0.05 * (hi - lo)
+    pad = max(0.05 * (hi - lo) if hi > lo else 1.0, 1e-9 * max(-lo, hi))
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise ValueError(f"values from {lo!r} to {hi!r} leave no room for "
+                         f"the axis margins within the float range")
     return (lo - pad, hi + pad)
 
 
@@ -62,7 +67,8 @@ def line_chart(series, xlabel: str, ylabel: str, title: str = "",
                markers=()) -> str:
     """Render series = [(label, xs, ys), ...] plus markers = [(x, y, color), ...].
 
-    Returns the SVG document as a string.
+    Returns the SVG document as a string.  Raises ValueError where an
+    axis's padded range passes the float range.
     """
     all_x = [x for _, xs, _ in series for x in xs] + [m[0] for m in markers]
     all_y = [y for _, _, ys in series for y in ys] + [m[1] for m in markers]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import errno
+import importlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from array import array
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,8 @@ from certificate_oracle import lyapunov_Vdot
 
 SVG = "{http://www.w3.org/2000/svg}"
 SRC = str(Path(lanestab.__file__).resolve().parents[1])
+# lanestab.integrate names the function; the fork tests patch the module
+INTEGRATE_MODULE = importlib.import_module("lanestab.integrate")
 
 
 def _run(argv, capsys):
@@ -710,6 +715,29 @@ def test_sweep_outputs_are_deterministic(tmp_path, capsys):
     assert "diverged_at" in by_key[(3, 0.45)]
 
 
+@pytest.mark.parametrize("omega, extra, inside", [
+    ("0.3333333333333333", [], True), ("0.33333333333333337", [], False),
+    ("0.5", ["--max-steps", "5"], False)])
+def test_sweep_rows_place_the_start(omega, extra, inside, tmp_path, capsys):
+    """Every row of an even-n, omega > 0 run, error rows included, says
+    whether the start lies in the basin estimate right after zeta_end, as
+    the solve sidecar does: theta0 = 3 times 1/3 rounded down lies below 1,
+    the next float up above it, and those two omegas share a file name, so
+    each runs in its own sweep.  Odd n and omega = 0 rows omit the key."""
+    out_dir = tmp_path / "s"
+    _run(["sweep", "--n", "3,4", "--omega", f"0,{omega}", "--theta0", "3",
+          "--zeta-end", "10", *extra, "--out-dir", str(out_dir)], capsys)
+    runs = json.loads((out_dir / "index.json").read_text())["runs"]
+    assert [r["status"] == "error" for r in runs] == [bool(extra)] * 4
+    for row in runs:
+        keys = list(row)
+        if row["n"] == 4 and row["omega"] > 0.0:
+            assert row["start_in_basin"] is inside
+            assert keys[keys.index("zeta_end") + 1] == "start_in_basin"
+        else:
+            assert "start_in_basin" not in row
+
+
 def test_sweep_validation(tmp_path, capsys):
     code, _, err = _run(["sweep", "--n", "2", "--omega", "-1",
                          "--out-dir", str(tmp_path)], capsys)
@@ -897,7 +925,8 @@ def test_sweep_worker_failure_leaves_error_rows(failure, status, tmp_path,
         (4, 0.5, "completed"), (4, 0.6, "error")]
     for row in runs[1::2]:
         assert row == {"n": row["n"], "omega": 0.6, "theta0": 1.0,
-                       "zeta0": 1e-3, "zeta_end": 10.0, "status": "error",
+                       "zeta0": 1e-3, "zeta_end": 10.0,
+                       "start_in_basin": True, "status": "error",
                        "error": f"sweep worker exited with status {status}"}
     if failure == "cut-json":  # the worker wrote its CSVs before it failed
         assert len(list(out_dir.glob("*.csv"))) == 4
@@ -996,7 +1025,8 @@ def test_sweep_csv_write_failure_is_that_runs_error_row(tmp_path, capsys,
     assert (code, err) == (2, "")
     assert [r["status"] for r in runs] == ["completed", "error"]
     assert runs[1] == {"n": 2, "omega": 0.6, "theta0": 1.0, "zeta0": 1e-3,
-                       "zeta_end": 10.0, "status": "error",
+                       "zeta_end": 10.0, "start_in_basin": True,
+                       "status": "error",
                        "error": "[Errno 21] Is a directory: "
                                 "'DIR/run_n2_omega0.6.csv'"}
     assert sorted(files) == ["run_n2_omega0.5.csv", "run_n2_omega0.6.csv"]
@@ -1046,11 +1076,11 @@ def _no_child_left() -> None:
 @pytest.mark.parametrize("case", sorted(SOLVES))
 def test_solve_bytes_do_not_depend_on_the_cpus(case, tmp_path, capsys,
                                                monkeypatch, deadline):
-    """With the fork threshold at one node, two CPUs fork the row formatter
-    at step 256 and stream it the later nodes, and solve formats no row
-    itself; one CPU formats serially.  Both give the same exit code,
-    streams and files."""
-    monkeypatch.setattr(cli, "_FORK_NODES", 1)
+    """With sink batches of 256 steps, two CPUs fork the row formatter at
+    step 256 and stream it every node, and solve formats no row itself;
+    one CPU formats serially.  Both give the same exit code, streams and
+    files."""
+    monkeypatch.setattr(INTEGRATE_MODULE, "_SINK_STEPS", 256)
     solve_pid, real_rows = os.getpid(), cli._csv_rows
     formatted = []  # node counts solve's own process formats
 
@@ -1080,8 +1110,8 @@ def test_solve_bytes_do_not_depend_on_the_cpus(case, tmp_path, capsys,
 
 
 def test_point_sized_solve_forks_nothing(tmp_path, capsys, monkeypatch):
-    """824 steps, about the longest `point` solve, stays under the fork
-    threshold."""
+    """824 steps, about the longest `point` solve, stays under a sink batch
+    of 1024 steps, so integrate never calls the sink that forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
 
@@ -1101,7 +1131,7 @@ def test_solve_that_cannot_fork_formats_serially(lack, tmp_path, capsys,
     """On two CPUs, without os.memfd_create, or where it or the fork fails
     (no file or process to spare), solve forks nothing, gives a one-CPU
     run's bytes and leaves no descriptor open."""
-    monkeypatch.setattr(cli, "_FORK_NODES", 1)
+    monkeypatch.setattr(INTEGRATE_MODULE, "_SINK_STEPS", 256)
     _cpus(monkeypatch, 1)
     serial = _solve_outputs(SOLVES["completed"], tmp_path / "serial", capsys)
     forks = _cpus(monkeypatch, 2)
@@ -1127,12 +1157,12 @@ def test_solve_that_cannot_fork_formats_serially(lack, tmp_path, capsys,
 def test_solve_failure_after_the_fork_writes_nothing(case, existing, tmp_path,
                                                      capsys, monkeypatch,
                                                      deadline):
-    """The run exhausts --max-steps after the formatter forked (at step
-    256), or the V column's --omega check fails once it has forked (at the
-    run's end, 59 steps): on one CPU and on two, the same exit code and
-    message, no CSV and no sidecar, and an existing --out left as it
-    was."""
-    monkeypatch.setattr(cli, "_FORK_NODES", 1)
+    """With sink batches of 50 steps, the run exhausts --max-steps after
+    the formatter forked (at step 50), or the V column's --omega check
+    fails once it has forked (in a 59-step run): on one CPU and on two,
+    the same exit code and message, no CSV and no sidecar, and an existing
+    --out left as it was."""
+    monkeypatch.setattr(INTEGRATE_MODULE, "_SINK_STEPS", 50)
     args = {"max-steps": [*SOLVES["completed"], "--max-steps", "600"],
             "tiny-omega": ["--n", "4", "--omega", "1e-250",
                            "--zeta-end", "1e6"]}[case]
@@ -1162,10 +1192,10 @@ def test_solve_failure_after_the_fork_writes_nothing(case, existing, tmp_path,
 @pytest.mark.parametrize("failure", ["exit-at-start", "exit-7", "cut-text"])
 def test_solve_formatter_failure_formats_serially(failure, tmp_path, capsys,
                                                   monkeypatch, deadline):
-    """The formatter dies before it reads a node, exits 7 after writing
+    """The formatter dies before it formats a row, exits 7 after writing
     all its text, or exits 0 with a row of each batch missing: solve
     formats the rows itself, and the bytes match a one-CPU run."""
-    monkeypatch.setattr(cli, "_FORK_NODES", 1)
+    monkeypatch.setattr(INTEGRATE_MODULE, "_SINK_STEPS", 256)
     _cpus(monkeypatch, 1)
     serial = _solve_outputs(SOLVES["completed"], tmp_path / "serial", capsys)
     forks = _cpus(monkeypatch, 2)
@@ -1190,6 +1220,27 @@ def test_solve_formatter_failure_formats_serially(failure, tmp_path, capsys,
                           capsys) == serial
     assert len(forks) == 1 and formatted == [825]
     _no_child_left()
+
+
+@pytest.mark.parametrize("n, omega, theta0, zeta_end",
+                         [(4, 0.65, 1.0, 60.0), (3, 0.125, 8.2, 50.0),
+                          (2, 0.0, 1.0, 60.0)])
+def test_formatter_rows_equal_the_serial_rows(n, omega, theta0, zeta_end,
+                                              monkeypatch):
+    """_format_rows, run in process on a feed of a run's nodes as raw
+    doubles, read 16 nodes at a time, writes the rows _trajectory_csv
+    formats, for an even-n run with V columns, a diverged odd-n run and
+    an omega = 0 run; none of their node counts (825, 985, 58) is a
+    multiple of 16."""
+    monkeypatch.setattr(cli, "_SINK_STEPS", 16)
+    p = make_params(n, omega, theta0)
+    traj = integrate(p, IntegratorOptions(zeta_end=zeta_end))
+    assert len(traj.zetas) % 16 != 0
+    nodes = array("d", [v for node in zip(traj.zetas, traj.zs, traj.dzs)
+                        for v in node])
+    out = io.StringIO()
+    cli._format_rows(p, io.BytesIO(nodes.tobytes()), out)
+    assert out.getvalue() == cli._trajectory_csv(traj).split("\n", 1)[1]
 
 
 def test_plot_profile_svg(tmp_path, capsys):
@@ -1273,6 +1324,45 @@ def test_plot_of_a_constant_series_pads_its_axis_by_one(tmp_path, capsys):
     (polyline,) = root.findall(f"{SVG}polyline")
     points = polyline.get("points").split()
     assert len(points) == 3 and len({p.split(",")[1] for p in points}) == 1
+
+
+@pytest.mark.parametrize("oracle, thetas", [
+    (["gamma2", "--omega", "1e-300", "--theta0", "1e299"], None),
+    (None, ["4503599627370496", "4503599627370496"]),
+    (None, ["1e20", "100000000000000016384"]),
+], ids=["constant-1e299", "constant-2**52", "one-ulp-at-1e20"])
+def test_plot_of_a_narrow_series_at_large_magnitude_draws(
+        oracle, thetas, tmp_path, capsys, deadline):
+    """A constant theta of 1e299, whose pad of one is lost to rounding,
+    raised a math domain error, and a constant 2**52 or two values one ulp
+    apart at 1e20 hung the tick loop.  The axis now spans at least 1e-9 of
+    the largest magnitude a side, so each draws its ticks."""
+    csv = tmp_path / "run.csv"
+    if oracle is None:
+        csv.write_text("zeta,theta\n0,%s\n1,%s\n" % tuple(thetas))
+    else:
+        _run(["oracle", "--kind", *oracle, "--out", str(csv)], capsys)
+    code, out, err = _run(["plot", "--input", str(csv)], capsys)
+    assert (code, err) == (0, "")
+    root = ET.fromstring((tmp_path / "run.svg").read_text())
+    ticks = [t.text for t in root.findall(f"{SVG}text")
+             if t.get("text-anchor") == "end"]
+    assert len(ticks) >= 2
+
+
+def test_plot_of_values_near_the_float_maximum_exits_1(tmp_path, capsys):
+    """A theta column up to 1.7976931057355819e+308 has no room for its 5%
+    margins, which overflowed in a traceback: exit 1 naming the file."""
+    csv = tmp_path / "q.csv"
+    _run(["oracle", "--kind", "powerlaw", "--gamma", "-1e-3", "--theta0",
+          "1e300", "--zeta-end", "1e300", "--out", str(csv)], capsys)
+    assert csv.read_text().endswith(",1.7976931057355819e+308\n")
+    code, out, err = _run(["plot", "--input", str(csv), "--kind", "profile"],
+                          capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --input: {csv}: values from ") \
+        and err.endswith(" within the float range\n")
+    assert not (tmp_path / "q.svg").exists()
 
 
 @pytest.mark.parametrize("text, kind, what", [

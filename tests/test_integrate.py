@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import math
 import pickle
+from array import array
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -29,6 +32,9 @@ from lanestab.integrate import (A, B, C, COMPLETED, DIVERGED, P, Trajectory,
 from lanestab.model import _bisect
 
 from certificate_oracle import escape_zeta
+
+# lanestab.integrate names the function; the sink tests patch the module
+INTEGRATE_MODULE = importlib.import_module("lanestab.integrate")
 
 
 @pytest.fixture(scope="module")
@@ -529,26 +535,45 @@ def test_max_steps_exhaustion_raises():
 
 
 @pytest.mark.parametrize("n, steps", [(2, 705), (4, 798), (5, 794)])
-def test_sink_sees_the_nodes_and_changes_nothing(n, steps):
-    """The private sink gets the nodes so far after every 256 steps and
-    once at the end, for a completed and a diverged run alike; the
-    trajectory is the one integrate returns without it."""
+def test_sink_sees_the_nodes_and_changes_nothing(n, steps, monkeypatch):
+    """With sink batches of 256 steps, the private sink gets the start node
+    and the nodes of the first 256 steps, then those of each later 256
+    and, at the end, the rest, for a completed and a diverged run alike:
+    the batches concatenate to the nodes, and the trajectory is the one
+    integrate returns without a sink."""
+    monkeypatch.setattr(INTEGRATE_MODULE, "_SINK_STEPS", 256)
     p, opts = make_params(n, 0.5), IntegratorOptions(zeta_end=60.0)
     seen = []
-    traj = integrate(p, opts, _sink=lambda nodes: seen.append(nodes[:]))
+    traj = integrate(p, opts, _sink=seen.append)
     assert traj == integrate(p, opts)
     assert len(traj.zetas) == steps + 1
-    assert [len(a) // 3 for a in seen] \
+    assert list(accumulate(len(a) // 3 for a in seen)) \
         == [*range(257, steps + 1, 256), steps + 1]
-    assert (seen[-1][0::3], seen[-1][1::3], seen[-1][2::3]) \
+    nodes = sum(seen, array("d"))
+    assert (nodes[0::3], nodes[1::3], nodes[2::3]) \
         == (traj.zetas, traj.zs, traj.dzs)
-    assert all(a == seen[-1][:len(a)] for a in seen)
+
+
+def test_sink_starts_after_a_full_batch():
+    """At the batch of 1024 steps, a 1024-step run never calls the sink,
+    which is why no `point` solve (at most 830 steps) forks a formatter;
+    a 1025-step run passes it 1025 nodes at step 1024 and its last node
+    at the end."""
+    p = make_params(4, 0.65)
+    ends = integrate(p, IntegratorOptions(zeta_end=200.0)).zetas[1024:1026]
+    for end, steps, batches in zip(ends, (1024, 1025), ([], [1025, 1])):
+        seen = []
+        traj = integrate(p, IntegratorOptions(zeta_end=end), _sink=seen.append)
+        assert len(traj.zetas) == steps + 1
+        assert [len(a) // 3 for a in seen] == batches
 
 
 @pytest.mark.parametrize("max_steps, seen_nodes", [(256, []), (300, [257])])
-def test_sink_keeps_max_steps(max_steps, seen_nodes):
+def test_sink_keeps_max_steps(max_steps, seen_nodes, monkeypatch):
     """A run that exhausts max_steps fails with the same error with a sink
-    as without; the sink saw the nodes after each 256 steps before it."""
+    as without; with sink batches of 256 steps, the sink saw the batch of
+    each 256 steps before it, and no batch at the failure."""
+    monkeypatch.setattr(INTEGRATE_MODULE, "_SINK_STEPS", 256)
     p = make_params(2, 0.5)
     opts = IntegratorOptions(zeta_end=60.0, max_steps=max_steps)
     seen = []
