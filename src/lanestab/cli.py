@@ -42,7 +42,7 @@ from array import array
 from pathlib import Path
 
 from . import closedform
-from .integrate import (DIVERGED, DIVERGENCE_GUARD, IntegrationError,
+from .integrate import (DIVERGED, GUARD, IntegrationError,
                         IntegratorOptions, OFFSET, SERIES, _SINK_STEPS,
                         Trajectory, first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
@@ -271,8 +271,7 @@ def cmd_solve(args) -> int:
     else:
         print(f"wrote {out} and {sidecar}")
         if traj.status == DIVERGED:
-            how = "|z| crossed the guard" \
-                if abs(traj.zs[-1]) > DIVERGENCE_GUARD else \
+            how = "|z| crossed the guard" if traj.stop == GUARD else \
                 "z runs away within float resolution in zeta"
             print(f"diverged_at = {traj.diverged_at:.12g} "
                   f"({how}; expected for repelling starts)")
@@ -421,6 +420,9 @@ def _read_csv_columns(path: Path) -> dict[str, list[float]]:
         raise ValidationError("input", f"{path} is empty")
     header = lines[0].split(",")
     cols: dict[str, list[float]] = {name: [] for name in header}
+    if len(cols) < len(header):
+        name = next(n for i, n in enumerate(header) if n in header[:i])
+        raise ValidationError("input", f"{path} repeats the column {name!r}")
     for ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(header):

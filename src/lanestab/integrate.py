@@ -11,13 +11,14 @@ Only the accepted nodes are kept: where a step is evaluated, its seven
 stage slopes are rebuilt from its start node by the same stage function,
 and their product with P is its quartic interpolant.  Zero crossings of z
 and the divergence guard are found on the nodes and located to one float
-on the quartic.  A runaway solution (odd n, or even n started
-above the repelling equilibrium) ends as a "diverged" outcome, not a
-failure: where |z| crosses the guard, or, for n > 1, at the first node past
+on the quartic.  The step loop records the rule that ends a run as its
+stop.  A runaway solution (odd n, or even n started above the repelling
+equilibrium) ends as a "diverged" outcome, not a failure: GUARD where |z|
+crosses DIVERGENCE_GUARD, or, for n > 1, BLOWUP at the first node past
 |z| = u = omega**(-1/n) that moves outward (z*dz > 0) with
 tau = 2|z|/((n-1)|dz|), the time left to blow-up, below RUNAWAY_ULPS
-ulp(zeta).  For n >= 4 the guard lies below float resolution in zeta, so
-only the second rule can end such a run.
+ulp(zeta); any other run stops at ZETA_END.  For n >= 4 the guard lies
+below float resolution in zeta, so only the second rule can end such a run.
 
 Two start modes exist.  Offset starts exactly at (z, dz) =
 (theta0**(1/n), 0) at zeta_start.  Series replaces that with a quadratic
@@ -40,6 +41,8 @@ OFFSET = "offset"
 SERIES = "series"
 COMPLETED = "completed"
 DIVERGED = "diverged"
+# Trajectory.stop: the rule that ended the run
+ZETA_END, GUARD, BLOWUP = "zeta_end", "guard", "blowup"
 
 DIVERGENCE_GUARD = 1e12
 RUNAWAY_ULPS = 1e3
@@ -151,25 +154,34 @@ def _dense(zeta, zeta0, h, y0, q) -> float:
 
 
 class Trajectory(_Record, namedtuple("Trajectory", "params zetas zs dzs "
-                                     "events diverged_at")):
-    """Completed integration: sample nodes and the ascending zetas (events)
-    where z crosses zero.
+                                     "events diverged_at stop")):
+    """Completed integration: sample nodes, the ascending zetas (events)
+    where z crosses zero, and the rule that ended the run (stop).
 
     Step k runs from zetas[k] to zetas[k+1], h = zetas[k+1] - zetas[k].
     Its interpolant (zs[k], dzs[k]) + h * quartic(k) . (s, s^2, s^3, s^4),
     s = (zeta - zetas[k])/h, has slope rhs at zetas[k], so the curve is C1;
     the stage slopes behind it are rebuilt from node k when it is needed.
-    diverged_at is the zeta where |z| crossed the divergence guard, or the
-    node where the runaway rule ended the run, else None.
+    diverged_at is the zeta where |z| crossed the divergence guard (stop
+    GUARD), or the node where the runaway rule fired (BLOWUP), else None.
     """
 
     __slots__ = ()
 
+    # unpickling builds through here, so checking stop keeps a pickle of the
+    # earlier seven-field layout (slopes after dzs, no stop) from loading
+    def __new__(cls, params, zetas, zs, dzs, events, diverged_at, stop):
+        if stop not in (ZETA_END, GUARD, BLOWUP):
+            raise ValidationError("stop", f"must be {ZETA_END!r}, {GUARD!r} "
+                                  f"or {BLOWUP!r}, got {stop!r}")
+        return super().__new__(cls, params, zetas, zs, dzs, events,
+                               diverged_at, stop)
+
     @property
     def status(self) -> str:
-        """The outcome: "diverged" exactly when diverged_at is set, else
-        "completed"."""
-        return COMPLETED if self.diverged_at is None else DIVERGED
+        """The outcome: "completed" where the run reached zeta_end, else
+        "diverged"."""
+        return COMPLETED if self.stop == ZETA_END else DIVERGED
 
     def quartic(self, k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Step k's interpolant coefficients of (s, s^2, s^3, s^4), for z
@@ -244,9 +256,9 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
 
     Raises IntegrationError on step-size underflow, on an overflowing
     right-hand side at the start, or when max_steps runs out.  A runaway
-    is not an error: the trajectory is returned with diverged_at set to
-    the last float before the guard crossing |z| > 1e12, or to the node
-    where the runaway rule fired, so its status is "diverged".
+    is not an error: stop is GUARD, with diverged_at the last float before
+    the crossing |z| > 1e12, or BLOWUP, with diverged_at the node where the
+    runaway rule fired, so the status is "diverged".
 
     _sink, where given, gets an array of the nodes it has not had, as
     (zeta, z, dz) triples from the start node on: after every _SINK_STEPS
@@ -330,20 +342,24 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
         t, z, dz, k1z, k1d = t_new, z_new, dz_new, k7z, k7d
         az, adz = az_new, adz_new
         if az > guard:
+            stop = GUARD
             break
         if az > u and z * dz > 0.0 and 2.0 * az < scale * adz * ulp(t):
-            diverged_at = t
+            stop, diverged_at = BLOWUP, t
             break
+    else:
+        stop = ZETA_END
     if sent:
         _sink(nodes[sent:])
 
-    traj = Trajectory(params, nodes[0::3], nodes[1::3], nodes[2::3], (), None)
+    traj = Trajectory(params, nodes[0::3], nodes[1::3], nodes[2::3], (),
+                      None, stop)
     zs = traj.zs
     # the zero crossings, on the steps whose end nodes bracket a zero of z
     events = tuple(traj._crossing(k, lambda z: z)
                    for k, (za, zb) in enumerate(zip(zs, zs[1:]))
                    if za != 0.0 and (zb == 0.0 or (za > 0.0) != (zb > 0.0)))
-    if abs(z) > guard:
+    if stop == GUARD:
         diverged_at = traj._crossing(steps - 1, lambda z: abs(z) - guard)
     return traj._replace(events=events, diverged_at=diverged_at)
 

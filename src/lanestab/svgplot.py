@@ -21,7 +21,10 @@ MARGIN_BOTTOM = 46.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float,
+                target: int = 6) -> list[tuple[float, str]]:
+    """Round ticks over [lo, hi] with their labels: %g with the fewest
+    significant digits, from 6 up to 17, that tell every tick apart."""
     span = hi - lo
     raw = span / max(target - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -36,15 +39,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-9 * span else t)
         t += step
-    return ticks
+    for digits in range(6, 18):
+        labels = [format(t, f".{digits}g") for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return list(zip(ticks, labels))
 
 
 def _coord(v: float) -> str:
     return format(v, ".2f")
-
-
-def _label(v: float) -> str:
-    return format(v, "g")
 
 
 def _data_range(values) -> tuple[float, float]:
@@ -90,22 +93,22 @@ def line_chart(series, xlabel: str, ylabel: str, title: str = "",
         f'height="{HEIGHT:g}" viewBox="0 0 {WIDTH:g} {HEIGHT:g}">')
     out.append(f'<rect width="{WIDTH:g}" height="{HEIGHT:g}" fill="#ffffff"/>')
 
-    for t in _nice_ticks(x_lo, x_hi):
+    for t, label in _nice_ticks(x_lo, x_hi):
         x = px(t)
         out.append(f'<line x1="{_coord(x)}" y1="{_coord(MARGIN_TOP)}" '
                    f'x2="{_coord(x)}" y2="{_coord(MARGIN_TOP + plot_h)}" '
                    f'stroke="#e0e0e0" stroke-width="1"/>')
         out.append(f'<text x="{_coord(x)}" y="{_coord(HEIGHT - MARGIN_BOTTOM + 18)}" '
                    f'font-family="sans-serif" font-size="12" '
-                   f'text-anchor="middle">{_label(t)}</text>')
-    for t in _nice_ticks(y_lo, y_hi):
+                   f'text-anchor="middle">{label}</text>')
+    for t, label in _nice_ticks(y_lo, y_hi):
         y = py(t)
         out.append(f'<line x1="{_coord(MARGIN_LEFT)}" y1="{_coord(y)}" '
                    f'x2="{_coord(MARGIN_LEFT + plot_w)}" y2="{_coord(y)}" '
                    f'stroke="#e0e0e0" stroke-width="1"/>')
         out.append(f'<text x="{_coord(MARGIN_LEFT - 8)}" y="{_coord(y + 4)}" '
                    f'font-family="sans-serif" font-size="12" '
-                   f'text-anchor="end">{_label(t)}</text>')
+                   f'text-anchor="end">{label}</text>')
 
     out.append(f'<rect x="{_coord(MARGIN_LEFT)}" y="{_coord(MARGIN_TOP)}" '
                f'width="{_coord(plot_w)}" height="{_coord(plot_h)}" '

@@ -80,6 +80,25 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     assert math.isclose(summary["zeta_star"], 5.069116954881416, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("n, end, zeta_star", [
+    ("2", "completed to zeta = 60 in 705 steps", "5.06911695488"),
+    ("3", "diverged_at = 10.7077371497 (|z| crossed the guard; expected "
+          "for repelling starts)", "5.67712275416"),
+    ("5", "diverged_at = 11.1101252704 (z runs away within float resolution "
+          "in zeta; expected for repelling starts)", "6.70574671764"),
+], ids=["zeta_end", "guard", "blowup"])
+def test_solve_says_which_rule_ended_the_run(tmp_path, capsys, n, end,
+                                             zeta_star):
+    """The human-readable solve names the run's stop: zeta_end, the guard
+    (n = 3) or the runaway rule (n = 5)."""
+    out = tmp_path / "run.csv"
+    code, stdout, err = _run(["solve", "--n", n, "--omega", "0.5", "--out",
+                              str(out)], capsys)
+    assert (code, err) == (0, "")
+    assert stdout == (f"wrote {out} and {tmp_path / 'run.summary.json'}\n"
+                      f"{end}\nzeta_star = {zeta_star}\n")
+
+
 def test_solve_csv_drops_v_columns_when_undefined(tmp_path, capsys):
     odd = tmp_path / "odd.csv"
     code, _, _ = _run(["solve", "--n", "3", "--omega", "0.125",
@@ -1350,6 +1369,39 @@ def test_plot_of_a_narrow_series_at_large_magnitude_draws(
     assert len(ticks) >= 2
 
 
+def _tick_labels(svg: str) -> tuple[list[str], list[str]]:
+    """The x and y tick labels of a rendered chart, in drawing order."""
+    texts = ET.fromstring(svg).findall(f"{SVG}text")
+    x_row = texts[0].get("y")  # the first text drawn is the first x label
+    return ([t.text for t in texts if t.get("y") == x_row
+             and t.get("text-anchor") == "middle"],
+            [t.text for t in texts if t.get("text-anchor") == "end"])
+
+
+@pytest.mark.parametrize("oracle, thetas, y_labels", [
+    (["gamma2", "--omega", "1e-300", "--theta0", "1e299"], None,
+     ["9.999999995e+298", "1e+299", "1.0000000005e+299", "1.000000001e+299"]),
+    (None, ["1e7", "1e7"],
+     ["9999999", "9999999.5", "10000000", "10000000.5", "10000001"]),
+], ids=["gamma2-1e299", "constant-1e7"])
+def test_plot_tick_labels_tell_ticks_apart(oracle, thetas, y_labels,
+                                           tmp_path, capsys):
+    """%g keeps six significant digits, which labelled every theta tick
+    of these axes alike (1e+299, 1e+07); each axis now takes the fewest
+    digits from 6 up that keep its labels distinct."""
+    csv = tmp_path / "run.csv"
+    if oracle is None:
+        csv.write_text("zeta,theta\n0,%s\n1,%s\n" % tuple(thetas))
+    else:
+        _run(["oracle", "--kind", *oracle, "--out", str(csv)], capsys)
+    code, _, err = _run(["plot", "--input", str(csv)], capsys)
+    assert (code, err) == (0, "")
+    xs, ys = _tick_labels((tmp_path / "run.svg").read_text())
+    assert ys == y_labels
+    for labels in (xs, ys):
+        assert len(labels) >= 2 and len(set(labels)) == len(labels)
+
+
 def test_plot_of_values_near_the_float_maximum_exits_1(tmp_path, capsys):
     """A theta column up to 1.7976931057355819e+308 has no room for its 5%
     margins, which overflowed in a traceback: exit 1 naming the file."""
@@ -1371,10 +1423,16 @@ def test_plot_of_values_near_the_float_maximum_exits_1(tmp_path, capsys):
     ("zeta,theta\n0.1,abc\n", "profile", "has a non-numeric cell"),
     ("zeta,z\n0.1,1.0\n", "profile", "lacks zeta/theta columns"),
     ("zeta,theta\n0.1,1.0\n", "phase", "lacks z/dz columns"),
+    ("zeta,theta,theta\n0.1,1.0,2.0\n", "profile",
+     "repeats the column 'theta'"),
+    ("zeta,z,dz,z\n0.1,1.0,0.0,2.0\n", "phase", "repeats the column 'z'"),
     ("", "profile-family", "is empty"),
     ("zeta,z\n0.1,1.0\n", "profile-family", "lacks zeta/theta columns"),
+    ("zeta,theta,theta\n0.1,1.0,2.0\n", "profile-family",
+     "repeats the column 'theta'"),
 ], ids=["empty", "ragged", "non-numeric", "no-theta", "no-dz",
-        "family-empty", "family-no-theta"])
+        "repeated-theta", "phase-repeated-z", "family-empty",
+        "family-no-theta", "family-repeated-theta"])
 def test_plot_rejects_malformed_csv(tmp_path, capsys, text, kind, what):
     csv = tmp_path / "run.csv"
     csv.write_text(text)

@@ -8,6 +8,7 @@ import math
 import pickle
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import accumulate
 
 import numpy as np
@@ -27,8 +28,8 @@ from lanestab import (
     series_start,
     theta_from_z,
 )
-from lanestab.integrate import (A, B, C, COMPLETED, DIVERGED, P, Trajectory,
-                                _dense, _step)
+from lanestab.integrate import (A, B, BLOWUP, C, COMPLETED, DIVERGED, GUARD,
+                                P, ZETA_END, Trajectory, _dense, _step)
 from lanestab.model import _bisect
 
 from certificate_oracle import escape_zeta
@@ -155,10 +156,37 @@ def test_trajectory_shape(run_n2_omega_half):
     assert traj.zetas[-1] == 30.0
     assert np.all(np.diff(traj.zetas) > 0.0)
     assert Trajectory._fields == ("params", "zetas", "zs", "dzs", "events",
-                                  "diverged_at")
+                                  "diverged_at", "stop")
+    assert traj.stop == ZETA_END
     assert len(traj.zs) == len(traj.zetas) == len(traj.dzs)
     # even n keeps theta = z**n nonnegative by construction
     assert all(theta_from_z(float(z), 2) >= 0.0 for z in traj.zs)
+
+
+def _earlier_pickle(monkeypatch, fields: str, values) -> bytes:
+    """A Trajectory pickled by a version whose namedtuple had these fields."""
+    earlier = namedtuple("Trajectory", fields)
+    earlier.__module__ = INTEGRATE_MODULE.__name__
+    with monkeypatch.context() as m:
+        m.setattr(INTEGRATE_MODULE, "Trajectory", earlier)
+        return pickle.dumps(earlier(*values))
+
+
+def test_a_trajectory_pickled_before_stop_does_not_load(run_n2_omega_half,
+                                                        monkeypatch):
+    """The six-field layout lacks stop; the seven-field one with slopes
+    after dzs would shift events into diverged_at and diverged_at into
+    stop."""
+    traj = run_n2_omega_half
+    with pytest.raises(TypeError):
+        pickle.loads(_earlier_pickle(
+            monkeypatch, "params zetas zs dzs events diverged_at", traj[:6]))
+    slopes = array("d", [0.0] * 14 * (len(traj.zetas) - 1))
+    with pytest.raises(ValidationError) as exc:
+        pickle.loads(_earlier_pickle(
+            monkeypatch, "params zetas zs dzs slopes events diverged_at",
+            (*traj[:4], slopes, traj.events, traj.diverged_at)))
+    assert exc.value.field == "stop"
 
 
 def test_dense_output_reproduces_nodes(run_n2_omega_half):
@@ -427,7 +455,7 @@ def test_runaway_past_float_resolution_ends_as_diverged(n, omega, theta0):
     1e3 ulp(zeta); diverged_at is that node."""
     traj = integrate(make_params(n, omega, theta0),
                      IntegratorOptions(zeta_end=60.0))
-    assert traj.status == DIVERGED
+    assert (traj.status, traj.stop) == (DIVERGED, BLOWUP)
     assert traj.diverged_at == traj.zetas[-1] < 60.0
     z, dz = traj.zs[-1], traj.dzs[-1]
     assert omega ** (-1.0 / n) < abs(z) < 1e12 and z * dz > 0.0
@@ -445,6 +473,24 @@ def test_n3_runaway_still_ends_at_the_guard(omega, diverged_at):
     traj = integrate(make_params(3, omega), IntegratorOptions(zeta_end=60.0))
     assert traj.diverged_at == diverged_at < traj.zetas[-1]
     assert abs(traj.zs[-1]) > 1e12
+    assert traj.stop == GUARD
+
+
+@pytest.mark.parametrize("n, stop, status", [(2, ZETA_END, COMPLETED),
+                                             (3, GUARD, DIVERGED),
+                                             (5, BLOWUP, DIVERGED)])
+def test_stop_names_the_rule_that_ended_the_run(n, stop, status):
+    """The step loop records which rule ended the run; status follows from
+    it.  diverged_at is the last node where the runaway rule fired, and the
+    last float before the crossing, below the last node, at the guard."""
+    traj = integrate(make_params(n, 0.5), IntegratorOptions(zeta_end=60.0))
+    assert (traj.stop, traj.status) == (stop, status)
+    if stop == ZETA_END:
+        assert traj.diverged_at is None and traj.zetas[-1] == 60.0
+    elif stop == GUARD:
+        assert traj.diverged_at < traj.zetas[-1] < 60.0
+    else:
+        assert traj.diverged_at == traj.zetas[-1] < 60.0
 
 
 def test_a_node_just_past_a_zero_does_not_end_the_run():
@@ -511,8 +557,8 @@ def test_escape_zeta_is_located_to_one_float(n, omega, monkeypatch):
 
 @pytest.mark.parametrize("n, status", [(2, COMPLETED), (3, DIVERGED)])
 def test_trajectory_survives_copy_and_pickle(n, status):
-    """status is derived from diverged_at, so a rebuilt Trajectory keeps it;
-    it is read-only like every field."""
+    """status is derived from stop, so a rebuilt Trajectory keeps it; it is
+    read-only like every field."""
     traj = integrate(make_params(n, 0.5), IntegratorOptions(zeta_end=30.0))
     assert traj.status == status
     for twin in (copy.copy(traj), copy.deepcopy(traj),
@@ -521,6 +567,7 @@ def test_trajectory_survives_copy_and_pickle(n, status):
         assert twin.status == status
         assert twin.events == traj.events
         assert twin.diverged_at == traj.diverged_at
+        assert twin.stop == traj.stop
     with pytest.raises(AttributeError):
         traj.status = COMPLETED if status == DIVERGED else DIVERGED
     assert "status" not in Trajectory._fields
