@@ -352,7 +352,8 @@ def _error_row(params, opts, error: str) -> dict:
 
 
 def _sweep_run(params, opts, out_dir: Path) -> dict:
-    """One sweep run: its CSV written, its index.json row returned."""
+    """One sweep run: its CSV written, its index.json row returned.  Its
+    start_in_basin, where it has one, is bounded: the certificate proves it."""
     try:
         traj = integrate(params, opts)
         fname = _run_name(params)
@@ -362,7 +363,8 @@ def _sweep_run(params, opts, out_dir: Path) -> dict:
     max_abs_z = max(map(abs, traj.zs))
     return {**_row_params(params, opts), "file": fname, "status": traj.status,
             **_outcome(traj, first_zero(traj)), "max_abs_z": max_abs_z,
-            "bounded": traj.status != DIVERGED and max_abs_z <= BOUNDED_LIMIT}
+            "bounded": traj.status != DIVERGED and _basin_key(params).get(
+                "start_in_basin", max_abs_z <= BOUNDED_LIMIT)}
 
 
 def cmd_sweep(args) -> int:

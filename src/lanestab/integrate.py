@@ -14,11 +14,11 @@ and the divergence guard are found on the nodes and located to one float
 on the quartic.  The step loop records the rule that ends a run as its
 stop.  A runaway solution (odd n, or even n started above the repelling
 equilibrium) ends as a "diverged" outcome, not a failure: GUARD where |z|
-crosses DIVERGENCE_GUARD, or, for n > 1, BLOWUP at the first node past
-|z| = u = omega**(-1/n) that moves outward (z*dz > 0) with
-tau = 2|z|/((n-1)|dz|), the time left to blow-up, below RUNAWAY_ULPS
-ulp(zeta); any other run stops at ZETA_END.  For n >= 4 the guard lies
-below float resolution in zeta, so only the second rule can end such a run.
+crosses DIVERGENCE_GUARD, or, for n > 1, BLOWUP where a rejection pushes
+h below the floor at a node past |z| = u = omega**(-1/n) moving outward
+(z*dz > 0), a floor elsewhere being underflow; else ZETA_END.  For n >= 4
+the guard lies below float resolution in zeta, so only the floor can end
+such a run, at any tolerance.
 
 Two start modes exist.  Offset starts exactly at (z, dz) =
 (theta0**(1/n), 0) at zeta_start.  Series replaces that with a quadratic
@@ -45,7 +45,6 @@ DIVERGED = "diverged"
 ZETA_END, GUARD, BLOWUP = "zeta_end", "guard", "blowup"
 
 DIVERGENCE_GUARD = 1e12
-RUNAWAY_ULPS = 1e3
 
 # Dormand-Prince 5(4): nodes C, lower rows of A, fifth-order weights B,
 # error weights E (fifth minus fourth order, over the 7 stages with the
@@ -163,7 +162,7 @@ class Trajectory(_Record, namedtuple("Trajectory", "params zetas zs dzs "
     s = (zeta - zetas[k])/h, has slope rhs at zetas[k], so the curve is C1;
     the stage slopes behind it are rebuilt from node k when it is needed.
     diverged_at is the zeta where |z| crossed the divergence guard (stop
-    GUARD), or the node where the runaway rule fired (BLOWUP), else None.
+    GUARD), or the node where the step fell to its floor (BLOWUP), else None.
     """
 
     __slots__ = ()
@@ -258,7 +257,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
     right-hand side at the start, or when max_steps runs out.  A runaway
     is not an error: stop is GUARD, with diverged_at the last float before
     the crossing |z| > 1e12, or BLOWUP, with diverged_at the node where the
-    runaway rule fired, so the status is "diverged".
+    step fell below its floor, past u and moving outward: status "diverged".
 
     _sink, where given, gets an array of the nodes it has not had, as
     (zeta, z, dz) triples from the start node on: after every _SINK_STEPS
@@ -266,21 +265,16 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
     when the step loop ends.  No run of at most _SINK_STEPS steps calls it.
     """
     t = opts.zeta_start
-    if opts.start_mode == SERIES:
-        z, dz = series_start(params, t)
-    else:
-        z, dz = params.theta0 ** (1.0 / params.n), 0.0
+    z, dz = series_start(params, t) if opts.start_mode == SERIES else (
+        params.theta0 ** (1.0 / params.n), 0.0)
 
     e1, _, e3, e4, e5, e6, e7 = E
     rtol, atol, t_end = opts.rel_tol, opts.abs_tol, opts.zeta_end
     omega, n, max_steps = params.omega, params.n, opts.max_steps
     inv = 1.0 / (n + 1.0)  # model.rhs's factor, so each stage matches it
-    # the runaway rule: |z| > u, which never holds for n = 1 or omega = 0,
-    # z*dz > 0, and tau < RUNAWAY_ULPS ulp(zeta) as 2|z| < scale*|dz|*ulp(zeta)
-    n1, ulp, guard = n - 1, math.ulp, DIVERGENCE_GUARD
-    u = omega ** (-1.0 / n) if n1 and omega else math.inf
-    scale = RUNAWAY_ULPS * n1
-    diverged_at = None
+    ulp, guard, diverged_at = math.ulp, DIVERGENCE_GUARD, None
+    # the equilibrium radius, or inf where none is passed (n = 1, omega = 0)
+    u = omega ** (-1.0 / n) if n > 1 and omega else math.inf
     try:
         k1z, k1d = rhs(t, z, dz, params)
     except OverflowError:
@@ -310,7 +304,10 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            if h_abs < min_step:  # the step floor
+                if az > u and z * dz > 0.0:  # past u, moving outward
+                    stop, diverged_at = BLOWUP, t
+                    break
                 raise IntegrationError(
                     f"step size underflow; last good zeta = {t!r}", t)
             t_new = t + h_abs
@@ -338,14 +335,13 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
             # an inf or nan norm gives MIN_FACTOR (max() keeps it over nan)
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
+        if diverged_at is not None:
+            break
         nodes.extend((t_new, z_new, dz_new))
         t, z, dz, k1z, k1d = t_new, z_new, dz_new, k7z, k7d
         az, adz = az_new, adz_new
         if az > guard:
             stop = GUARD
-            break
-        if az > u and z * dz > 0.0 and 2.0 * az < scale * adz * ulp(t):
-            stop, diverged_at = BLOWUP, t
             break
     else:
         stop = ZETA_END
@@ -354,10 +350,9 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
 
     traj = Trajectory(params, nodes[0::3], nodes[1::3], nodes[2::3], (),
                       None, stop)
-    zs = traj.zs
     # the zero crossings, on the steps whose end nodes bracket a zero of z
     events = tuple(traj._crossing(k, lambda z: z)
-                   for k, (za, zb) in enumerate(zip(zs, zs[1:]))
+                   for k, (za, zb) in enumerate(zip(traj.zs, traj.zs[1:]))
                    if za != 0.0 and (zb == 0.0 or (za > 0.0) != (zb > 0.0)))
     if stop == GUARD:
         diverged_at = traj._crossing(steps - 1, lambda z: abs(z) - guard)

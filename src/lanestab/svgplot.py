@@ -17,6 +17,7 @@ MARGIN_LEFT = 64.0
 MARGIN_RIGHT = 16.0
 MARGIN_TOP = 22.0
 MARGIN_BOTTOM = 46.0
+CHAR_WIDTH = 7.0  # px per character of a 12 px label; a digit is 0.556 em
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -33,9 +34,7 @@ def _nice_ticks(lo: float, hi: float,
         if span / (mult * mag) <= target:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
+    ticks, t = [], math.ceil(lo / step) * step
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-9 * span else t)
         t += step
@@ -77,20 +76,22 @@ def line_chart(series, xlabel: str, ylabel: str, title: str = "",
     all_y = [y for _, _, ys in series for y in ys] + [m[1] for m in markers]
     x_lo, x_hi = _data_range(all_x)
     y_lo, y_hi = _data_range(all_y)
+    y_ticks = _nice_ticks(y_lo, y_hi)
+    # widen the left margin where the longest y label would start left of x = 0
+    left = max(MARGIN_LEFT, 8 + CHAR_WIDTH * max(len(s) for _, s in y_ticks))
 
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_w = WIDTH - left - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(x: float) -> float:
-        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    out = []
-    out.append(
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:g}" '
-        f'height="{HEIGHT:g}" viewBox="0 0 {WIDTH:g} {HEIGHT:g}">')
+        f'height="{HEIGHT:g}" viewBox="0 0 {WIDTH:g} {HEIGHT:g}">']
     out.append(f'<rect width="{WIDTH:g}" height="{HEIGHT:g}" fill="#ffffff"/>')
 
     for t, label in _nice_ticks(x_lo, x_hi):
@@ -101,16 +102,16 @@ def line_chart(series, xlabel: str, ylabel: str, title: str = "",
         out.append(f'<text x="{_coord(x)}" y="{_coord(HEIGHT - MARGIN_BOTTOM + 18)}" '
                    f'font-family="sans-serif" font-size="12" '
                    f'text-anchor="middle">{label}</text>')
-    for t, label in _nice_ticks(y_lo, y_hi):
+    for t, label in y_ticks:
         y = py(t)
-        out.append(f'<line x1="{_coord(MARGIN_LEFT)}" y1="{_coord(y)}" '
-                   f'x2="{_coord(MARGIN_LEFT + plot_w)}" y2="{_coord(y)}" '
+        out.append(f'<line x1="{_coord(left)}" y1="{_coord(y)}" '
+                   f'x2="{_coord(left + plot_w)}" y2="{_coord(y)}" '
                    f'stroke="#e0e0e0" stroke-width="1"/>')
-        out.append(f'<text x="{_coord(MARGIN_LEFT - 8)}" y="{_coord(y + 4)}" '
+        out.append(f'<text x="{_coord(left - 8)}" y="{_coord(y + 4)}" '
                    f'font-family="sans-serif" font-size="12" '
                    f'text-anchor="end">{label}</text>')
 
-    out.append(f'<rect x="{_coord(MARGIN_LEFT)}" y="{_coord(MARGIN_TOP)}" '
+    out.append(f'<rect x="{_coord(left)}" y="{_coord(MARGIN_TOP)}" '
                f'width="{_coord(plot_w)}" height="{_coord(plot_h)}" '
                f'fill="none" stroke="#333333" stroke-width="1"/>')
 
@@ -131,14 +132,14 @@ def line_chart(series, xlabel: str, ylabel: str, title: str = "",
         for i, (label, _, _) in enumerate(series):
             color = PALETTE[i % len(PALETTE)]
             y = MARGIN_TOP + 16 + 16 * i
-            x = MARGIN_LEFT + plot_w - 150
+            x = left + plot_w - 150
             out.append(f'<line x1="{_coord(x)}" y1="{_coord(y - 4)}" '
                        f'x2="{_coord(x + 22)}" y2="{_coord(y - 4)}" '
                        f'stroke="{color}" stroke-width="1.5"/>')
             out.append(f'<text x="{_coord(x + 28)}" y="{_coord(y)}" '
                        f'font-family="sans-serif" font-size="12">{label}</text>')
 
-    out.append(f'<text x="{_coord(MARGIN_LEFT + plot_w / 2)}" '
+    out.append(f'<text x="{_coord(left + plot_w / 2)}" '
                f'y="{_coord(HEIGHT - 10)}" font-family="sans-serif" '
                f'font-size="13" text-anchor="middle">{xlabel}</text>')
     out.append(f'<text x="14" y="{_coord(MARGIN_TOP + plot_h / 2)}" '
@@ -146,7 +147,7 @@ def line_chart(series, xlabel: str, ylabel: str, title: str = "",
                f'transform="rotate(-90 14 {_coord(MARGIN_TOP + plot_h / 2)})">'
                f'{ylabel}</text>')
     if title:
-        out.append(f'<text x="{_coord(MARGIN_LEFT + plot_w / 2)}" y="15" '
+        out.append(f'<text x="{_coord(left + plot_w / 2)}" y="15" '
                    f'font-family="sans-serif" font-size="13" '
                    f'text-anchor="middle">{title}</text>')
     out.append('</svg>')

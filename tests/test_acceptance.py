@@ -707,7 +707,7 @@ def test_criterion_15_blowup_law(law_runs, record_criterion):
     /(n+1)) at its end node.  So |Q - 4*tau/((n+3)*zeta)| must stay below
     (tau/zeta)**2 plus p*sqrt(2)*rtol times those weights summed over the
     nodes, over dz**2 at the last one.  At n = 2 the guard |z| > 1e12, not
-    the runaway rule, ends the run, so tau/zeta is near 1e-6 and the
+    the step floor, ends the run, so tau/zeta is near 1e-6 and the
     expansion term carries Q; for n >= 3 Q reads up to 0.4*rtol.  C scaled
     by 1 + 1e-6 moves Q by -1e-6 and must miss the gate on every run."""
     worst, caught, checked, largest_q = (0.0, None), 0, 0, [0.0, 0.0]

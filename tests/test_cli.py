@@ -90,7 +90,7 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
 def test_solve_says_which_rule_ended_the_run(tmp_path, capsys, n, end,
                                              zeta_star):
     """The human-readable solve names the run's stop: zeta_end, the guard
-    (n = 3) or the runaway rule (n = 5)."""
+    (n = 3) or the step floor (n = 5)."""
     out = tmp_path / "run.csv"
     code, stdout, err = _run(["solve", "--n", n, "--omega", "0.5", "--out",
                               str(out)], capsys)
@@ -441,6 +441,20 @@ def test_solve_runaway_past_float_resolution_is_reported_success(tmp_path,
     assert code == 0
     assert (f"diverged_at = {summary['diverged_at']:.12g} (z runs away "
             "within float resolution in zeta;") in text
+
+
+def test_solve_runaway_at_tight_tolerance_is_reported_success(tmp_path,
+                                                              capsys):
+    """At rtol 1e-12 this n = 4 runaway reaches the step floor while the
+    time left to blow-up is still about 1000 ulp(zeta); it exited 2 with a
+    step-size underflow at the same last good zeta."""
+    code, stdout, err = _run(["solve", "--n", "4", "--omega", "0.5",
+                              "--theta0", "3", "--rtol", "1e-12", "--atol",
+                              "1e-14", "--out", str(tmp_path / "run.csv"),
+                              "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert math.isclose(json.loads(stdout)["diverged_at"], 5.4368445200,
+                        rel_tol=1e-10)
 
 
 def test_solve_deterministic_bytes(tmp_path, capsys):
@@ -1402,6 +1416,28 @@ def test_plot_tick_labels_tell_ticks_apart(oracle, thetas, y_labels,
         assert len(labels) >= 2 and len(set(labels)) == len(labels)
 
 
+@pytest.mark.parametrize("oracle, left", [
+    (["gamma2", "--omega", "1e-300", "--theta0", "1e299"], "127.00"),
+    (["gamma2", "--omega", "0.5"], "64.00"),
+], ids=["gamma2-1e299", "gamma2-0.5"])
+def test_plot_y_labels_start_inside_the_svg(oracle, left, tmp_path, capsys):
+    """Every y tick label ended at x = 56, so 1.0000000005e+299 started
+    left of the SVG; at 7 px a character (a digit is 0.556 em at font-size
+    12), the left margin now widens just enough to hold the longest label,
+    and a plot whose labels fit keeps the 64 px margin."""
+    csv = tmp_path / "run.csv"
+    _run(["oracle", "--kind", *oracle, "--out", str(csv)], capsys)
+    assert _run(["plot", "--input", str(csv)], capsys)[0] == 0
+    root = ET.parse(tmp_path / "run.svg").getroot()
+    frame = root.findall(f"{SVG}rect")[1]
+    assert frame.get("x") == left
+    labels = [t for t in root.iter(f"{SVG}text")
+              if t.get("text-anchor") == "end"]
+    assert labels and all(float(t.get("x")) == float(left) - 8.0
+                          for t in labels)
+    assert min(float(t.get("x")) - 7.0 * len(t.text) for t in labels) >= 0.0
+
+
 def test_plot_of_values_near_the_float_maximum_exits_1(tmp_path, capsys):
     """A theta column up to 1.7976931057355819e+308 has no room for its 5%
     margins, which overflowed in a traceback: exit 1 naming the file."""
@@ -1489,6 +1525,32 @@ def test_plot_profile_family_skips_unbounded_runs(tmp_path, capsys):
             pass
     assert ticks and max(abs(t) for t in ticks) <= 1e3
     assert "n=3" not in out.read_text()
+
+
+def test_sweep_bounded_follows_the_certificate(tmp_path, capsys):
+    """At omega = 1e-6 (u = 1e3 for n = 2) the start is in the basin, so
+    the certificate proves the run bounded for all zeta, yet its first
+    swing about z_eq = -u reaches z = -1226 near zeta 200; the |z| <= 1e3
+    heuristic called it unbounded (at zeta_end 20000 too), and the family
+    plot left it out."""
+    out_dir = tmp_path / "sweep"
+    code, _, _ = _run(["sweep", "--n", "2", "--omega", "1e-6,0.5",
+                       "--zeta-end", "400", "--out-dir", str(out_dir)],
+                      capsys)
+    assert code == 0
+    runs = json.loads((out_dir / "index.json").read_text())["runs"]
+    assert [(r["status"], r["start_in_basin"], r["bounded"]) for r in runs] \
+        == [("completed", True, True)] * 2
+    assert runs[0]["max_abs_z"] > 1e3
+    # what the proof implies: the run stays within 2u of z_eq = -u
+    zs = cli._read_csv_columns(out_dir / runs[0]["file"])["z"]
+    assert max(abs(z + 1e3) for z in zs) < 2e3
+    out = tmp_path / "family.svg"
+    code, _, _ = _run(["plot", "--input", str(out_dir / "index.json"),
+                       "--kind", "profile-family", "--out", str(out)], capsys)
+    assert code == 0
+    assert len(ET.parse(out).getroot().findall(f".//{SVG}polyline")) == 2
+    assert "n=2, omega=1e-06" in out.read_text()
 
 
 def test_plot_profile_family_rejects_index_without_bounded_runs(tmp_path,

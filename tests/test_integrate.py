@@ -279,7 +279,7 @@ def _assert_stage_slopes_are_rhs(traj):
             for j in (0, 1))
 
 
-# at omega = 0.5, n = 3 ends at the |z| guard and n = 5 by the runaway rule
+# at omega = 0.5, n = 3 ends at the |z| guard and n = 5 at the step floor
 @pytest.mark.parametrize("n, status", [(2, COMPLETED), (3, DIVERGED),
                                        (5, DIVERGED)])
 def test_interpolant_starts_on_the_vector_field(n, status):
@@ -447,19 +447,33 @@ RUNAWAYS = [(n, omega, 1.0) for n in (5, 7) for omega in (0.5, 0.9)] + [
     + [(51, 2.0, 1.0)]
 
 
-@pytest.mark.parametrize("n, omega, theta0", RUNAWAYS)
-def test_runaway_past_float_resolution_ends_as_diverged(n, omega, theta0):
+@pytest.mark.parametrize("n, omega, theta0, tol", [
+    pytest.param(*run, tol, id="-".join(map(str, run))
+                 + (f"-{tol}" if tol else ""))
+    for tol in (None, 1e-12, 1e-14) for run in RUNAWAYS])
+def test_runaway_past_float_resolution_ends_as_diverged(n, omega, theta0,
+                                                        tol):
     """For n >= 4 the |z| = 1e12 guard lies below float resolution in
-    zeta, and these runs ended in step-size underflow.  The runaway rule
-    ends each at the first node past |z| = u moving outward with tau below
-    1e3 ulp(zeta); diverged_at is that node."""
-    traj = integrate(make_params(n, omega, theta0),
-                     IntegratorOptions(zeta_end=60.0))
+    zeta, and these runs ended in step-size underflow.  Each now ends where
+    a rejection pushes the step below its floor of 10 ulp(zeta), at a node
+    past |z| = u moving outward; diverged_at is that node.  DP5's
+    controller wants h of about tau*rtol**(1/5) there, so tau at the floor
+    stays below 10*rtol**(-1/5) ulp: measured 185-255 ulp at the default
+    tolerances, and at most 1005 and 2534 ulp at rtol = atol = 1e-12 and
+    1e-14, where a per-step tau < 1e3 ulp rule left most such runs to
+    raise."""
+    opts = IntegratorOptions(zeta_end=60.0) if tol is None else \
+        IntegratorOptions(zeta_end=60.0, rel_tol=tol, abs_tol=tol)
+    traj = integrate(make_params(n, omega, theta0), opts)
     assert (traj.status, traj.stop) == (DIVERGED, BLOWUP)
     assert traj.diverged_at == traj.zetas[-1] < 60.0
     z, dz = traj.zs[-1], traj.dzs[-1]
     assert omega ** (-1.0 / n) < abs(z) < 1e12 and z * dz > 0.0
-    assert _time_left(traj) < 1e3 * math.ulp(traj.diverged_at)
+    if tol is None:
+        assert _time_left(traj) < 1e3 * math.ulp(traj.diverged_at)
+    else:
+        assert _time_left(traj) < 10.0 * tol ** -0.2 \
+            * math.ulp(traj.diverged_at)
     assert (z > 0.0) == (theta0 * omega > 1.0)
     assert len(traj.events) == (z < 0.0)
 
@@ -481,8 +495,9 @@ def test_n3_runaway_still_ends_at_the_guard(omega, diverged_at):
                                              (5, BLOWUP, DIVERGED)])
 def test_stop_names_the_rule_that_ended_the_run(n, stop, status):
     """The step loop records which rule ended the run; status follows from
-    it.  diverged_at is the last node where the runaway rule fired, and the
-    last float before the crossing, below the last node, at the guard."""
+    it.  diverged_at is the last node where the step fell to its floor,
+    and at the guard the last float before the crossing, below the last
+    node."""
     traj = integrate(make_params(n, 0.5), IntegratorOptions(zeta_end=60.0))
     assert (traj.stop, traj.status) == (stop, status)
     if stop == ZETA_END:
@@ -495,8 +510,10 @@ def test_stop_names_the_rule_that_ended_the_run(n, stop, status):
 
 def test_a_node_just_past_a_zero_does_not_end_the_run():
     """zeta_end is put one float past the first zero of z, so the last
-    node moves outward (z*dz > 0) with tau far below 1e3 ulp(zeta): only
-    the |z| > u test keeps the runaway rule from firing there."""
+    node moves outward (z*dz > 0) with tau far below 1e3 ulp(zeta), the
+    per-step test that used to end runaways.  Only a rejection down to the
+    step floor at a node past |z| = u ends a run as a blow-up, and this
+    run completes."""
     p = make_params(2, 0.5)
     full = integrate(p, IntegratorOptions(zeta_end=10.0))
     k = next(k for k, (a, b) in enumerate(zip(full.zs, full.zs[1:]))
@@ -509,6 +526,23 @@ def test_a_node_just_past_a_zero_does_not_end_the_run():
     assert traj.zs[-1] * traj.dzs[-1] > 0.0
     assert _time_left(traj) < 1e3 * math.ulp(traj.zetas[-1])
     assert traj.status == COMPLETED and len(traj.events) == 1
+
+
+def test_a_step_floor_below_u_is_no_blowup():
+    """n = 196 at omega = 5e-324 is bounded (n even, theta0*omega ~ 0), but
+    z**n overflows before omega multiplies it, a known defect, so its step
+    falls to the floor near zeta 213 at z = -37.4, below u = 44.6, moving
+    outward: without the |z| > u test that node would end the run as a
+    blow-up.  It is a step-size underflow until the overflow is mended."""
+    params = make_params(196, 5e-324, 0.31622776601683794)
+    opts = IntegratorOptions(459.3, rel_tol=1e-11, start_mode="series")
+    try:
+        traj = integrate(params, opts)
+    except IntegrationError as exc:
+        assert str(exc).startswith("step size underflow")
+        assert 212.0 < exc.last_zeta < 213.0
+    else:
+        assert traj.stop == ZETA_END
 
 
 def _changes_side_after(traj, zeta, g) -> bool:
@@ -543,7 +577,7 @@ def test_every_crossing_is_located_to_one_float(n):
                                       (4, 0.5), (5, 0.5), (6, 0.5), (7, 0.5),
                                       (4, 0.9), (5, 0.9), (6, 0.9), (7, 0.9)])
 def test_escape_zeta_is_located_to_one_float(n, omega, monkeypatch):
-    """n >= 4 needs the runaway rule: the displaced start blows up below
+    """n >= 4 needs the step floor rule: the displaced start blows up below
     float resolution in zeta before |z| reaches the guard."""
     runs = []
     monkeypatch.setattr("certificate_oracle.integrate",
@@ -581,7 +615,7 @@ def test_max_steps_exhaustion_raises():
     assert exc.value.last_zeta < 60.0
 
 
-@pytest.mark.parametrize("n, steps", [(2, 705), (4, 798), (5, 794)])
+@pytest.mark.parametrize("n, steps", [(2, 705), (4, 798), (5, 829)])
 def test_sink_sees_the_nodes_and_changes_nothing(n, steps, monkeypatch):
     """With sink batches of 256 steps, the private sink gets the start node
     and the nodes of the first 256 steps, then those of each later 256
