@@ -194,28 +194,26 @@ def _closed_form(kind: str, theta0: float, omega: float | None,
     """(theta(zeta), domain end, note) of one closed-form profile.
 
     The domain end is math.inf where the formula is total, else the last
-    float with a finite value.  The note is None or a callable giving the
-    line `oracle` prints; it is lazy because `solve --check-oracle` never
-    prints it.
+    float with a finite value.  The note is None or the line `oracle`
+    prints.
     """
     if kind == "gamma2":  # refuses a start with no halo boundary
         zeta_m = closedform.halo_boundary(theta0, omega)
         return (lambda t: closedform.gamma2_profile(t, theta0, omega),
-                math.inf, lambda: f"halo boundary zeta_M = {zeta_m:.12g}")
+                math.inf, f"halo boundary zeta_M = {zeta_m:.12g}")
     if kind == "powerlaw":
         fn = lambda t: closedform.powerlaw_profile(t, gamma, theta0)
         if 0.0 <= gamma <= 1.0:
             return fn, math.inf, None
         # rounding can leave zeta_star itself with no finite value
         end = _last_finite(fn, closedform.powerlaw_boundary(gamma, theta0))
-        note = lambda: f"profile boundary zeta_star = {end:.12g}"
+        note = f"profile boundary zeta_star = {end:.12g}"
         return fn, end, note if gamma > 1.0 else None
     if kind == "gaussian":
         return (lambda t: closedform.gaussian_profile(t, theta0), math.inf,
                 None)
     return (lambda t: closedform.waterbag_profile(t, omega), math.inf,
-            lambda: f"step radius xi0 = "
-                    f"{closedform.lane_emden_radius(omega):.12g}")
+            f"step radius xi0 = {closedform.lane_emden_radius(omega):.12g}")
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -309,7 +307,7 @@ def cmd_oracle(args) -> int:
     _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
     if note is not None:
-        print(note())
+        print(note)
     return 0
 
 
@@ -412,7 +410,9 @@ def cmd_sweep(args) -> int:
     return 2 if any(e["status"] == "error" for e in entries) else 0
 
 
-def _read_csv_columns(path: Path) -> dict[str, list[float]]:
+def _read_csv_columns(path: Path, x: str, y: str) -> dict[str, list[float]]:
+    """Every column of the CSV at path by name, each cell a float, with
+    columns x and y present and at least one row where both are finite."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -435,14 +435,12 @@ def _read_csv_columns(path: Path) -> dict[str, list[float]]:
             except ValueError:
                 raise ValidationError("input",
                                       f"{path} has a non-numeric cell {cell!r}")
-    return cols
-
-
-def _columns(path: Path, x: str, y: str) -> tuple[list[float], list[float]]:
-    cols = _read_csv_columns(path)
     if x not in cols or y not in cols:
         raise ValidationError("input", f"{path} lacks {x}/{y} columns")
-    return cols[x], cols[y]
+    if not any(math.isfinite(a) and math.isfinite(b)
+               for a, b in zip(cols[x], cols[y])):
+        raise ValidationError("input", f"{path} has no finite {x}/{y} pair")
+    return cols
 
 
 def _equilibrium_markers(summary_path: Path) -> list[tuple[float, float, str]]:
@@ -457,45 +455,46 @@ def _equilibrium_markers(summary_path: Path) -> list[tuple[float, float, str]]:
              else UNSTABLE_COLOR) for eq in eqs]
 
 
+# plot kind -> (x column, y column, title)
+_PLOT_KINDS = {"profile": ("zeta", "theta", "density profile"),
+               "phase": ("z", "dz", "phase portrait"),
+               "profile-family": ("zeta", "theta", "density profile family")}
+
+
 def cmd_plot(args) -> int:
     src = Path(args.input)
     out = Path(args.out) if args.out else src.with_suffix(".svg")
     from . import svgplot  # only plots draw; other commands start faster
 
+    x, y, title = _PLOT_KINDS[args.kind]
     if args.kind != "profile-family":
-        x, y, title = {"profile": ("zeta", "theta", "density profile"),
-                       "phase": ("z", "dz", "phase portrait")}[args.kind]
-        xs, ys = _columns(src, x, y)
-        if not any(math.isfinite(a) and math.isfinite(b)
-                   for a, b in zip(xs, ys)):
-            raise ValidationError("input", f"{src} has no finite {x}/{y} pair")
-        markers = _equilibrium_markers(src.with_suffix(".summary.json")) \
-            if args.kind == "phase" else ()
-        series = [(src.stem, xs, ys)]
+        family = [(src.stem, src)]  # (label, CSV path) of each series
     else:
-        x, y, title, markers = "zeta", "theta", "density profile family", ()
         try:
             runs = json.loads(src.read_text())["runs"]
             if not isinstance(runs, list):
                 raise TypeError("runs is not a list")
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError("input", f"malformed sweep index {src}: {exc}")
-        series = []
+        family = []
         for i, run in enumerate(runs):
             try:
-                if run.get("bounded") is not True:
-                    continue
-                path = src.parent / run["file"]
-                label = f"n={run['n']}, omega={run['omega']:g}"
+                if run.get("bounded") is True:
+                    family.append((f"n={run['n']}, omega={run['omega']:g}",
+                                   src.parent / run["file"]))
             except (AttributeError, KeyError, TypeError, ValueError):
                 raise ValidationError("input", f"malformed sweep index {src}: "
                                       f"runs[{i}] = {run!r}") from None
-            series.append((label, *_columns(path, "zeta", "theta")))
-        if not series:
+        if not family:
             raise ValidationError("input", f"{src} lists no bounded runs")
+    series = []
+    for label, path in family:
+        cols = _read_csv_columns(path, x, y)
+        series.append((label, cols[x], cols[y]))
+    markers = _equilibrium_markers(src.with_suffix(".summary.json")) \
+        if args.kind == "phase" else ()
     try:
-        svg = svgplot.line_chart(series, xlabel=x, ylabel=y, title=title,
-                                 markers=markers)
+        svg = svgplot.line_chart(series, x, y, title, markers)
     except ValueError as exc:  # values too near the float range to place
         raise ValidationError("input", f"{src}: {exc}") from None
     _write_text(out, svg)
@@ -576,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True,
                     help="trajectory CSV or sweep index.json")
     sp.add_argument("--kind", default="profile",
-                    choices=("profile", "phase", "profile-family"))
+                    choices=tuple(_PLOT_KINDS))
     sp.add_argument("--out", help="SVG path (default: input with .svg)")
     sp.set_defaults(func=cmd_plot)
     return parser

@@ -2,9 +2,10 @@
 
 The plot subcommand needs byte-identical output for identical input, which
 rules out heavyweight plotting stacks with embedded ids or timestamps.
-This writer produces a plain standalone SVG: axes, ticks, polylines,
-optional point markers, optional legend.  Nothing here knows about the
-model; it draws labeled number series.
+This writer produces a plain standalone SVG: axes, ticks, the title it
+is given, one polyline per series, a circle per given marker (there may be
+none), and a legend where there is more than one series.  Nothing here
+knows about the model; it draws labeled number series.
 """
 
 from __future__ import annotations
@@ -18,20 +19,20 @@ MARGIN_RIGHT = 16.0
 MARGIN_TOP = 22.0
 MARGIN_BOTTOM = 46.0
 CHAR_WIDTH = 7.0  # px per character of a 12 px label; a digit is 0.556 em
+TICKS = 6  # about this many ticks per axis
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _nice_ticks(lo: float, hi: float,
-                target: int = 6) -> list[tuple[float, str]]:
+def _nice_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     """Round ticks over [lo, hi] with their labels: %g with the fewest
     significant digits, from 6 up to 17, that tell every tick apart."""
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if span / (mult * mag) <= target:
+        if span / (mult * mag) <= TICKS:
             step = mult * mag
             break
     ticks, t = [], math.ceil(lo / step) * step
@@ -50,13 +51,12 @@ def _coord(v: float) -> str:
 
 
 def _data_range(values) -> tuple[float, float]:
-    """The axis range of the finite values: padded a side by 5% of their
-    span, or by 1 for a constant series, and by at least 1e-9 of their
-    largest magnitude, so that ticks stay distinct floats.  Raises
-    ValueError where that range passes the float range."""
+    """The axis range of the finite values (the caller's series have at
+    least one): padded a side by 5% of their span, or by 1 for a constant
+    series, and by at least 1e-9 of their largest magnitude, so that ticks
+    stay distinct floats.  Raises ValueError where that range passes the
+    float range."""
     finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return (0.0, 1.0)
     lo, hi = min(finite), max(finite)
     pad = max(0.05 * (hi - lo) if hi > lo else 1.0, 1e-9 * max(-lo, hi))
     if not math.isfinite((hi + pad) - (lo - pad)):
@@ -65,9 +65,9 @@ def _data_range(values) -> tuple[float, float]:
     return (lo - pad, hi + pad)
 
 
-def line_chart(series, xlabel: str, ylabel: str, title: str = "",
-               markers=()) -> str:
-    """Render series = [(label, xs, ys), ...] plus markers = [(x, y, color), ...].
+def line_chart(series, xlabel: str, ylabel: str, title: str, markers) -> str:
+    """Render series = [(label, xs, ys), ...], each with a point whose x
+    and y are both finite, plus markers = [(x, y, color), ...].
 
     Returns the SVG document as a string.  Raises ValueError where an
     axis's padded range passes the float range.
@@ -127,8 +127,7 @@ def line_chart(series, xlabel: str, ylabel: str, title: str = "",
         out.append(f'<circle cx="{_coord(px(x))}" cy="{_coord(py(y))}" r="4" '
                    f'fill="{color}" stroke="#333333" stroke-width="0.8"/>')
 
-    labels = [label for label, _, _ in series if label]
-    if len(labels) > 1:
+    if len(series) > 1:
         for i, (label, _, _) in enumerate(series):
             color = PALETTE[i % len(PALETTE)]
             y = MARGIN_TOP + 16 + 16 * i
@@ -146,9 +145,8 @@ def line_chart(series, xlabel: str, ylabel: str, title: str = "",
                f'font-family="sans-serif" font-size="13" text-anchor="middle" '
                f'transform="rotate(-90 14 {_coord(MARGIN_TOP + plot_h / 2)})">'
                f'{ylabel}</text>')
-    if title:
-        out.append(f'<text x="{_coord(left + plot_w / 2)}" y="15" '
-                   f'font-family="sans-serif" font-size="13" '
-                   f'text-anchor="middle">{title}</text>')
+    out.append(f'<text x="{_coord(left + plot_w / 2)}" y="15" '
+               f'font-family="sans-serif" font-size="13" '
+               f'text-anchor="middle">{title}</text>')
     out.append('</svg>')
     return "\n".join(out) + "\n"

@@ -569,6 +569,25 @@ def test_criterion_13_dichotomy_law(law_runs, record_criterion):
     assert not misses, misses
 
 
+def test_criterion_13_bounded_runs_stay_in_the_basin_ball(law_runs):
+    """The basin estimate behind the law: for even n and theta0*omega < 1
+    the offset start lies within 2u of z_eq = -u, u = omega**(-1/n), and
+    V < alpha_max keeps the solution there.  So every node of each
+    completed even-n run of criterion 13 must have |z - z_eq| < 2u; the
+    start node, at u*(1 + (theta0*omega)**(1/n)), comes nearest."""
+    checked, worst = 0, (0.0, None)
+    for n, omega, f, run in law_runs[0]:
+        if n % 2 or isinstance(run, IntegrationError) \
+                or run.status != COMPLETED:
+            continue
+        checked += 1
+        z_eq = equilibria(make_params(n, omega, f / omega))[0].z_eq
+        reach = max(abs(z - z_eq) for z in run.zs) / -z_eq
+        worst = max(worst, (reach, (n, omega, f)))
+    assert checked == 128
+    assert worst[0] < 2.0, worst
+
+
 SCALE_NS = (1, 2, 3, 4, 6, 7)
 SCALE_OMEGAS = (1e-8, 1e-5, 1e-3, 0.05, 0.3, 0.9, 1.5, 4.0, 10.0)
 SCALE_PRODUCTS = (0.3, 0.9, 1.1, 3.0)

@@ -1321,21 +1321,36 @@ def test_plot_phase_without_markers_past_the_float_range(tmp_path, capsys):
     assert root.findall(f".//{SVG}circle") == []
 
 
-@pytest.mark.parametrize("text, kind, columns", [
-    ("zeta,theta\n0,nan\n1,inf\n", "profile", "zeta/theta"),
-    ("zeta,z,dz\n0,nan,1\n1,2,-inf\n2,inf,nan\n", "phase", "z/dz"),
-], ids=["profile", "phase"])
+@pytest.mark.parametrize("text, kind, columns, good_runs", [
+    ("zeta,theta\n0,nan\n1,inf\n", "profile", "zeta/theta", 0),
+    ("zeta,z,dz\n0,nan,1\n1,2,-inf\n2,inf,nan\n", "phase", "z/dz", 0),
+    ("zeta,theta\n", "profile-family", "zeta/theta", 0),
+    ("zeta,theta\n0,nan\n1,inf\n2,-inf\n", "profile-family", "zeta/theta",
+     0),
+    ("zeta,theta\n0,nan\n1,nan\n", "profile-family", "zeta/theta", 1),
+], ids=["profile", "phase", "family-header-only", "family-nan-inf",
+        "family-good-and-nan"])
 def test_plot_with_nothing_to_draw_exits_1(tmp_path, capsys, text, kind,
-                                           columns):
-    """No row with both plotted cells finite: exit 1 naming --input, where
-    the plot was an empty polyline."""
+                                           columns, good_runs):
+    """No row with both plotted cells finite: exit 1 naming the CSV, where
+    the plot was an empty polyline.  A family checks each bounded run's
+    CSV, after good_runs runs that draw."""
     csv = tmp_path / "run.csv"
     csv.write_text(text)
-    code, out, err = _run(["plot", "--input", str(csv), "--kind", kind],
+    src = csv
+    if kind == "profile-family":
+        (tmp_path / "good.csv").write_text("zeta,theta\n0,1\n1,0.5\n")
+        src = tmp_path / "index.json"
+        src.write_text(json.dumps({"runs": [
+            {"n": 2, "omega": 0.3, "file": "good.csv", "bounded": True}
+        ] * good_runs + [
+            {"n": 2, "omega": 0.5, "file": csv.name, "bounded": True}]}))
+    code, out, err = _run(["plot", "--input", str(src), "--kind", kind],
                           capsys)
     assert (code, out) == (1, "")
     assert err == f"error: --input: {csv} has no finite {columns} pair\n"
     assert not (tmp_path / "run.svg").exists()
+    assert not (tmp_path / "index.svg").exists()
 
 
 def test_plot_of_a_constant_series_pads_its_axis_by_one(tmp_path, capsys):
@@ -1543,7 +1558,7 @@ def test_sweep_bounded_follows_the_certificate(tmp_path, capsys):
         == [("completed", True, True)] * 2
     assert runs[0]["max_abs_z"] > 1e3
     # what the proof implies: the run stays within 2u of z_eq = -u
-    zs = cli._read_csv_columns(out_dir / runs[0]["file"])["z"]
+    zs = cli._read_csv_columns(out_dir / runs[0]["file"], "zeta", "z")["z"]
     assert max(abs(z + 1e3) for z in zs) < 2e3
     out = tmp_path / "family.svg"
     code, _, _ = _run(["plot", "--input", str(out_dir / "index.json"),
