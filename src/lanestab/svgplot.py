@@ -91,36 +91,39 @@ def line_chart(series, xlabel: str, ylabel: str, title: str, markers) -> str:
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:g}" '
-        f'height="{HEIGHT:g}" viewBox="0 0 {WIDTH:g} {HEIGHT:g}">']
-    out.append(f'<rect width="{WIDTH:g}" height="{HEIGHT:g}" fill="#ffffff"/>')
+        f'height="{HEIGHT:g}" viewBox="0 0 {WIDTH:g} {HEIGHT:g}">',
+        f'<rect width="{WIDTH:g}" height="{HEIGHT:g}" fill="#ffffff"/>']
 
+    def line(x1, y1, x2, y2, stroke: str, width) -> None:
+        out.append(f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" '
+                   f'x2="{_coord(x2)}" y2="{_coord(y2)}" '
+                   f'{stroke} stroke-width="{width}"/>')
+
+    def text(x: str, y: str, size: int, body: str,
+             attrs: str = ' text-anchor="middle"') -> None:
+        out.append(f'<text x="{x}" y="{y}" font-family="sans-serif" '
+                   f'font-size="{size}"{attrs}>{body}</text>')
+
+    grid = 'stroke="#e0e0e0"'
     for t, label in _nice_ticks(x_lo, x_hi):
-        x = px(t)
-        out.append(f'<line x1="{_coord(x)}" y1="{_coord(MARGIN_TOP)}" '
-                   f'x2="{_coord(x)}" y2="{_coord(MARGIN_TOP + plot_h)}" '
-                   f'stroke="#e0e0e0" stroke-width="1"/>')
-        out.append(f'<text x="{_coord(x)}" y="{_coord(HEIGHT - MARGIN_BOTTOM + 18)}" '
-                   f'font-family="sans-serif" font-size="12" '
-                   f'text-anchor="middle">{label}</text>')
+        line(px(t), MARGIN_TOP, px(t), MARGIN_TOP + plot_h, grid, 1)
+        text(_coord(px(t)), _coord(HEIGHT - MARGIN_BOTTOM + 18), 12, label)
     for t, label in y_ticks:
-        y = py(t)
-        out.append(f'<line x1="{_coord(left)}" y1="{_coord(y)}" '
-                   f'x2="{_coord(left + plot_w)}" y2="{_coord(y)}" '
-                   f'stroke="#e0e0e0" stroke-width="1"/>')
-        out.append(f'<text x="{_coord(left - 8)}" y="{_coord(y + 4)}" '
-                   f'font-family="sans-serif" font-size="12" '
-                   f'text-anchor="end">{label}</text>')
+        line(left, py(t), left + plot_w, py(t), grid, 1)
+        text(_coord(left - 8), _coord(py(t) + 4), 12, label,
+             ' text-anchor="end"')
 
     out.append(f'<rect x="{_coord(left)}" y="{_coord(MARGIN_TOP)}" '
                f'width="{_coord(plot_w)}" height="{_coord(plot_h)}" '
                f'fill="none" stroke="#333333" stroke-width="1"/>')
 
-    for i, (label, xs, ys) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
+    strokes = [f'stroke="{PALETTE[i % len(PALETTE)]}"'
+               for i in range(len(series))]
+    for (_, xs, ys), stroke in zip(series, strokes):
         pts = " ".join(f"{_coord(px(x))},{_coord(py(y))}"
                        for x, y in zip(xs, ys)
                        if math.isfinite(x) and math.isfinite(y))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+        out.append(f'<polyline points="{pts}" fill="none" {stroke} '
                    f'stroke-width="1.5"/>')
 
     for x, y, color in markers:
@@ -128,25 +131,16 @@ def line_chart(series, xlabel: str, ylabel: str, title: str, markers) -> str:
                    f'fill="{color}" stroke="#333333" stroke-width="0.8"/>')
 
     if len(series) > 1:
-        for i, (label, _, _) in enumerate(series):
-            color = PALETTE[i % len(PALETTE)]
+        x = left + plot_w - 150
+        for i, ((label, _, _), stroke) in enumerate(zip(series, strokes)):
             y = MARGIN_TOP + 16 + 16 * i
-            x = left + plot_w - 150
-            out.append(f'<line x1="{_coord(x)}" y1="{_coord(y - 4)}" '
-                       f'x2="{_coord(x + 22)}" y2="{_coord(y - 4)}" '
-                       f'stroke="{color}" stroke-width="1.5"/>')
-            out.append(f'<text x="{_coord(x + 28)}" y="{_coord(y)}" '
-                       f'font-family="sans-serif" font-size="12">{label}</text>')
+            line(x, y - 4, x + 22, y - 4, stroke, 1.5)
+            text(_coord(x + 28), _coord(y), 12, label, "")
 
-    out.append(f'<text x="{_coord(left + plot_w / 2)}" '
-               f'y="{_coord(HEIGHT - 10)}" font-family="sans-serif" '
-               f'font-size="13" text-anchor="middle">{xlabel}</text>')
-    out.append(f'<text x="14" y="{_coord(MARGIN_TOP + plot_h / 2)}" '
-               f'font-family="sans-serif" font-size="13" text-anchor="middle" '
-               f'transform="rotate(-90 14 {_coord(MARGIN_TOP + plot_h / 2)})">'
-               f'{ylabel}</text>')
-    out.append(f'<text x="{_coord(left + plot_w / 2)}" y="15" '
-               f'font-family="sans-serif" font-size="13" '
-               f'text-anchor="middle">{title}</text>')
+    mid_x, mid_y = _coord(left + plot_w / 2), _coord(MARGIN_TOP + plot_h / 2)
+    text(mid_x, _coord(HEIGHT - 10), 13, xlabel)
+    text("14", mid_y, 13, ylabel,
+         f' text-anchor="middle" transform="rotate(-90 14 {mid_y})"')
+    text(mid_x, "15", 13, title)
     out.append('</svg>')
     return "\n".join(out) + "\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import hashlib
 import importlib
 import io
 import json
@@ -32,7 +33,7 @@ from lanestab import (
     theta_from_z,
     ValidationError,
 )
-from lanestab import cli
+from lanestab import cli, svgplot
 from lanestab.cli import CSV_HEADER_BARE, CSV_HEADER_FULL, build_parser, main
 from lanestab.closedform import powerlaw_boundary
 
@@ -1472,6 +1473,8 @@ def test_plot_of_values_near_the_float_maximum_exits_1(tmp_path, capsys):
     ("", "profile", "is empty"),
     ("zeta,theta\n0.1,1.0\n0.2\n", "profile", "has a ragged row"),
     ("zeta,theta\n0.1,abc\n", "profile", "has a non-numeric cell"),
+    ("zeta,z,dz,theta\n0.1,abc,0.0,1.0\n", "profile",
+     "has a non-numeric cell 'abc'"),
     ("zeta,z\n0.1,1.0\n", "profile", "lacks zeta/theta columns"),
     ("zeta,theta\n0.1,1.0\n", "phase", "lacks z/dz columns"),
     ("zeta,theta,theta\n0.1,1.0,2.0\n", "profile",
@@ -1481,9 +1484,9 @@ def test_plot_of_values_near_the_float_maximum_exits_1(tmp_path, capsys):
     ("zeta,z\n0.1,1.0\n", "profile-family", "lacks zeta/theta columns"),
     ("zeta,theta,theta\n0.1,1.0,2.0\n", "profile-family",
      "repeats the column 'theta'"),
-], ids=["empty", "ragged", "non-numeric", "no-theta", "no-dz",
-        "repeated-theta", "phase-repeated-z", "family-empty",
-        "family-no-theta", "family-repeated-theta"])
+], ids=["empty", "ragged", "non-numeric", "unplotted-non-numeric",
+        "no-theta", "no-dz", "repeated-theta", "phase-repeated-z",
+        "family-empty", "family-no-theta", "family-repeated-theta"])
 def test_plot_rejects_malformed_csv(tmp_path, capsys, text, kind, what):
     csv = tmp_path / "run.csv"
     csv.write_text(text)
@@ -1516,6 +1519,27 @@ def test_plot_profile_family_and_determinism(tmp_path, capsys):
     assert len(root.findall(f".//{SVG}polyline")) == 2
     text = renders[0].decode()
     assert "n=2, omega=0.3" in text and "n=2, omega=0.6" in text
+
+
+@pytest.mark.parametrize("series, xlabel, ylabel, title, markers, digest", [
+    ([("n=2, omega=0.3", [0.0, 0.5, 1.0, 1.5, 2.0],
+       [1.0, 0.96, 0.85, 0.69, 0.5]),
+      ("n=2, omega=0.6", [0.0, 0.5, 1.0, 1.5], [1.0, 0.95, 0.81, math.nan])],
+     "zeta", "theta", "density profile family", (),
+     "17c6ede7832fb9db5923b0d8c36dbc211296224920326a4ddee68ab885ee0f5d"),
+    ([("run", [1.0, 0.8, 0.5, 0.2, -0.1], [0.0, -0.3, -0.45, -0.3, 0.1])],
+     "z", "dz", "phase portrait", [(0.6, 0.0, "#2ca02c"),
+                                   (-0.2, 0.0, "#d62728")],
+     "80e7646041d409dbae62ebe29424ed5381ceef4af91fed8327ee3ae8d473dc43"),
+], ids=["family", "phase-with-markers"])
+def test_line_chart_bytes_are_pinned(series, xlabel, ylabel, title, markers,
+                                     digest):
+    """The exact bytes of two charts, a family without markers and a phase
+    portrait with two, as line_chart wrote them before its elements went
+    through one writer per kind: a change to the writer that moves one
+    byte of a chart of up to six series shows here."""
+    svg = svgplot.line_chart(series, xlabel, ylabel, title, markers)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_plot_profile_family_skips_unbounded_runs(tmp_path, capsys):
