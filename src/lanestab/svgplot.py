@@ -4,8 +4,9 @@ The plot subcommand needs byte-identical output for identical input, which
 rules out heavyweight plotting stacks with embedded ids or timestamps.
 This writer produces a plain standalone SVG: axes, ticks, the title it
 is given, one polyline per series, a circle per given marker (there may be
-none), and a legend where there is more than one series.  Nothing here
-knows about the model; it draws labeled number series.
+none), and a legend where there is more than one series and its columns
+fit the frame.  Nothing here knows about the model; it draws labeled
+number series.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ CHAR_WIDTH = 7.0  # px per character of a 12 px label; a digit is 0.556 em
 TICKS = 6  # about this many ticks per axis
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# series i is drawn in PALETTE[i % 6], dashed by DASHES[i // 6] (cycled)
+DASHES = (None, "6 3", "2 2", "8 3 2 3", "1 3")
 
 
 def _nice_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
@@ -118,7 +121,9 @@ def line_chart(series, xlabel: str, ylabel: str, title: str, markers) -> str:
                f'fill="none" stroke="#333333" stroke-width="1"/>')
 
     strokes = [f'stroke="{PALETTE[i % len(PALETTE)]}"'
-               for i in range(len(series))]
+               + (f' stroke-dasharray="{dash}"' if dash else "")
+               for i in range(len(series))
+               for dash in [DASHES[i // len(PALETTE) % len(DASHES)]]]
     for (_, xs, ys), stroke in zip(series, strokes):
         pts = " ".join(f"{_coord(px(x))},{_coord(py(y))}"
                        for x, y in zip(xs, ys)
@@ -130,10 +135,15 @@ def line_chart(series, xlabel: str, ylabel: str, title: str, markers) -> str:
         out.append(f'<circle cx="{_coord(px(x))}" cy="{_coord(py(y))}" r="4" '
                    f'fill="{color}" stroke="#333333" stroke-width="0.8"/>')
 
-    if len(series) > 1:
-        x = left + plot_w - 150
+    # a legend column holds the entries whose baselines lie within the
+    # frame; further columns step left by the widest entry, and a legend
+    # whose last column would start left of the frame is left out
+    rows = int((plot_h - 16) // 16) + 1
+    step = 28 + CHAR_WIDTH * max(len(label) for label, _, _ in series)
+    x0 = left + plot_w - 150
+    if len(series) > 1 and x0 - (len(series) - 1) // rows * step >= left:
         for i, ((label, _, _), stroke) in enumerate(zip(series, strokes)):
-            y = MARGIN_TOP + 16 + 16 * i
+            x, y = x0 - i // rows * step, MARGIN_TOP + 16 + 16 * (i % rows)
             line(x, y - 4, x + 22, y - 4, stroke, 1.5)
             text(_coord(x + 28), _coord(y), 12, label, "")
 

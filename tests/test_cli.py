@@ -1534,12 +1534,74 @@ def test_plot_profile_family_and_determinism(tmp_path, capsys):
 ], ids=["family", "phase-with-markers"])
 def test_line_chart_bytes_are_pinned(series, xlabel, ylabel, title, markers,
                                      digest):
-    """The exact bytes of two charts, a family without markers and a phase
-    portrait with two, as line_chart wrote them before its elements went
-    through one writer per kind: a change to the writer that moves one
-    byte of a chart of up to six series shows here."""
+    """The exact bytes of two charts of up to six series, a family without
+    markers and a phase portrait with two: a change to the writer that
+    moves one byte of either shows here."""
     svg = svgplot.line_chart(series, xlabel, ylabel, title, markers)
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+def test_plot_profile_family_legend_fits_the_frame(tmp_path, capsys):
+    """27 bounded runs: the legend entries past the 23 whose baselines lie
+    within the frame start a second column to the left, and colour and
+    dash together give every curve, and its swatch, a style of its own."""
+    out_dir = tmp_path / "sweep"
+    _run(["sweep", "--n", "2,4,6", "--omega",
+          "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "--zeta-end", "20",
+          "--out-dir", str(out_dir)], capsys)
+    code, out, _ = _run(["plot", "--input", str(out_dir / "index.json"),
+                         "--kind", "profile-family"], capsys)
+    assert (code, out) == (0, f"wrote {out_dir / 'index.svg'}\n")
+    root = ET.parse(out_dir / "index.svg").getroot()
+    frame = root.findall(f"{SVG}rect")[1]
+    x0, y0 = float(frame.get("x")), float(frame.get("y"))
+    x1, y1 = x0 + float(frame.get("width")), y0 + float(frame.get("height"))
+    labels = [t for t in root.iter(f"{SVG}text")
+              if t.get("text-anchor") is None]
+    assert len(labels) == 27
+    assert all(x0 <= float(t.get("x"))
+               and float(t.get("x")) + 7.0 * len(t.text) <= x1
+               and y0 <= float(t.get("y")) <= y1 for t in labels)
+    # the first column keeps the layout of a legend of up to 23 entries
+    assert [(t.get("x"), t.get("y")) for t in labels[:23]] == [
+        ("502.00", f"{38 + 16 * i}.00") for i in range(23)]
+    assert len({t.get("x") for t in labels[23:]}) == 1
+
+    def styles(tag):
+        return [(e.get("stroke"), e.get("stroke-dasharray"))
+                for e in root.iter(f"{SVG}{tag}")
+                if e.get("stroke-width") == "1.5"]
+    assert len(set(styles("polyline"))) == 27
+    assert styles("line") == styles("polyline")
+
+
+@pytest.mark.parametrize("runs, legend", [(92, True), (93, False)])
+def test_plot_profile_family_too_large_for_a_legend_draws_none(
+        tmp_path, capsys, runs, legend):
+    """Labels of up to 15 characters step the columns by 133 px, so four
+    columns of 23 fit between the first at x = 474 and the frame's left
+    edge at x = 64; a 93rd entry would need a fifth, and the chart has no
+    legend, which plot says on stdout."""
+    _run(["oracle", "--kind", "gaussian", "--zeta-end", "5", "--out",
+          str(tmp_path / "run.csv")], capsys)
+    index = tmp_path / "index.json"
+    index.write_text(json.dumps({"runs": [
+        {"n": 2, "omega": i / 100, "file": "run.csv", "bounded": True}
+        for i in range(1, runs + 1)]}))
+    code, out, _ = _run(["plot", "--input", str(index), "--kind",
+                         "profile-family"], capsys)
+    note = (f"drew no legend: {runs} series are more than the frame's "
+            f"legend columns hold\n")
+    assert (code, out) == (0, ("" if legend else note)
+                           + f"wrote {tmp_path / 'index.svg'}\n")
+    root = ET.parse(tmp_path / "index.svg").getroot()
+    swatches = [e.get("x1") for e in root.iter(f"{SVG}line")
+                if e.get("stroke-width") == "1.5"]
+    labels = [t for t in root.iter(f"{SVG}text")
+              if t.get("text-anchor") is None]
+    assert len(swatches) == len(labels) == (runs if legend else 0)
+    assert sorted(set(swatches)) == (
+        ["208.00", "341.00", "474.00", "75.00"] if legend else [])
 
 
 def test_plot_profile_family_skips_unbounded_runs(tmp_path, capsys):
