@@ -494,12 +494,10 @@ def cmd_plot(args) -> int:
     markers = _equilibrium_markers(src.with_suffix(".summary.json")) \
         if args.kind == "phase" else ()
     try:
-        svg = svgplot.line_chart(series, x, y, title, markers)
+        svg, legend = svgplot.line_chart(series, x, y, title, markers)
     except ValueError as exc:  # values too near the float range to place
         raise ValidationError("input", f"{src}: {exc}") from None
-    # line_chart leaves out a legend whose columns the frame cannot hold;
-    # only a legend's labels name a series
-    if len(series) > 1 and f">{series[-1][0]}</text>" not in svg:
+    if len(series) > 1 and not legend:
         print(f"drew no legend: {len(series)} series are more than the "
               f"frame's legend columns hold")
     _write_text(out, svg)

@@ -54,13 +54,11 @@ def _coord(v: float) -> str:
 
 
 def _data_range(values) -> tuple[float, float]:
-    """The axis range of the finite values (the caller's series have at
-    least one): padded a side by 5% of their span, or by 1 for a constant
-    series, and by at least 1e-9 of their largest magnitude, so that ticks
-    stay distinct floats.  Raises ValueError where that range passes the
-    float range."""
-    finite = [v for v in values if math.isfinite(v)]
-    lo, hi = min(finite), max(finite)
+    """The axis range of finite values (at least one): padded a side by
+    5% of their span, or by 1 for a constant series, and by at least 1e-9
+    of their largest magnitude, so that ticks stay distinct floats.
+    Raises ValueError where that range passes the float range."""
+    lo, hi = min(values), max(values)
     pad = max(0.05 * (hi - lo) if hi > lo else 1.0, 1e-9 * max(-lo, hi))
     if not math.isfinite((hi + pad) - (lo - pad)):
         raise ValueError(f"values from {lo!r} to {hi!r} leave no room for "
@@ -68,15 +66,18 @@ def _data_range(values) -> tuple[float, float]:
     return (lo - pad, hi + pad)
 
 
-def line_chart(series, xlabel: str, ylabel: str, title: str, markers) -> str:
+def line_chart(series, xlabel: str, ylabel: str, title: str,
+               markers) -> tuple[str, bool]:
     """Render series = [(label, xs, ys), ...], each with a point whose x
-    and y are both finite, plus markers = [(x, y, color), ...].
-
-    Returns the SVG document as a string.  Raises ValueError where an
-    axis's padded range passes the float range.
-    """
-    all_x = [x for _, xs, _ in series for x in xs] + [m[0] for m in markers]
-    all_y = [y for _, _, ys in series for y in ys] + [m[1] for m in markers]
+    and y are both finite, and finite markers = [(x, y, color), ...]; each
+    series draws its finite points, and the axes span those and the markers.
+    Returns the SVG document and whether it has a legend.  Raises
+    ValueError where an axis's padded range passes the float range."""
+    # each series' finite (x, y) points: its polyline and the axes use them
+    drawn = [[(x, y) for x, y in zip(xs, ys)
+              if math.isfinite(x) and math.isfinite(y)] for _, xs, ys in series]
+    all_x = [x for pts in drawn for x, _ in pts] + [m[0] for m in markers]
+    all_y = [y for pts in drawn for _, y in pts] + [m[1] for m in markers]
     x_lo, x_hi = _data_range(all_x)
     y_lo, y_hi = _data_range(all_y)
     y_ticks = _nice_ticks(y_lo, y_hi)
@@ -124,10 +125,8 @@ def line_chart(series, xlabel: str, ylabel: str, title: str, markers) -> str:
                + (f' stroke-dasharray="{dash}"' if dash else "")
                for i in range(len(series))
                for dash in [DASHES[i // len(PALETTE) % len(DASHES)]]]
-    for (_, xs, ys), stroke in zip(series, strokes):
-        pts = " ".join(f"{_coord(px(x))},{_coord(py(y))}"
-                       for x, y in zip(xs, ys)
-                       if math.isfinite(x) and math.isfinite(y))
+    for points, stroke in zip(drawn, strokes):
+        pts = " ".join(f"{_coord(px(x))},{_coord(py(y))}" for x, y in points)
         out.append(f'<polyline points="{pts}" fill="none" {stroke} '
                    f'stroke-width="1.5"/>')
 
@@ -136,12 +135,13 @@ def line_chart(series, xlabel: str, ylabel: str, title: str, markers) -> str:
                    f'fill="{color}" stroke="#333333" stroke-width="0.8"/>')
 
     # a legend column holds the entries whose baselines lie within the
-    # frame; further columns step left by the widest entry, and a legend
-    # whose last column would start left of the frame is left out
+    # frame; the first starts max(150, step) left of its right edge, the
+    # next ones step further left, and a last one left of it drops the legend
     rows = int((plot_h - 16) // 16) + 1
     step = 28 + CHAR_WIDTH * max(len(label) for label, _, _ in series)
-    x0 = left + plot_w - 150
-    if len(series) > 1 and x0 - (len(series) - 1) // rows * step >= left:
+    x0 = left + plot_w - max(150, step)
+    legend = len(series) > 1 and x0 - (len(series) - 1) // rows * step >= left
+    if legend:
         for i, ((label, _, _), stroke) in enumerate(zip(series, strokes)):
             x, y = x0 - i // rows * step, MARGIN_TOP + 16 + 16 * (i % rows)
             line(x, y - 4, x + 22, y - 4, stroke, 1.5)
@@ -153,4 +153,4 @@ def line_chart(series, xlabel: str, ylabel: str, title: str, markers) -> str:
          f' text-anchor="middle" transform="rotate(-90 14 {mid_y})"')
     text(mid_x, "15", 13, title)
     out.append('</svg>')
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n", legend

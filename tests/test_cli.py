@@ -1537,7 +1537,7 @@ def test_line_chart_bytes_are_pinned(series, xlabel, ylabel, title, markers,
     """The exact bytes of two charts of up to six series, a family without
     markers and a phase portrait with two: a change to the writer that
     moves one byte of either shows here."""
-    svg = svgplot.line_chart(series, xlabel, ylabel, title, markers)
+    svg, _ = svgplot.line_chart(series, xlabel, ylabel, title, markers)
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
