@@ -24,10 +24,10 @@ sweep splits its runs across one process per CPU: of k, process i runs
 runs[i::k], process 0 being the sweep itself, and each child returns its
 index rows as JSON.  A solve past integrate._SINK_STEPS steps forks one
 child at its first sink batch and streams it every node as raw doubles;
-the child formats the CSV rows while the run goes on.  The command itself
-writes every file, after the same checks as a serial run, and does
-serially what it could not fork for; a failed sweep child leaves error
-rows, a failed formatter serial rows.
+the child formats the CSV rows while the run goes on.  A solve writes its
+files itself, after a serial run's checks; each sweep process writes its
+slice's CSVs, and the sweep index.json.  What cannot fork runs serially; a
+failed sweep child leaves error rows, a failed formatter serial rows.
 """
 
 from __future__ import annotations

@@ -111,7 +111,9 @@ def line_chart(series, xlabel: str, ylabel: str, title: str,
     grid = 'stroke="#e0e0e0"'
     for t, label in _nice_ticks(x_lo, x_hi):
         line(px(t), MARGIN_TOP, px(t), MARGIN_TOP + plot_h, grid, 1)
-        text(_coord(px(t)), _coord(HEIGHT - MARGIN_BOTTOM + 18), 12, label)
+        half = CHAR_WIDTH * len(label) / 2  # moved in where it would leave
+        text(_coord(min(max(px(t), half), WIDTH - half)),
+             _coord(HEIGHT - MARGIN_BOTTOM + 18), 12, label)
     for t, label in y_ticks:
         line(left, py(t), left + plot_w, py(t), grid, 1)
         text(_coord(left - 8), _coord(py(t) + 4), 12, label,

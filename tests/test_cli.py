@@ -1256,6 +1256,39 @@ def test_solve_formatter_failure_formats_serially(failure, tmp_path, capsys,
     _no_child_left()
 
 
+@needs_fork
+def test_solve_whose_formatter_left_early_formats_serially(
+        tmp_path, capsys, monkeypatch, deadline):
+    """The formatter reads its first batch and exits, so the next send
+    finds no reader: Child.send closes and reaps the child, and solve,
+    which then has no rows from it, formats them itself, with a one-CPU
+    run's bytes."""
+    args = ["--n", "4", "--omega", "0.65", "--zeta-end", "2000"]
+    _cpus(monkeypatch, 1)
+    serial = _solve_outputs(args, tmp_path / "serial", capsys)
+    forks = _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_format_rows", lambda params, feed, out:
+                        feed.read(24 * cli._SINK_STEPS))
+    from lanestab._fork import Child
+    real_send, real_result = Child.send, Child.result
+    sends, results = [], []
+
+    def send(self, data):
+        if len(sends) == 1:  # wait, not reaping it, till the formatter left
+            os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
+        sends.append(self.pid)
+        real_send(self, data)
+
+    monkeypatch.setattr(Child, "send", send)
+    monkeypatch.setattr(Child, "result", lambda self: results.append(
+        real_result(self)) or results[-1])
+    assert _solve_outputs(args, tmp_path / "forked", capsys) == serial
+    assert len(forks) == 1 and len(sends) > 2
+    assert sends[1] != 0 and sends[2] == 0  # the second send closed it
+    assert results == [(None, b"")]
+    _no_child_left()
+
+
 @pytest.mark.parametrize("n, omega, theta0, zeta_end",
                          [(4, 0.65, 1.0, 60.0), (3, 0.125, 8.2, 50.0),
                           (2, 0.0, 1.0, 60.0)])
@@ -1602,6 +1635,73 @@ def test_plot_profile_family_too_large_for_a_legend_draws_none(
     assert len(swatches) == len(labels) == (runs if legend else 0)
     assert sorted(set(swatches)) == (
         ["208.00", "341.00", "474.00", "75.00"] if legend else [])
+
+
+def _text_extents(root) -> list[tuple[float, float, str]]:
+    """(left, right, text) of every unrotated <text>, at 7 px a character,
+    placed by its text-anchor."""
+    extents = []
+    for t in root.iter(f"{SVG}text"):
+        if t.get("transform") is None:
+            width = 7.0 * len(t.text)
+            left = float(t.get("x")) - width * {"middle": 0.5, "end": 1.0}.get(
+                t.get("text-anchor"), 0.0)
+            extents.append((left, left + width, t.text))
+    return extents
+
+
+def test_plot_profile_family_long_labels_end_inside_the_frame(tmp_path,
+                                                             capsys):
+    """Labels of 24 characters, n=100, omega=1.23457e-05: the first legend
+    column started 150 px left of the frame's right edge whatever the
+    labels, so both ran from x = 502 to 670, past the 640 px SVG.  It now
+    starts the widest entry, 196 px, left of that edge."""
+    out_dir = tmp_path / "sweep"
+    _run(["sweep", "--n", "100", "--omega", "1.234567e-5,2.345678e-5",
+          "--zeta-end", "1", "--out-dir", str(out_dir)], capsys)
+    code, out, _ = _run(["plot", "--input", str(out_dir / "index.json"),
+                         "--kind", "profile-family"], capsys)
+    assert (code, out) == (0, f"wrote {out_dir / 'index.svg'}\n")
+    root = ET.parse(out_dir / "index.svg").getroot()
+    frame = root.findall(f"{SVG}rect")[1]
+    right = float(frame.get("x")) + float(frame.get("width"))
+    legend = [(x0, x1) for x0, x1, text in _text_extents(root)
+              if text.startswith("n=100, omega=")]
+    assert [x1 - x0 for x0, x1 in legend] == [7.0 * 24] * 2
+    assert [x1 for _, x1 in legend] == [right] * 2
+    assert all(0.0 <= x0 and x1 <= 640.0 for x0, x1, _ in _text_extents(root))
+
+
+def test_plot_x_labels_stay_inside_the_svg(tmp_path, capsys):
+    """theta0 = 1e15 to zeta 1 labels its z ticks with up to 16 characters;
+    the last, 1.000000001e+15, was centred on its tick at the frame's right
+    edge, x = 624, and reached x = 676.5.  Its anchor now moves in just far
+    enough, and the tick's grid line stays at x = 624."""
+    csv = tmp_path / "big.csv"
+    _run(["solve", "--n", "1", "--omega", "0", "--theta0", "1e15",
+          "--zeta-end", "1", "--out", str(csv)], capsys)
+    assert _run(["plot", "--input", str(csv), "--kind", "phase"],
+                capsys)[0] == 0
+    root = ET.parse(tmp_path / "big.svg").getroot()
+    extents = _text_extents(root)
+    assert all(0.0 <= x0 and x1 <= 640.0 for x0, x1, _ in extents), extents
+    labels = [t for t in root.iter(f"{SVG}text") if t.get("y") == "412.00"]
+    assert (labels[-1].text, labels[-1].get("x")) == ("1.000000001e+15",
+                                                      "587.50")
+    grid = [e.get("x1") for e in root.iter(f"{SVG}line")
+            if e.get("x1") == e.get("x2")]
+    assert len(grid) == len(labels) and grid[-1] == "624.00"
+
+
+def test_plot_axes_span_the_drawn_points(tmp_path, capsys):
+    """Only a row whose two plotted cells are both finite is drawn, and
+    only those rows set the axes: the row 5,nan no longer stretches the
+    zeta axis to 5."""
+    csv = tmp_path / "run.csv"
+    csv.write_text("zeta,theta\n0,1\n1,0.5\n5,nan\n")
+    assert _run(["plot", "--input", str(csv)], capsys)[0] == 0
+    xs, _ = _tick_labels((tmp_path / "run.svg").read_text())
+    assert xs == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
 
 
 def test_plot_profile_family_skips_unbounded_runs(tmp_path, capsys):
