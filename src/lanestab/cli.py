@@ -46,7 +46,7 @@ from .integrate import (DIVERGED, GUARD, IntegrationError,
                         IntegratorOptions, OFFSET, SERIES, _SINK_STEPS,
                         Trajectory, first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
-                    _require_positive, equilibria, make_params,
+                    _radius, _require_positive, equilibria, make_params,
                     theta_from_z)
 from .stability import _basin_key, classify, lyapunov_V
 
@@ -86,21 +86,20 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_rows(params: ModelParams, z0: float, dz0: float):
+def _csv_rows(params: ModelParams):
     """The CSV header line, and a function from node columns (zetas, zs,
-    dzs) to their rows' text.  theta and V repeat theta_from_z and
-    lyapunov_V's arithmetic inline, so each cell equals theirs; Vdot is
-    -4*dz**2/zeta.  lyapunov_V's checks run once, on the start node (z0, dz0)."""
+    dzs) to their rows' text: theta and V = lyapunov_V(z + u, dz) repeat
+    theta_from_z and lyapunov_V's arithmetic inline, so each cell equals
+    theirs; Vdot is -4*dz**2/zeta.  lyapunov_V(0, 0) runs its checks once."""
     n = params.n
     if n % 2 == 0 and params.omega > 0.0:
-        z_eq = equilibria(params)[0].z_eq
-        lyapunov_V(z0 - z_eq, dz0, params)
-        u, m = -z_eq, n + 1
+        lyapunov_V(0.0, 0.0, params)
+        u, m = _radius(params), n + 1
         tail, c = u ** m, -2.0 * params.omega / m ** 2
         return CSV_HEADER_FULL + "\n", lambda ts, zs, dzs: "".join([
             "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
                 t, z, dz, z ** n,
-                c * (((x1 := z - z_eq) - u) ** m + tail) + 2.0 * x1 / m
+                c * (((x1 := z + u) - u) ** m + tail) + 2.0 * x1 / m
                 + dz * dz, -4.0 * dz * dz / t)
             for t, z, dz in zip(ts, zs, dzs)])
     return CSV_HEADER_BARE + "\n", lambda ts, zs, dzs: "".join([
@@ -112,7 +111,7 @@ def _trajectory_csv(traj: Trajectory, rows: str | None = None) -> str:
     """The CSV text of traj's nodes.  rows, where given, is their rows'
     text, formatted elsewhere by _csv_rows, and is used only where it has
     one line per node; the checks run here either way."""
-    header, format_rows = _csv_rows(traj.params, traj.zs[0], traj.dzs[0])
+    header, format_rows = _csv_rows(traj.params)
     if rows is None or rows.count("\n") != len(traj.zetas):
         rows = format_rows(traj.zetas, traj.zs, traj.dzs)
     return header + rows
@@ -129,12 +128,10 @@ def _fork_cpus() -> int:
 
 def _format_rows(params: ModelParams, feed, out) -> None:
     """A forked formatter's work: the CSV rows of the nodes its feed streams,
-    start node first, read one sink batch (24 bytes a node) at a time."""
-    nodes = array("d", feed.read(24 * _SINK_STEPS))
-    _, rows = _csv_rows(params, nodes[1], nodes[2])
-    while nodes:
+    read one sink batch (24 bytes a node) at a time."""
+    _, rows = _csv_rows(params)
+    while nodes := array("d", feed.read(24 * _SINK_STEPS)):
         out.write(rows(nodes[0::3], nodes[1::3], nodes[2::3]))
-        nodes = array("d", feed.read(24 * _SINK_STEPS))
 
 
 def _integrate_rows(params: ModelParams, opts: IntegratorOptions):

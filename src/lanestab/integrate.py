@@ -33,7 +33,7 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 
-from .model import (ModelParams, ValidationError, _bisect, _Record,
+from .model import (ModelParams, ValidationError, _bisect, _radius, _Record,
                     _require_float, _require_positive, _require_positive_int,
                     rhs)
 
@@ -274,7 +274,7 @@ def integrate(params: ModelParams, opts: IntegratorOptions, *,
     inv = 1.0 / (n + 1.0)  # model.rhs's factor, so each stage matches it
     ulp, guard, diverged_at = math.ulp, DIVERGENCE_GUARD, None
     # the equilibrium radius, or inf where none is passed (n = 1, omega = 0)
-    u = omega ** (-1.0 / n) if n > 1 and omega else math.inf
+    u = _radius(params) if n > 1 and omega else math.inf
     try:
         k1z, k1d = rhs(t, z, dz, params)
     except OverflowError:

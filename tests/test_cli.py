@@ -1118,8 +1118,8 @@ def test_solve_bytes_do_not_depend_on_the_cpus(case, tmp_path, capsys,
     solve_pid, real_rows = os.getpid(), cli._csv_rows
     formatted = []  # node counts solve's own process formats
 
-    def counted_rows(params, z0, dz0):
-        header, rows = real_rows(params, z0, dz0)
+    def counted_rows(params):
+        header, rows = real_rows(params)
 
         def counted(*cols):
             if os.getpid() == solve_pid:
@@ -1236,8 +1236,8 @@ def test_solve_formatter_failure_formats_serially(failure, tmp_path, capsys,
     solve_pid, real_exit, real_rows = os.getpid(), os._exit, cli._csv_rows
     formatted = []  # node counts solve's own process formats
 
-    def failing_rows(params, z0, dz0):
-        header, rows = real_rows(params, z0, dz0)
+    def failing_rows(params):
+        header, rows = real_rows(params)
         if os.getpid() == solve_pid:
             return header, lambda *cols: formatted.append(len(cols[0])) \
                 or rows(*cols)
