@@ -109,11 +109,20 @@ def line_chart(series, xlabel: str, ylabel: str, title: str,
                    f'font-size="{size}"{attrs}>{body}</text>')
 
     grid = 'stroke="#e0e0e0"'
-    for t, label in _nice_ticks(x_lo, x_hi):
+    # each x label centred on its tick, moved in where it would leave the
+    # SVG; from the right, one that would overlap the label kept to its
+    # right is left out, and its tick keeps its grid line
+    x_ticks, start = [], math.inf  # start: the left end of the last kept
+    for t, label in reversed(_nice_ticks(x_lo, x_hi)):
+        half = CHAR_WIDTH * len(label) / 2
+        x = min(max(px(t), half), WIDTH - half)
+        if keep := x + half <= start:
+            start = x - half
+        x_ticks.append((t, x, label if keep else None))
+    for t, x, label in reversed(x_ticks):
         line(px(t), MARGIN_TOP, px(t), MARGIN_TOP + plot_h, grid, 1)
-        half = CHAR_WIDTH * len(label) / 2  # moved in where it would leave
-        text(_coord(min(max(px(t), half), WIDTH - half)),
-             _coord(HEIGHT - MARGIN_BOTTOM + 18), 12, label)
+        if label is not None:
+            text(_coord(x), _coord(HEIGHT - MARGIN_BOTTOM + 18), 12, label)
     for t, label in y_ticks:
         line(left, py(t), left + plot_w, py(t), grid, 1)
         text(_coord(left - 8), _coord(py(t) + 4), 12, label,

@@ -147,6 +147,15 @@ def test_bare_csv_theta_equals_theta_from_z(n, omega):
         assert cells == ["%.17g" % v for v in (t, z, dz, theta_from_z(z, n))]
 
 
+def test_csv_rows_check_omega_before_any_node():
+    """The V column's checks need only the run's parameters: where
+    omega**(-(n+1)/n) passes the float range, _csv_rows names --omega
+    before a node exists."""
+    with pytest.raises(ValidationError) as info:
+        cli._csv_rows(make_params(2, 1e-300))
+    assert info.value.field == "omega" and "float range" in info.value.message
+
+
 def test_cli_keeps_the_names_the_tracer_patches():
     """The benchmark's traced mode replaces these cli globals by name."""
     for name in ("integrate", "first_zero", "classify", "make_params",
@@ -1690,7 +1699,30 @@ def test_plot_x_labels_stay_inside_the_svg(tmp_path, capsys):
                                                       "587.50")
     grid = [e.get("x1") for e in root.iter(f"{SVG}line")
             if e.get("x1") == e.get("x2")]
-    assert len(grid) == len(labels) and grid[-1] == "624.00"
+    assert len(grid) == 5 and grid[-1] == "624.00"
+
+
+def test_plot_x_labels_do_not_overlap(tmp_path, capsys):
+    """In the same chart the fourth x label, 1.0000000005e+15, ran from
+    x = 428 to 540 and the moved-in fifth from 535 to 640.  From the right,
+    a label that would overlap the one kept to its right is left out, so
+    the fourth goes; every tick keeps its grid line."""
+    csv = tmp_path / "big.csv"
+    _run(["solve", "--n", "1", "--omega", "0", "--theta0", "1e15",
+          "--zeta-end", "1", "--out", str(csv)], capsys)
+    assert _run(["plot", "--input", str(csv), "--kind", "phase"],
+                capsys)[0] == 0
+    svg = (tmp_path / "big.svg").read_text()
+    root, (xs, _) = ET.fromstring(svg), _tick_labels(svg)
+    assert xs == ["9.99999999e+14", "9.999999995e+14", "1e+15",
+                  "1.000000001e+15"]
+    spans = sorted((x0, x1) for x0, x1, text in _text_extents(root)
+                   if text in xs)
+    assert len(spans) == 4
+    assert all(a1 <= b0 for (_, a1), (b0, _) in zip(spans, spans[1:])), spans
+    assert [e.get("x1") for e in root.iter(f"{SVG}line")
+            if e.get("x1") == e.get("x2")] == [
+        "64.00", "204.00", "344.00", "484.00", "624.00"]
 
 
 def test_plot_axes_span_the_drawn_points(tmp_path, capsys):
