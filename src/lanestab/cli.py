@@ -42,7 +42,7 @@ from array import array
 from pathlib import Path
 
 from . import closedform
-from .integrate import (DIVERGED, GUARD, IntegrationError,
+from .integrate import (COMPLETED, DIVERGED, GUARD, IntegrationError,
                         IntegratorOptions, OFFSET, SERIES, _SINK_STEPS,
                         Trajectory, first_zero, integrate)
 from .model import (STABLE_LEFT, ModelParams, ValidationError, _bisect,
@@ -53,7 +53,6 @@ from .stability import _basin_key, classify, lyapunov_V
 CSV_HEADER_FULL = "zeta,z,dz,theta,V,Vdot"
 CSV_HEADER_BARE = "zeta,z,dz,theta"
 ORACLE_KINDS = ("gamma2", "powerlaw", "gaussian")
-BOUNDED_LIMIT = 1e3
 STABLE_COLOR = "#000000"
 UNSTABLE_COLOR = "#d62728"
 
@@ -88,11 +87,11 @@ def _json_text(payload: dict) -> str:
 
 def _csv_rows(params: ModelParams):
     """The CSV header line, and a function from node columns (zetas, zs,
-    dzs) to their rows' text: theta and V = lyapunov_V(z + u, dz) repeat
-    theta_from_z and lyapunov_V's arithmetic inline, so each cell equals
-    theirs; Vdot is -4*dz**2/zeta.  lyapunov_V(0, 0) runs its checks once."""
+    dzs) to their rows' text: theta, and where the certificate exists (where
+    _basin_key has a key) V = lyapunov_V(z + u, dz) and Vdot = -4*dz**2/zeta,
+    inlined so each cell equals theirs.  lyapunov_V(0, 0) checks once."""
     n = params.n
-    if n % 2 == 0 and params.omega > 0.0:
+    if _basin_key(params):
         lyapunov_V(0.0, 0.0, params)
         u, m = _radius(params), n + 1
         tail, c = u ** m, -2.0 * params.omega / m ** 2
@@ -347,8 +346,8 @@ def _error_row(params, opts, error: str) -> dict:
 
 
 def _sweep_run(params, opts, out_dir: Path) -> dict:
-    """One sweep run: its CSV written, its index.json row returned.  Its
-    start_in_basin, where it has one, is bounded: the certificate proves it."""
+    """One sweep run: its CSV written, its index.json row returned.  It is
+    bounded where the certificate proves it: completed, start_in_basin true."""
     try:
         traj = integrate(params, opts)
         fname = _run_name(params)
@@ -358,8 +357,8 @@ def _sweep_run(params, opts, out_dir: Path) -> dict:
     max_abs_z = max(map(abs, traj.zs))
     return {**_row_params(params, opts), "file": fname, "status": traj.status,
             **_outcome(traj, first_zero(traj)), "max_abs_z": max_abs_z,
-            "bounded": traj.status != DIVERGED and _basin_key(params).get(
-                "start_in_basin", max_abs_z <= BOUNDED_LIMIT)}
+            "bounded": traj.status == COMPLETED
+            and _basin_key(params).get("start_in_basin", False)}
 
 
 def cmd_sweep(args) -> int:
