@@ -779,6 +779,14 @@ def test_sweep_rows_place_the_start(omega, extra, inside, tmp_path, capsys):
             assert keys[keys.index("zeta_end") + 1] == "start_in_basin"
         else:
             assert "start_in_basin" not in row
+        # bounded is the certificate's verdict alone; an error row has none
+        if row["status"] == "error":
+            assert "bounded" not in row
+        else:
+            assert row["bounded"] is (row["status"] == "completed"
+                                      and row.get("start_in_basin") is True)
+    assert [r.get("bounded") for r in runs] == (
+        [None] * 4 if extra else [False, False, False, inside])
 
 
 def test_sweep_validation(tmp_path, capsys):
@@ -1784,6 +1792,44 @@ def test_sweep_bounded_follows_the_certificate(tmp_path, capsys):
     assert code == 0
     assert len(ET.parse(out).getroot().findall(f".//{SVG}polyline")) == 2
     assert "n=2, omega=1e-06" in out.read_text()
+
+
+def test_sweep_calls_no_odd_n_or_omega_zero_run_bounded(tmp_path, capsys):
+    """Odd n with omega > 0 diverges by the instability result, and at
+    omega = 0 z falls like -zeta**2/(6(n+1)); none of these six runs has
+    left |z| <= 1.09 by zeta 5, and a max |z| <= 1e3 rule called all six
+    bounded and drew them as a family."""
+    out_dir = tmp_path / "sweep"
+    code, _, _ = _run(["sweep", "--n", "1,3,5", "--omega", "0,0.5",
+                       "--zeta-end", "5", "--out-dir", str(out_dir)], capsys)
+    assert code == 0
+    runs = json.loads((out_dir / "index.json").read_text())["runs"]
+    assert [(r["status"], r["bounded"]) for r in runs] \
+        == [("completed", False)] * 6
+    assert all("start_in_basin" not in r for r in runs)
+    assert max(r["max_abs_z"] for r in runs) <= 1.09
+    code, _, err = _run(["plot", "--input", str(out_dir / "index.json"),
+                         "--kind", "profile-family"], capsys)
+    assert code == 1
+    assert "lists no bounded runs" in err
+
+
+def test_sweep_start_on_the_equilibrium_is_not_bounded(tmp_path, capsys):
+    """theta0*omega = 1 exactly puts the start on the repelling equilibrium
+    z = u, outside the basin.  At n = 2 omega*z0**2 - 1 is exactly 0 and the
+    run stays at z = 2; at n = 4 it drifts off.  Neither is bounded: that
+    key reports what the certificate proves, not what a float run shows."""
+    out_dir = tmp_path / "sweep"
+    code, _, _ = _run(["sweep", "--n", "2,4", "--omega", "0.25", "--theta0",
+                       "4", "--zeta-end", "50", "--out-dir", str(out_dir)],
+                      capsys)
+    assert code == 0
+    runs = json.loads((out_dir / "index.json").read_text())["runs"]
+    assert [(r["n"], r["status"], r["start_in_basin"], r["bounded"])
+            for r in runs] == [(2, "completed", False, False),
+                               (4, "completed", False, False)]
+    assert runs[0]["max_abs_z"] == 2.0
+    assert 2.0 ** 0.5 < runs[1]["max_abs_z"] < 1.5
 
 
 def test_plot_profile_family_rejects_index_without_bounded_runs(tmp_path,
