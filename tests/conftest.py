@@ -1,9 +1,12 @@
 """Shared pytest wiring: collects the acceptance result lines and prints
-them as a summary section at the end of the run, visible without -s."""
+them as a summary section at the end of the run, visible without -s, and
+holds the n = 2, omega = 0.5 run that test_integrate and test_dp5 share."""
 
 from __future__ import annotations
 
 import pytest
+
+from lanestab import IntegratorOptions, integrate, make_params
 
 _CRITERION_LINES: list[str] = []
 
@@ -14,6 +17,11 @@ def record_criterion():
         word = "PASS" if passed else "FAIL"
         _CRITERION_LINES.append(f"criterion {number:02d} {word}  {detail}")
     return _record
+
+
+@pytest.fixture(scope="module")
+def run_n2_omega_half():
+    return integrate(make_params(2, 0.5), IntegratorOptions(zeta_end=30.0))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -25,6 +25,7 @@ from lanestab import (
     IntegratorOptions,
     classify,
     equilibria,
+    first_zero,
     gamma2_profile,
     integrate,
     lyapunov_V,
@@ -49,6 +50,13 @@ def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _solve_run(args):
+    """The trajectory `solve *args` integrates, made in this process."""
+    ns = build_parser().parse_args(["solve", *args])
+    return integrate(make_params(ns.n, ns.omega, ns.theta0),
+                     cli._integrator_options(ns))
 
 
 def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
@@ -81,23 +89,25 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     assert math.isclose(summary["zeta_star"], 5.069116954881416, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("n, end, zeta_star", [
-    ("2", "completed to zeta = 60 in 705 steps", "5.06911695488"),
-    ("3", "diverged_at = 10.7077371497 (|z| crossed the guard; expected "
-          "for repelling starts)", "5.67712275416"),
-    ("5", "diverged_at = 11.1101252704 (z runs away within float resolution "
-          "in zeta; expected for repelling starts)", "6.70574671764"),
+@pytest.mark.parametrize("n, end", [
+    ("2", "completed to zeta = 60 in {steps} steps"),
+    ("3", "diverged_at = {diverged_at:.12g} (|z| crossed the guard; "
+          "expected for repelling starts)"),
+    ("5", "diverged_at = {diverged_at:.12g} (z runs away within float "
+          "resolution in zeta; expected for repelling starts)"),
 ], ids=["zeta_end", "guard", "blowup"])
-def test_solve_says_which_rule_ended_the_run(tmp_path, capsys, n, end,
-                                             zeta_star):
+def test_solve_says_which_rule_ended_the_run(tmp_path, capsys, n, end):
     """The human-readable solve names the run's stop: zeta_end, the guard
-    (n = 3) or the step floor (n = 5)."""
+    (n = 3) or the step floor (n = 5), with the step count, diverged_at
+    and zeta_star of the same run made in process."""
+    args = ["--n", n, "--omega", "0.5"]
+    traj = _solve_run(args)
+    end = end.format(steps=len(traj.zetas) - 1, diverged_at=traj.diverged_at)
     out = tmp_path / "run.csv"
-    code, stdout, err = _run(["solve", "--n", n, "--omega", "0.5", "--out",
-                              str(out)], capsys)
+    code, stdout, err = _run(["solve", *args, "--out", str(out)], capsys)
     assert (code, err) == (0, "")
     assert stdout == (f"wrote {out} and {tmp_path / 'run.summary.json'}\n"
-                      f"{end}\nzeta_star = {zeta_star}\n")
+                      f"{end}\nzeta_star = {first_zero(traj):.12g}\n")
 
 
 def test_solve_csv_drops_v_columns_when_undefined(tmp_path, capsys):
@@ -1161,8 +1171,10 @@ def test_solve_bytes_do_not_depend_on_the_cpus(case, tmp_path, capsys,
 
 
 def test_point_sized_solve_forks_nothing(tmp_path, capsys, monkeypatch):
-    """824 steps, about the longest `point` solve, stays under a sink batch
-    of 1024 steps, so integrate never calls the sink that forks."""
+    """The completed solve, about as long as the longest `point` solve,
+    stays under a sink batch of 1024 steps, so integrate never calls the
+    sink that forks."""
+    steps = len(_solve_run(SOLVES["completed"]).zetas) - 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
 
@@ -1172,7 +1184,7 @@ def test_point_sized_solve_forks_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "fork", refuse, raising=False)
     code, out, _ = _run(["solve", *SOLVES["completed"],
                          "--out", str(tmp_path / "run.csv")], capsys)
-    assert code == 0 and "in 824 steps" in out
+    assert code == 0 and f"in {steps} steps" in out
 
 
 @needs_fork
@@ -1269,7 +1281,8 @@ def test_solve_formatter_failure_formats_serially(failure, tmp_path, capsys,
         monkeypatch.setattr(os, "_exit", lambda code: real_exit(7))
     assert _solve_outputs(SOLVES["completed"], tmp_path / "forked",
                           capsys) == serial
-    assert len(forks) == 1 and formatted == [825]
+    assert len(forks) == 1 \
+        and formatted == [len(_solve_run(SOLVES["completed"]).zetas)]
     _no_child_left()
 
 
@@ -1312,14 +1325,14 @@ def test_solve_whose_formatter_left_early_formats_serially(
 def test_formatter_rows_equal_the_serial_rows(n, omega, theta0, zeta_end,
                                               monkeypatch):
     """_format_rows, run in process on a feed of a run's nodes as raw
-    doubles, read 16 nodes at a time, writes the rows _trajectory_csv
+    doubles, read one batch at a time, writes the rows _trajectory_csv
     formats, for an even-n run with V columns, a diverged odd-n run and
-    an omega = 0 run; none of their node counts (825, 985, 58) is a
-    multiple of 16."""
-    monkeypatch.setattr(cli, "_SINK_STEPS", 16)
+    an omega = 0 run.  The batch is the smallest size from 16 up that
+    does not divide the run's node count, so the last batch is partial."""
     p = make_params(n, omega, theta0)
     traj = integrate(p, IntegratorOptions(zeta_end=zeta_end))
-    assert len(traj.zetas) % 16 != 0
+    monkeypatch.setattr(cli, "_SINK_STEPS", next(
+        b for b in range(16, len(traj.zetas)) if len(traj.zetas) % b))
     nodes = array("d", [v for node in zip(traj.zetas, traj.zs, traj.dzs)
                         for v in node])
     out = io.StringIO()
